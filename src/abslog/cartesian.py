@@ -40,6 +40,7 @@ def tuple_universe(axis_universes) -> ConcreteUniverse:
 
     A one-axis product uses the axis window itself, with int points; two or
     more axes give a window of that dimension, with tuple points."""
+    axis_universes = list(axis_universes)
     windows = set()
     for u in axis_universes:
         if u.kind != "window" or u.params[2] != 1:
@@ -49,7 +50,7 @@ def tuple_universe(axis_universes) -> ConcreteUniverse:
     if len(windows) != 1:
         raise InvalidConcretization(f"axis windows differ: {sorted(windows)}")
     lo, hi = windows.pop()
-    return ConcreteUniverse.window(lo, hi, dim=len(list(axis_universes)))
+    return ConcreteUniverse.window(lo, hi, dim=len(axis_universes))
 
 
 def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:

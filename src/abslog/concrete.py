@@ -10,11 +10,18 @@ exhaustive set comparisons at this scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import InvalidConcretization, UnknownElement, UnknownOperation
-from .lattice import FiniteLattice, co_implication, heyting_implication, is_distributive
+from .connectives import CONNECTIVES, Connective, lookup
+from .errors import (
+    InvalidConcretization,
+    NotDistributive,
+    UnknownElement,
+    UnknownOperation,
+    UnknownSymbol,
+)
+from .lattice import FiniteLattice
 
 
 class ConcreteUniverse:
@@ -114,28 +121,15 @@ class ConcreteSet:
         return sorted(self.members, key=lambda p: (str(type(p)), p))
 
 
+_BY_CONCRETE_NAME = {c.concrete_name: c for c in CONNECTIVES.values()}
+
+
 def concrete_op(universe: ConcreteUniverse, op_name: str, *args: ConcreteSet) -> ConcreteSet:
     """Apply a named concrete (Boolean) operation over a universe."""
-    if op_name == "full":
-        return universe.full()
-    if op_name == "empty":
-        return universe.empty()
-    if op_name == "complement":
-        (x,) = args
-        return x.complement()
-    if op_name == "intersection":
-        x, y = args
-        return x.intersection(y)
-    if op_name == "union":
-        x, y = args
-        return x.union(y)
-    if op_name == "implication":
-        x, y = args
-        return x.complement().union(y)
-    if op_name == "coimplication":
-        x, y = args
-        return x.difference(y)
-    raise UnknownOperation(f"unknown concrete operation {op_name!r}")
+    c = _BY_CONCRETE_NAME.get(op_name)
+    if c is None:
+        raise UnknownOperation(f"unknown concrete operation {op_name!r}")
+    return c.concrete(universe, *args)
 
 
 class ConcretizationMap:
@@ -181,7 +175,6 @@ class Abstraction:
     gamma: ConcretizationMap
     var_names: tuple[str, ...] = ("x",)
     extra_axioms: tuple[tuple[str, str], ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma.source is not self.lattice:
@@ -191,8 +184,6 @@ class Abstraction:
     def universe(self) -> ConcreteUniverse:
         return self.gamma.target
 
-
-CANDIDATE_CONNECTIVES = ("tt", "ff", "and", "or", "not", "impl", "coimpl")
 
 PRESERVED = "preserved"
 NOT_PRESERVED = "not_preserved"
@@ -218,7 +209,7 @@ class PreservationReport:
 
     def lines(self) -> list[str]:
         out = []
-        for c in CANDIDATE_CONNECTIVES:
+        for c in CONNECTIVES:
             s = self.statuses[c]
             if s.state == PRESERVED:
                 out.append(f"{c}: preserved")
@@ -229,72 +220,35 @@ class PreservationReport:
         return out
 
 
-def _binary_status(abs_: Abstraction, conn: str, abstract_op, concrete_name: str) -> PreservationStatus:
-    gamma = abs_.gamma
-    uni = abs_.universe
-    for a in abs_.lattice.elements:
-        for b in abs_.lattice.elements:
-            lhs = gamma(abstract_op(a, b))
-            rhs = concrete_op(uni, concrete_name, gamma(a), gamma(b))
-            if lhs.members != rhs.members:
-                diff = (lhs.members | rhs.members) - (lhs.members & rhs.members)
-                pt = sorted(diff, key=repr)[0]
-                return PreservationStatus(
-                    conn, NOT_PRESERVED, (a, b),
-                    f"witness a={a} b={b}, first differing point {pt!r}")
+def _status(abs_: Abstraction, c: Connective) -> PreservationStatus:
+    """Compare gamma of the abstract operation with the concrete operation
+    on gamma of the arguments, for every argument tuple."""
+    conn = c.name
+    lat, gamma, uni = abs_.lattice, abs_.gamma, abs_.universe
+    try:
+        table = lat.table(conn)
+    except (NotDistributive, UnknownSymbol) as e:
+        return PreservationStatus(conn, NOT_APPLICABLE, None, str(e))
+    for args in iproduct(lat.elements, repeat=c.arity):
+        image = lat.elements[lookup(table, map(lat.index.__getitem__, args))]
+        lhs = gamma(image).members
+        rhs = c.concrete(uni, *map(gamma, args)).members
+        if lhs == rhs:
+            continue
+        if not args:  # a constant: the element it denotes is the witness
+            what = "nonempty" if not rhs else "not the whole universe"
+            return PreservationStatus(conn, NOT_PRESERVED, (image,),
+                                      f"gamma({image}) is {what}")
+        pt = sorted(lhs ^ rhs, key=repr)[0]
+        named = " ".join(f"{v}={e}" for v, e in zip("ab", args))
+        return PreservationStatus(conn, NOT_PRESERVED, args,
+                                  f"witness {named}, first differing point {pt!r}")
     return PreservationStatus(conn, PRESERVED)
 
 
 def preservation_report(abs_: Abstraction) -> PreservationReport:
     """Exhaustively decide which candidate connectives gamma preserves."""
-    lat = abs_.lattice
-    gamma = abs_.gamma
-    statuses: dict[str, PreservationStatus] = {}
-
-    if gamma(lat.top).members == abs_.universe.point_set:
-        statuses["tt"] = PreservationStatus("tt", PRESERVED)
-    else:
-        statuses["tt"] = PreservationStatus(
-            "tt", NOT_PRESERVED, (lat.top,), f"gamma({lat.top}) is not the whole universe")
-    if not gamma(lat.bottom).members:
-        statuses["ff"] = PreservationStatus("ff", PRESERVED)
-    else:
-        statuses["ff"] = PreservationStatus(
-            "ff", NOT_PRESERVED, (lat.bottom,), f"gamma({lat.bottom}) is nonempty")
-
-    statuses["and"] = _binary_status(abs_, "and", lat.meet, "intersection")
-    statuses["or"] = _binary_status(abs_, "or", lat.join, "union")
-
-    neg = lat.unary_ops.get("negation")
-    if neg is None:
-        statuses["not"] = PreservationStatus(
-            "not", NOT_APPLICABLE, None, "no negation operation declared")
-    else:
-        status = PreservationStatus("not", PRESERVED)
-        for a in lat.elements:
-            lhs = gamma(neg.table[a])
-            rhs = gamma(a).complement()
-            if lhs.members != rhs.members:
-                diff = (lhs.members | rhs.members) - (lhs.members & rhs.members)
-                pt = sorted(diff, key=repr)[0]
-                status = PreservationStatus(
-                    "not", NOT_PRESERVED, (a,),
-                    f"witness a={a}, first differing point {pt!r}")
-                break
-        statuses["not"] = status
-
-    if is_distributive(lat):
-        statuses["impl"] = _binary_status(
-            abs_, "impl", lambda a, b: heyting_implication(lat, a, b), "implication")
-        statuses["coimpl"] = _binary_status(
-            abs_, "coimpl", lambda a, b: co_implication(lat, a, b), "coimplication")
-    else:
-        statuses["impl"] = PreservationStatus(
-            "impl", NOT_APPLICABLE, None, "lattice not distributive")
-        statuses["coimpl"] = PreservationStatus(
-            "coimpl", NOT_APPLICABLE, None, "lattice not distributive")
-
-    return PreservationReport(statuses)
+    return PreservationReport({c.name: _status(abs_, c) for c in CONNECTIVES.values()})
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,159 @@
+"""The connective registry: every fact about a connective, defined once.
+
+One record per candidate connective, in the order the reports and
+signatures list them.  A record holds the text syntax (symbol, LaTeX and
+precedence), the concrete operation on sets, the abstract operation as a
+builder of a lattice index table, and the introduction rules the
+generated calculus adds when gamma preserves the connective.  Every
+module that needs one of these facts loops over ``CONNECTIVES`` or looks
+a record up by name; none spells them out again.
+
+Abstract tables are nested index tuples of depth ``arity``: an int for a
+constant, one row for a unary connective, a matrix for a binary one.
+:meth:`FiniteLattice.table` builds a table on first use and caches it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+from .errors import NotDistributive, UnknownSymbol
+
+# rule schemas: rule name -> (premise displays, conclusion display); `G`/`D`
+# are context metavariables, `?phi`/`?psi` formula metavariables
+Schemas = dict[str, tuple[tuple[str, ...], str]]
+
+ATOM_PREC = 4  # predicates and constants bind tightest
+
+
+@dataclass(frozen=True)
+class Connective:
+    name: str
+    arity: int
+    symbol: str
+    latex: str
+    prec: int                 # binding strength in text; higher binds tighter
+    concrete_name: str
+    concrete: Callable        # (universe, *sets) -> set
+    abstract: Callable        # lattice -> index table
+    intro: Schemas
+    # rules that replace ``intro`` when every connective in ``via`` is
+    # preserved too: negation is then read as implication to absurdity
+    via: frozenset[str] = frozenset()
+    intro_via: Schemas = field(default_factory=dict)
+
+
+def lookup(table, args):
+    """The entry of a nested index table at the argument indices."""
+    for i in args:
+        table = table[i]
+    return table
+
+
+def _negation(lat):
+    neg = lat.unary_ops.get("negation")
+    if neg is None:
+        raise UnknownSymbol("no negation operation declared")
+    return tuple(lat.index[neg.table[e]] for e in lat.elements)
+
+
+def _residual(n, leq, meet, join, start):
+    """t[a][b] = the join of every c with meet(a, c) <= b.
+
+    In a finite distributive lattice that join is itself such a c, and
+    ``start``, the least element of the given order, always is one."""
+    rows = []
+    for a in range(n):
+        ma = meet[a]
+        row = []
+        for b in range(n):
+            best = start
+            for c in range(n):
+                if leq[ma[c]][b]:
+                    best = join[best][c]
+            row.append(best)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _distributive(lat) -> None:
+    if not lat.is_distributive():
+        raise NotDistributive("lattice not distributive")
+
+
+def _heyting(lat):
+    """Relative pseudo-complement: the greatest c with a /\\ c <= b."""
+    _distributive(lat)
+    return _residual(len(lat), lat._leq, lat._meet, lat._join,
+                     lat.index[lat.bottom])
+
+
+def _co_heyting(lat):
+    """Dual relative pseudo-complement: the least c with a <= b \\/ c.
+
+    That is the relative pseudo-complement of b and a in the dual order,
+    hence the transposed table of the dual residual."""
+    _distributive(lat)
+    dual_leq = tuple(zip(*lat._leq))
+    return tuple(zip(*_residual(len(lat), dual_leq, lat._join, lat._meet,
+                                lat.index[lat.top])))
+
+
+_CONNECTIVES = (
+    Connective(
+        "tt", 0, "tt", "tt", ATOM_PREC, "full",
+        lambda u: u.full(), lambda lat: lat.index[lat.top],
+        {"intro.tt.r": ((), "G |- D, tt")}),
+    Connective(
+        "ff", 0, "ff", "ff", ATOM_PREC, "empty",
+        lambda u: u.empty(), lambda lat: lat.index[lat.bottom],
+        {"intro.ff.l": ((), "G, ff |- D")}),
+    Connective(
+        "and", 2, "&", r"\wedge ", 2, "intersection",
+        lambda u, x, y: x.intersection(y), lambda lat: lat._meet,
+        {"intro.and.l": (("G, ?phi, ?psi |- D",), "G, ?phi & ?psi |- D"),
+         "intro.and.r": (("G |- D, ?phi", "G' |- D', ?psi"),
+                         "G, G' |- D, D', ?phi & ?psi")}),
+    Connective(
+        "or", 2, "|", r"\vee ", 1, "union",
+        lambda u, x, y: x.union(y), lambda lat: lat._join,
+        {"intro.or.l": (("G, ?phi |- D", "G', ?psi |- D'"),
+                        "G, G', ?phi | ?psi |- D, D'"),
+         "intro.or.r": (("G |- D, ?phi, ?psi",), "G |- D, ?phi | ?psi")}),
+    Connective(
+        "not", 1, "~", r"\neg ", 3, "complement",
+        lambda u, x: x.complement(), _negation,
+        # a bare involutive, order-reversing negation carries nothing more
+        {"intro.not.involution.l": ((), "~~?phi |- ?phi"),
+         "intro.not.involution.r": ((), "?phi |- ~~?phi"),
+         "intro.not.contraposition": (("?phi |- ?psi",), "~?psi |- ~?phi")},
+        via=frozenset({"impl", "ff"}),
+        intro_via={"intro.not.def.l": ((), "~?phi |- ?phi -> ff"),
+                   "intro.not.def.r": ((), "?phi -> ff |- ~?phi")}),
+    Connective(
+        "impl", 2, "->", r"\rightarrow ", 0, "implication",
+        lambda u, x, y: x.complement().union(y), _heyting,
+        {"intro.impl.l": (("G |- D, ?phi", "G', ?psi |- D'"),
+                          "G, G', ?phi -> ?psi |- D, D'"),
+         "intro.impl.r": (("G, ?phi |- ?psi",), "G |- D, ?phi -> ?psi")}),
+    Connective(
+        "coimpl", 2, "<-", r"\leftarrow ", 0, "coimplication",
+        lambda u, x, y: x.difference(y), _co_heyting,
+        {"intro.coimpl.l": (("?phi |- D, ?psi",), "?phi <- ?psi |- D"),
+         "intro.coimpl.r": (("G |- D, ?phi", "G', ?psi |- D'"),
+                            "G, G' |- D, D', ?phi <- ?psi")}),
+)
+
+CONNECTIVES: dict[str, Connective] = {c.name: c for c in _CONNECTIVES}
+
+INTRO_SCHEMAS: Schemas = {name: schema for c in _CONNECTIVES
+                          for name, schema in (*c.intro.items(), *c.intro_via.items())}
+
+
+def connective(name: str) -> Connective:
+    """The record of a connective named in a formula or a table request."""
+    try:
+        return CONNECTIVES[name]
+    except KeyError:
+        raise UnknownSymbol(f"unknown connective {name!r}") from None

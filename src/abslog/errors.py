@@ -43,6 +43,14 @@ class UnknownSymbol(AbslogError):
     """A formula uses a predicate or connective outside the signature."""
 
 
+class InvalidNegation(AbslogError):
+    """A negation table is not an order-reversing involution."""
+
+
+class MinimizationFailed(AbslogError):
+    """Removing axioms changed the derivable closure (an inconsistent oracle)."""
+
+
 class WindowOverflow(AbslogError):
     """An octagon constant left the configured window."""
 

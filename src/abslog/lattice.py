@@ -1,10 +1,11 @@
 """Finite lattices with fully materialized meet/join tables.
 
-Carriers are small (desk scale), so every table is computed eagerly at
-construction and validated: the order must be a partial order, every pair
-of elements must have a unique glb and lub, and a top and bottom must
-exist.  Instances are immutable after construction and every operation is
-pure, so values can be shared freely between threads.
+Carriers are small (desk scale), so the order, meet and join tables are
+computed eagerly at construction and validated: the order must be a
+partial order, every pair of elements must have a unique glb and lub, and
+a top and bottom must exist.  The other connectives' tables are built on
+first use from the registry in :mod:`abslog.connectives` and cached.
+Every operation is pure and the caches only ever gain the same values.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .connectives import connective
 from .errors import (
     CarrierTooLarge,
     NotALattice,
     NotAPartialOrder,
-    NotDistributive,
     UnknownElement,
 )
 
@@ -58,6 +59,7 @@ class FiniteLattice:
         self.unary_ops: dict[str, UnaryOpTable] = dict(unary_ops or {})
         self.binary_ops: dict[str, BinaryOpTable] = dict(binary_ops or {})
         self._distributive: bool | None = None
+        self._tables: dict[str, object] = {}
         for op in self.unary_ops.values():
             self._check_unary_total(op)
         for op in self.binary_ops.values():
@@ -100,6 +102,24 @@ class FiniteLattice:
 
     def join(self, a: str, b: str) -> str:
         return self.elements[self._join[self._i(a)][self._i(b)]]
+
+    def is_distributive(self) -> bool:
+        """Exhaustive check of a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)."""
+        if self._distributive is None:
+            meet, join = self._meet, self._join
+            self._distributive = all(
+                meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+                for a, b, c in iproduct(range(len(self)), repeat=3))
+        return self._distributive
+
+    def table(self, name: str):
+        """Index table of a connective's abstract operation, built on first
+        use (see :mod:`abslog.connectives`); raises :class:`NotDistributive`
+        or :class:`UnknownSymbol` where the operation does not exist."""
+        t = self._tables.get(name)
+        if t is None:
+            t = self._tables[name] = connective(name).abstract(self)
+        return t
 
     def order_pairs(self) -> list[tuple[str, str]]:
         """All pairs (a, b) with a <= b, in declaration order."""
@@ -198,51 +218,17 @@ def leq(lattice: FiniteLattice, a: str, b: str) -> bool:
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
-    """Exhaustive check of a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)."""
-    if lattice._distributive is None:
-        n = len(lattice)
-        meet, join = lattice._meet, lattice._join
-        result = True
-        for a, b, c in iproduct(range(n), repeat=3):
-            if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                result = False
-                break
-        lattice._distributive = result
-    return lattice._distributive
+    return lattice.is_distributive()
 
 
 def heyting_implication(lattice: FiniteLattice, a: str, b: str) -> str:
     """Relative pseudo-complement: the greatest c with a /\\ c <= b."""
-    if not is_distributive(lattice):
-        raise NotDistributive(
-            "heyting_implication requires a distributive lattice")
-    ai, bi = lattice._i(a), lattice._i(b)
-    n = len(lattice)
-    best = None
-    for c in range(n):
-        if lattice._leq[lattice._meet[ai][c]][bi]:
-            best = c if best is None else lattice._join[best][c]
-    # In a finite distributive lattice the join of all candidates is itself
-    # a candidate; guard against silent misuse anyway.
-    if best is None or not lattice._leq[lattice._meet[ai][best]][bi]:
-        raise NotDistributive(
-            f"no relative pseudo-complement for ({a!r}, {b!r})")
-    return lattice.elements[best]
+    return lattice.elements[lattice.table("impl")[lattice._i(a)][lattice._i(b)]]
 
 
 def co_implication(lattice: FiniteLattice, a: str, b: str) -> str:
     """Dual relative pseudo-complement: the least c with a <= b \\/ c."""
-    if not is_distributive(lattice):
-        raise NotDistributive("co_implication requires a distributive lattice")
-    ai, bi = lattice._i(a), lattice._i(b)
-    n = len(lattice)
-    best = None
-    for c in range(n):
-        if lattice._leq[ai][lattice._join[bi][c]]:
-            best = c if best is None else lattice._meet[best][c]
-    if best is None or not lattice._leq[ai][lattice._join[bi][best]]:
-        raise NotDistributive(f"no co-implication for ({a!r}, {b!r})")
-    return lattice.elements[best]
+    return lattice.elements[lattice.table("coimpl")[lattice._i(a)][lattice._i(b)]]
 
 
 def is_meet_irreducible(lattice: FiniteLattice, a: str) -> bool:

@@ -13,20 +13,9 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .concrete import Abstraction, PreservationReport
-from .errors import UnknownFormat, UnknownSymbol
-from .lattice import co_implication, heyting_implication
-from .syntax import (
-    Bin,
-    Const,
-    Formula,
-    Not,
-    Pred,
-    Sequent,
-    parse_sequent,
-    render_sequent,
-)
-
-CONNECTIVE_ORDER = ("tt", "ff", "and", "or", "not", "impl", "coimpl")
+from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
+from .errors import AbslogError, MinimizationFailed, UnknownFormat
+from .syntax import Pred, Sequent, compound, parse_sequent, render_sequent
 
 KIND_STRUCTURAL = "structural"
 KIND_INTRODUCTION = "introduction"
@@ -63,8 +52,9 @@ class Rule:
         return self.conclusion_display
 
 
-# schema displays for the stock structural / introduction rules; `G`/`D` are
-# context metavariables, `?phi`/`?psi` formula metavariables
+# schema displays for the structural rules; `G`/`D` are context
+# metavariables, `?phi`/`?psi` formula metavariables (the introduction rules
+# live with their connectives in :mod:`abslog.connectives`)
 _STRUCTURAL_SCHEMAS: dict[str, tuple[tuple[str, ...], str]] = {
     "identity": ((), "?phi |- ?phi"),
     "weaken.l": (("G |- D",), "G, ?phi |- D"),
@@ -76,25 +66,12 @@ _STRUCTURAL_SCHEMAS: dict[str, tuple[tuple[str, ...], str]] = {
     "cut": (("G |- D, ?phi", "G', ?phi |- D'"), "G, G' |- D, D'"),
 }
 
-_INTRO_SCHEMAS: dict[str, tuple[tuple[str, ...], str]] = {
-    "intro.and.l": (("G, ?phi, ?psi |- D",), "G, ?phi & ?psi |- D"),
-    "intro.and.r": (("G |- D, ?phi", "G' |- D', ?psi"), "G, G' |- D, D', ?phi & ?psi"),
-    "intro.or.l": (("G, ?phi |- D", "G', ?psi |- D'"), "G, G', ?phi | ?psi |- D, D'"),
-    "intro.or.r": (("G |- D, ?phi, ?psi",), "G |- D, ?phi | ?psi"),
-    "intro.impl.l": (("G |- D, ?phi", "G', ?psi |- D'"), "G, G', ?phi -> ?psi |- D, D'"),
-    "intro.impl.r": (("G, ?phi |- ?psi",), "G |- D, ?phi -> ?psi"),
-    "intro.coimpl.l": (("?phi |- D, ?psi",), "?phi <- ?psi |- D"),
-    "intro.coimpl.r": (("G |- D, ?phi", "G', ?psi |- D'"), "G, G' |- D, D', ?phi <- ?psi"),
-    "intro.tt.r": ((), "G |- D, tt"),
-    "intro.ff.l": ((), "G, ff |- D"),
-    "intro.not.def.l": ((), "~?phi |- ?phi -> ff"),
-    "intro.not.def.r": ((), "?phi -> ff |- ~?phi"),
-    "intro.not.involution.l": ((), "~~?phi |- ?phi"),
-    "intro.not.involution.r": ((), "?phi |- ~~?phi"),
-    "intro.not.contraposition": (("?phi |- ?psi",), "~?psi |- ~?phi"),
-}
+STOCK_SCHEMAS = {**_STRUCTURAL_SCHEMAS, **INTRO_SCHEMAS}
 
-STOCK_SCHEMAS = {**_STRUCTURAL_SCHEMAS, **_INTRO_SCHEMAS}
+# Rule order in a generated system: the binary connectives come first, and a
+# connective whose rules are stated through others comes after all of them.
+_INTRO_ORDER = sorted(CONNECTIVES.values(), key=lambda c: (bool(c.via), -c.arity))
+_AXIOM_ORDER = sorted(CONNECTIVES.values(), key=lambda c: -c.arity)
 
 
 def _stock_rule(name: str) -> Rule:
@@ -137,42 +114,13 @@ def generate_signature(abs_: Abstraction, report: PreservationReport) -> Signatu
     )
 
 
-def _intro_rules_for(connectives: frozenset[str]) -> list[Rule]:
-    names: list[str] = []
-    if "and" in connectives:
-        names += ["intro.and.l", "intro.and.r"]
-    if "or" in connectives:
-        names += ["intro.or.l", "intro.or.r"]
-    if "impl" in connectives:
-        names += ["intro.impl.l", "intro.impl.r"]
-    if "coimpl" in connectives:
-        names += ["intro.coimpl.l", "intro.coimpl.r"]
-    if "tt" in connectives:
-        names += ["intro.tt.r"]
-    if "ff" in connectives:
-        names += ["intro.ff.l"]
-    if "not" in connectives:
-        if "impl" in connectives and "ff" in connectives:
-            # classical-negation reading through implication-to-absurdity
-            names += ["intro.not.def.l", "intro.not.def.r"]
-        else:
-            # a bare involutive, order-reversing negation carries nothing more
-            names += ["intro.not.involution.l", "intro.not.involution.r",
-                      "intro.not.contraposition"]
-    return [_stock_rule(n) for n in names]
-
-
-def _binary_table(abs_, conn: str):
-    lat = abs_.lattice
-    if conn == "and":
-        return lat.meet
-    if conn == "or":
-        return lat.join
-    if conn == "impl":
-        return lambda a, b: heyting_implication(lat, a, b)
-    if conn == "coimpl":
-        return lambda a, b: co_implication(lat, a, b)
-    raise UnknownSymbol(f"no abstract table for connective {conn!r}")
+def _intro_rules(connectives: frozenset[str]) -> list[Rule]:
+    rules = []
+    for c in _INTRO_ORDER:
+        if c.name in connectives:
+            schemas = c.intro_via if c.via and c.via <= connectives else c.intro
+            rules += [_stock_rule(name) for name in schemas]
+    return rules
 
 
 def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> ProofSystem:
@@ -180,40 +128,23 @@ def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> Proo
     sig = generate_signature(abs_, report)
     lat = abs_.lattice
     rules: list[Rule] = [_stock_rule(n) for n in _STRUCTURAL_SCHEMAS]
-    rules += _intro_rules_for(sig.connectives)
+    rules += _intro_rules(sig.connectives)
 
     def axiom(kind: str, name: str, s: Sequent) -> Rule:
         return Rule(kind, name, (), render_sequent(s, sig.var), axiom=s)
 
-    for conn in ("and", "or", "impl", "coimpl"):
-        if conn not in sig.connectives:
+    # one axiom pair per entry of each preserved connective's table
+    for c in _AXIOM_ORDER:
+        if c.name not in sig.connectives:
             continue
-        op = _binary_table(abs_, conn)
-        for a, b in iproduct(lat.elements, lat.elements):
-            c = op(a, b)
-            compound = Bin(conn, Pred(a), Pred(b))
-            rules.append(axiom(KIND_OPERATION, f"op.{conn}.{a}.{b}.l",
-                               Sequent((compound,), (Pred(c),))))
-            rules.append(axiom(KIND_OPERATION, f"op.{conn}.{a}.{b}.r",
-                               Sequent((Pred(c),), (compound,))))
-    if "not" in sig.connectives:
-        neg = lat.unary_ops["negation"]
-        for a in lat.elements:
-            b = neg.table[a]
-            rules.append(axiom(KIND_OPERATION, f"op.not.{a}.l",
-                               Sequent((Not(Pred(a)),), (Pred(b),))))
-            rules.append(axiom(KIND_OPERATION, f"op.not.{a}.r",
-                               Sequent((Pred(b),), (Not(Pred(a)),))))
-    if "tt" in sig.connectives:
-        rules.append(axiom(KIND_OPERATION, "op.tt.l",
-                           Sequent((Const("tt"),), (Pred(lat.top),))))
-        rules.append(axiom(KIND_OPERATION, "op.tt.r",
-                           Sequent((Pred(lat.top),), (Const("tt"),))))
-    if "ff" in sig.connectives:
-        rules.append(axiom(KIND_OPERATION, "op.ff.l",
-                           Sequent((Const("ff"),), (Pred(lat.bottom),))))
-        rules.append(axiom(KIND_OPERATION, "op.ff.r",
-                           Sequent((Pred(lat.bottom),), (Const("ff"),))))
+        table = lat.table(c.name)
+        for args in iproduct(range(len(lat)), repeat=c.arity):
+            names = [lat.elements[i] for i in args]
+            op = compound(c.name, *map(Pred, names))
+            value = Pred(lat.elements[lookup(table, args)])
+            tag = ".".join(["op", c.name, *names])
+            rules.append(axiom(KIND_OPERATION, f"{tag}.l", Sequent((op,), (value,))))
+            rules.append(axiom(KIND_OPERATION, f"{tag}.r", Sequent((value,), (op,))))
 
     for a, b in lat.order_pairs():
         name = f"ord.refl.{a}" if a == b else f"ord.{a}.{b}"
@@ -237,7 +168,8 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
     """
     from .lattice import hasse_edges  # local import keeps module deps one-way
 
-    assert ps.abstraction is not None, "minimization needs the source abstraction"
+    if ps.abstraction is None:
+        raise AbslogError("minimization needs the source abstraction")
     lat = ps.abstraction.lattice
     covers = set(hasse_edges(lat))
     removed: dict[str, Sequent] = {}
@@ -258,7 +190,7 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
 
     for name, seq in sorted(removed.items()):
         if not oracle(current, seq):
-            raise AssertionError(
+            raise MinimizationFailed(
                 f"minimization broke the closure: {name} no longer derivable")
     return current
 
@@ -275,7 +207,7 @@ def render(ps: ProofSystem, format: str = "text") -> str:
 
 
 def _sig_lines(ps: ProofSystem) -> list[str]:
-    conns = [c for c in CONNECTIVE_ORDER if c in ps.signature.connectives]
+    conns = [c for c in CONNECTIVES if c in ps.signature.connectives]
     return [
         "predicates " + " ".join(ps.signature.predicates),
         "connectives " + " ".join(conns),
@@ -295,10 +227,10 @@ def _render_text(ps: ProofSystem) -> str:
 
 def _render_latex(ps: ProofSystem) -> str:
     def tex(s: str) -> str:
-        return (s.replace("|-", r"\vdash ").replace("->", r"\rightarrow ")
-                 .replace("<-", r"\leftarrow ").replace("&", r"\wedge ")
-                 .replace("~", r"\neg ").replace("|", r"\vee ")
-                 .replace("?phi", r"\varphi").replace("?psi", r"\psi"))
+        s = s.replace("|-", r"\vdash ")
+        for c in CONNECTIVES.values():
+            s = s.replace(c.symbol, c.latex)
+        return s.replace("?phi", r"\varphi").replace("?psi", r"\psi")
 
     lines = [f"% proof system for {ps.source}"]
     for r in ps.sorted_rules():

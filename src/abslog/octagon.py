@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
-from .errors import GridGuardViolated, UnknownElement, WindowOverflow
+from .errors import GridGuardViolated, InvalidNegation, UnknownElement, WindowOverflow
 from .lattice import (
     FiniteLattice,
     UnaryOpTable,
@@ -151,11 +151,7 @@ def meet_feasible(region: OctRegion) -> bool:
         return False
     if su == 1 and sw == 1:
         return (region.u_lo - region.w_lo) % 2 == 0
-    if su == 1:
-        return True  # w-interval has >= 2 integers (or is infinite)
-    if sw == 1:
-        return True
-    return True
+    return True  # one interval has >= 2 integers (or is infinite)
 
 
 def grid_universe(grid_n: int) -> ConcreteUniverse:
@@ -191,12 +187,16 @@ def hemisphere_negation(lat: OctLattice) -> UnaryOpTable:
     for p in lat.predicates:
         table[p.name] = oct_complement(p, lat.window_c).name
     for name, image in table.items():
-        assert table[image] == name, "negation is not an involution"
+        if image not in table:
+            raise UnknownElement(
+                f"the complement {image!r} of {name!r} is not in the carrier")
+        if table[image] != name:
+            raise InvalidNegation(f"negation is not an involution on {name!r}")
     for a in lat.carrier:
         for b in lat.carrier:
-            if oct_leq(lat, a, b):
-                assert oct_leq(lat, table[b], table[a]), \
-                    "negation is not order-reversing"
+            if oct_leq(lat, a, b) and not oct_leq(lat, table[b], table[a]):
+                raise InvalidNegation(
+                    f"negation is not order-reversing on ({a!r}, {b!r})")
     return UnaryOpTable("negation", table)
 
 

@@ -16,23 +16,38 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product as iproduct
 
-from .concrete import Abstraction, concrete_op
+from .concrete import Abstraction
+from .connectives import CONNECTIVES, connective, lookup
 from .errors import AbslogError, CarrierTooLarge, UnknownSymbol
-from .lattice import co_implication, heyting_implication
-from .logicgen import (
-    KIND_OPERATION,
-    KIND_ORDER,
-    ProofSystem,
-    _STRUCTURAL_SCHEMAS,
-)
-from .syntax import Bin, Const, Formula, Not, Pred, Sequent, render_sequent
+from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
+from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
 
 
 # --- formula evaluation ------------------------------------------------------
+
+
+def _denote(lat, f: Formula, conns) -> int:
+    """Index of the element a formula denotes, through the abstract tables;
+    ``conns`` is the signature the connectives must belong to, or None."""
+    if isinstance(f, Pred):
+        try:
+            return lat.index[f.name]
+        except KeyError:
+            raise UnknownSymbol(f"unknown predicate {f.name!r}") from None
+    if isinstance(f, (Bin, Not, Const)) and conns is not None and f.op not in conns:
+        raise UnknownSymbol(f"connective {f.op!r} is not in the signature")
+    if isinstance(f, Bin):
+        return lat.table(f.op)[_denote(lat, f.lhs, conns)][_denote(lat, f.rhs, conns)]
+    if isinstance(f, Not):
+        return lat.table(f.op)[_denote(lat, f.arg, conns)]
+    if isinstance(f, Const):
+        return lat.table(f.op)
+    raise UnknownSymbol(f"cannot evaluate {f!r}")
 
 
 def normalize(ps: ProofSystem, formula: Formula) -> str:
@@ -44,66 +59,15 @@ def normalize(ps: ProofSystem, formula: Formula) -> str:
     abs_ = ps.abstraction
     if abs_ is None:
         raise AbslogError("normalization needs the source abstraction")
-    conns = ps.signature.connectives
     lat = abs_.lattice
-
-    def walk(f: Formula) -> str:
-        if isinstance(f, Pred):
-            if f.name not in lat.index:
-                raise UnknownSymbol(f"unknown predicate {f.name!r}")
-            return f.name
-        if isinstance(f, Const):
-            if f.kind not in conns:
-                raise UnknownSymbol(f"constant {f.kind!r} is not in the signature")
-            return lat.top if f.kind == "tt" else lat.bottom
-        if isinstance(f, Not):
-            if "not" not in conns:
-                raise UnknownSymbol("negation is not in the signature")
-            return lat.unary_ops["negation"].table[walk(f.arg)]
-        if isinstance(f, Bin):
-            if f.op not in conns:
-                raise UnknownSymbol(f"connective {f.op!r} is not in the signature")
-            a, b = walk(f.lhs), walk(f.rhs)
-            if f.op == "and":
-                return lat.meet(a, b)
-            if f.op == "or":
-                return lat.join(a, b)
-            if f.op == "impl":
-                return heyting_implication(lat, a, b)
-            return co_implication(lat, a, b)
-        raise UnknownSymbol(f"cannot normalize {f!r}")
-
-    return walk(formula)
+    return lat.elements[_denote(lat, formula, ps.signature.connectives)]
 
 
 def eval_abstract(abs_: Abstraction, formula: Formula) -> str:
-    """Homomorphic evaluation into the lattice (predicates to elements)."""
+    """Homomorphic evaluation into the lattice (predicates to elements):
+    :func:`normalize` without the signature check."""
     lat = abs_.lattice
-
-    def walk(f: Formula) -> str:
-        if isinstance(f, Pred):
-            if f.name not in lat.index:
-                raise UnknownSymbol(f"unknown predicate {f.name!r}")
-            return f.name
-        if isinstance(f, Const):
-            return lat.top if f.kind == "tt" else lat.bottom
-        if isinstance(f, Not):
-            neg = lat.unary_ops.get("negation")
-            if neg is None:
-                raise UnknownSymbol("the lattice declares no negation operation")
-            return neg.table[walk(f.arg)]
-        if isinstance(f, Bin):
-            a, b = walk(f.lhs), walk(f.rhs)
-            if f.op == "and":
-                return lat.meet(a, b)
-            if f.op == "or":
-                return lat.join(a, b)
-            if f.op == "impl":
-                return heyting_implication(lat, a, b)
-            return co_implication(lat, a, b)
-        raise UnknownSymbol(f"cannot evaluate {f!r}")
-
-    return walk(formula)
+    return lat.elements[_denote(lat, formula, None)]
 
 
 def eval_concrete(abs_: Abstraction, formula: Formula):
@@ -114,14 +78,12 @@ def eval_concrete(abs_: Abstraction, formula: Formula):
     def walk(f: Formula):
         if isinstance(f, Pred):
             return gamma(f.name)
-        if isinstance(f, Const):
-            return uni.full() if f.kind == "tt" else uni.empty()
-        if isinstance(f, Not):
-            return walk(f.arg).complement()
         if isinstance(f, Bin):
-            ops = {"and": "intersection", "or": "union",
-                   "impl": "implication", "coimpl": "coimplication"}
-            return concrete_op(uni, ops[f.op], walk(f.lhs), walk(f.rhs))
+            return connective(f.op).concrete(uni, walk(f.lhs), walk(f.rhs))
+        if isinstance(f, Not):
+            return connective(f.op).concrete(uni, walk(f.arg))
+        if isinstance(f, Const):
+            return connective(f.op).concrete(uni)
         raise UnknownSymbol(f"cannot evaluate {f!r}")
 
     return walk(formula)
@@ -172,37 +134,29 @@ class DerivabilityEngine:
         self.abs_ = abs_
         lat = abs_.lattice
         preds = ps.signature.predicates
+        if preds != lat.elements:
+            raise AbslogError("the signature predicates must be the lattice "
+                              "elements, in carrier order")
         self.n = len(preds)
         if self.n > max_predicates:
             raise CarrierTooLarge(
                 f"|A| = {self.n} exceeds the saturation bound {max_predicates}")
-        self.idx = {p: i for i, p in enumerate(preds)}
+        self.idx = lat.index
         self.preds = preds
+        self.lat = lat
+        self.conns = ps.signature.connectives
 
-        conns = ps.signature.connectives
-        self.f_and = "intro.and.l" in names
-        self.f_or = "intro.or.l" in names
-        self.f_impl = "intro.impl.l" in names
-        self.f_coimpl = "intro.coimpl.l" in names
-        self.f_not_prim = "intro.not.contraposition" in names
-        self.f_not_def = "intro.not.def.l" in names
-        self.f_tt = "intro.tt.r" in names
+        # a connective's rule family runs when the system holds all of its
+        # introduction rules
+        on = {c: r.intro.keys() <= names for c, r in CONNECTIVES.items()}
+        self.f_and, self.f_or, self.f_impl, self.f_coimpl, self.f_tt = (
+            on[c] for c in ("and", "or", "impl", "coimpl", "tt"))
+        self.f_not_prim = on["not"]
+        self.f_not_def = CONNECTIVES["not"].intro_via.keys() <= names
 
-        self.meet = self.join = self.hey = self.coi = None
-        if self.f_and:
-            self.meet = [[self.idx[lat.meet(a, b)] for b in preds] for a in preds]
-        if self.f_or:
-            self.join = [[self.idx[lat.join(a, b)] for b in preds] for a in preds]
-        if self.f_impl or self.f_not_def:
-            self.hey = [[self.idx[heyting_implication(lat, a, b)] for b in preds]
-                        for a in preds]
-        if self.f_coimpl:
-            self.coi = [[self.idx[co_implication(lat, a, b)] for b in preds]
-                        for a in preds]
-        self.neg = None
-        if ("not" in conns) and "negation" in lat.unary_ops:
-            t = lat.unary_ops["negation"].table
-            self.neg = [self.idx[t[p]] for p in preds]
+        tables = {c: lat.table(c) for c in self.conns if CONNECTIVES[c].arity}
+        self.meet, self.join, self.neg, self.hey, self.coi = (
+            tables.get(c) for c in ("and", "or", "not", "impl", "coimpl"))
         self.top_i = self.idx[lat.top]
         self.bot_i = self.idx[lat.bottom]
 
@@ -237,10 +191,8 @@ class DerivabilityEngine:
         if self.f_not_def and self.neg is not None:
             for a in range(self.n):
                 na, ha = self.neg[a], self.hey[a][self.bot_i]
-                if "intro.not.def.l" in names:
-                    self._add(1 << na, 1 << ha)
-                if "intro.not.def.r" in names:
-                    self._add(1 << ha, 1 << na)
+                self._add(1 << na, 1 << ha)
+                self._add(1 << ha, 1 << na)
         if self.f_not_prim and self.neg is not None:
             for a in range(self.n):
                 nna = self.neg[self.neg[a]]
@@ -248,7 +200,7 @@ class DerivabilityEngine:
                 self._add(1 << a, 1 << nna)
 
     def _norm(self, f: Formula) -> int:
-        return self.idx[normalize(self.ps, f)]
+        return _denote(self.lat, f, self.conns)
 
     # core set maintenance ----------------------------------------------------
 
@@ -562,51 +514,26 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
                 if leq[i][j] and leq[j][k] and not leq[i][k]:
                     raise AbslogError("class order is not transitive")
 
-    conns = ps.signature.connectives
+    # each preserved connective induces an operation on the classes; it must
+    # not depend on the chosen class members
     lat = abs_.lattice
-    unary_ops: dict[str, tuple[int, ...]] = {}
-    binary_ops: dict[str, tuple[tuple[int, ...], ...]] = {}
-    constants: dict[str, int] = {}
+    if lat.elements != engine.preds:
+        raise AbslogError("the abstraction's carrier is not the system's predicates")
+    induced: tuple[dict, dict, dict] = ({}, {}, {})  # constants, unary, binary
 
-    def check_unary(conn: str, table) -> tuple[int, ...]:
-        out = []
-        for i in range(m):
-            img = {cls_of_idx[engine.idx[table(engine.preds[a])]]
-                   for a in classes[i]}
+    def induce(c, table, chosen=()):
+        if len(chosen) == c.arity:
+            img = {cls_of_idx[lookup(table, args)]
+                   for args in iproduct(*(classes[k] for k in chosen))}
             if len(img) != 1:
-                raise AbslogError(f"{conn} is not class-independent")
-            out.append(img.pop())
-        return tuple(out)
+                raise AbslogError(f"{c.name} is not class-independent")
+            return img.pop()
+        return tuple(induce(c, table, chosen + (k,)) for k in range(m))
 
-    def check_binary(conn: str, table) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                img = {cls_of_idx[engine.idx[table(engine.preds[a], engine.preds[b])]]
-                       for a in classes[i] for b in classes[j]}
-                if len(img) != 1:
-                    raise AbslogError(f"{conn} is not class-independent")
-                row.append(img.pop())
-            out.append(tuple(row))
-        return tuple(out)
-
-    if "and" in conns:
-        binary_ops["and"] = check_binary("and", lat.meet)
-    if "or" in conns:
-        binary_ops["or"] = check_binary("or", lat.join)
-    if "impl" in conns:
-        binary_ops["impl"] = check_binary(
-            "impl", lambda a, b: heyting_implication(lat, a, b))
-    if "coimpl" in conns:
-        binary_ops["coimpl"] = check_binary(
-            "coimpl", lambda a, b: co_implication(lat, a, b))
-    if "not" in conns:
-        unary_ops["not"] = check_unary("not", lat.unary_ops["negation"].table.__getitem__)
-    if "tt" in conns:
-        constants["tt"] = cls_of_idx[engine.idx[lat.top]]
-    if "ff" in conns:
-        constants["ff"] = cls_of_idx[engine.idx[lat.bottom]]
+    for c in CONNECTIVES.values():
+        if c.name in ps.signature.connectives:
+            induced[c.arity][c.name] = induce(c, lat.table(c.name))
+    constants, unary_ops, binary_ops = induced
 
     return LindenbaumAlgebra(
         classes=tuple(frozenset(engine.preds[j] for j in grp) for grp in classes),
@@ -642,7 +569,10 @@ def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra,
     lat = abs_.lattice
     failures: list[str] = []
 
-    surjective = all(cls for cls in lind.classes)  # classes are predicate classes
+    surjective = ({lind.class_of[a] for a in lat.elements}
+                  == set(range(len(lind.classes))))
+    if not surjective:
+        failures.append("some class is the image of no element")
     injective = len(lind.classes) == len(lat.elements)
     if not injective:
         merged = [sorted(c) for c in lind.classes if len(c) > 1]
@@ -662,43 +592,24 @@ def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra,
                 failures.append(f"order not reflected on ({a}, {b})")
 
     hom: dict[str, bool] = {}
-    conns = connectives if connectives is not None else frozenset(
-        list(lind.binary_ops) + list(lind.unary_ops) + list(lind.constants))
-    for conn, table in (("and", lat.meet), ("or", lat.join)):
-        if conn in conns and conn in lind.binary_ops:
-            hom[conn] = _check_binary_hom(lat, lind, conn, table, failures)
-    if "impl" in conns and "impl" in lind.binary_ops:
-        hom["impl"] = _check_binary_hom(
-            lat, lind, "impl", lambda a, b: heyting_implication(lat, a, b), failures)
-    if "coimpl" in conns and "coimpl" in lind.binary_ops:
-        hom["coimpl"] = _check_binary_hom(
-            lat, lind, "coimpl", lambda a, b: co_implication(lat, a, b), failures)
-    if "not" in conns and "not" in lind.unary_ops:
-        ok = all(lind.class_of[lat.unary_ops["negation"].table[a]]
-                 == lind.unary_ops["not"][lind.class_of[a]]
-                 for a in lat.elements)
-        hom["not"] = ok
-        if not ok:
-            failures.append("negation is not a homomorphism")
-    if "tt" in conns and "tt" in lind.constants:
-        hom["tt"] = lind.constants["tt"] == lind.class_of[lat.top]
-    if "ff" in conns and "ff" in lind.constants:
-        hom["ff"] = lind.constants["ff"] == lind.class_of[lat.bottom]
+    induced = {**lind.constants, **lind.unary_ops, **lind.binary_ops}
+    conns = connectives if connectives is not None else frozenset(induced)
+    for c in CONNECTIVES.values():
+        if c.name not in conns or c.name not in induced:
+            continue
+        table, image = lat.table(c.name), induced[c.name]
+        hom[c.name] = True
+        for args in iproduct(lat.elements, repeat=c.arity):
+            value = lat.elements[lookup(table, map(lat.index.__getitem__, args))]
+            if lind.class_of[value] != lookup(image, map(lind.class_of.__getitem__, args)):
+                hom[c.name] = False
+                failures.append(f"{c.name} not a homomorphism on ({', '.join(args)})")
+                break
 
     ok = (surjective and injective and order_preserving and order_reflecting
           and all(hom.values()))
     return IsoReport(ok, surjective, injective, order_preserving,
                      order_reflecting, hom, failures)
-
-
-def _check_binary_hom(lat, lind, conn, table, failures) -> bool:
-    t = lind.binary_ops[conn]
-    for a in lat.elements:
-        for b in lat.elements:
-            if lind.class_of[table(a, b)] != t[lind.class_of[a]][lind.class_of[b]]:
-                failures.append(f"{conn} not a homomorphism on ({a}, {b})")
-                return False
-    return True
 
 
 # --- soundness ---------------------------------------------------------------
@@ -786,16 +697,14 @@ def _random_derivation(abs_, ps, rng, depth) -> Sequent | None:
     axioms = [r.axiom for r in ps.rules if r.axiom is not None]
     conns = ps.signature.connectives
     pool: list[Formula] = [Pred(p) for p in ps.signature.predicates]
-    if "tt" in conns:
-        pool.append(Const("tt"))
-    if "ff" in conns:
-        pool.append(Const("ff"))
+    pool += [Const(c.name) for c in CONNECTIVES.values()
+             if c.arity == 0 and c.name in conns]
     base = list(pool)
     for _ in range(6):  # shallow compound formulas over the signature
         f = rng.choice(base)
         if "not" in conns and rng.random() < 0.4:
             pool.append(Not(f))
-        ops = [c for c in ("and", "or", "impl", "coimpl") if c in conns]
+        ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
         if ops:
             pool.append(Bin(rng.choice(ops), f, rng.choice(base)))
 

@@ -2,21 +2,24 @@
 
 Grammar (see README for the full EBNF): predicates are written applied to
 the object variable(s), as in ``Even(x)`` or ``p:+x+y>=1(x,y)``; the
-connectives are ``~  &  |  ->  <-`` plus the constants ``tt`` and ``ff``;
-precedence is ``~ > & > | > -> = <-`` with right-associative arrows.
-Sequents read ``Gamma |- Delta`` with comma-separated, meta-conjunctive
-antecedents and meta-disjunctive (nonempty) succedents.
+connectives' symbols and precedences come from :mod:`abslog.connectives`,
+and the arrows (precedence 0) associate to the right.  Sequents read
+``Gamma |- Delta`` with comma-separated, meta-conjunctive antecedents and
+meta-disjunctive (nonempty) succedents.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .errors import ParseError
+from .connectives import ATOM_PREC, CONNECTIVES, connective
+from .errors import ParseError, UnknownSymbol
 
-BINARY_SYMBOLS = {"and": "&", "or": "|", "impl": "->", "coimpl": "<-"}
-SYMBOL_OPS = {v: k for k, v in BINARY_SYMBOLS.items()}
+_OPERATORS = {c.symbol: c for c in CONNECTIVES.values() if c.arity}
+_CONSTANTS = tuple(c for c in CONNECTIVES.values() if not c.arity)
+_TOP_BINARY_PREC = max(c.prec for c in _OPERATORS.values() if c.arity == 2)
 
 
 @dataclass(frozen=True)
@@ -29,20 +32,25 @@ class Pred:
 
 @dataclass(frozen=True)
 class Const:
-    kind: str  # "tt" | "ff"
+    kind: str  # a constant connective's name
 
     def __str__(self):
+        return self.kind
+
+    @property
+    def op(self) -> str:
         return self.kind
 
 
 @dataclass(frozen=True)
 class Not:
     arg: "Formula"
+    op: ClassVar[str] = "not"
 
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # "and" | "or" | "impl" | "coimpl"
+    op: str  # a binary connective's name
     lhs: "Formula"
     rhs: "Formula"
 
@@ -56,40 +64,50 @@ class Hole:
 
 Formula = Pred | Const | Not | Bin | Hole
 
-_PREC = {"impl": 0, "coimpl": 0, "or": 1, "and": 2}
+
+def compound(op: str, *args: Formula) -> Formula:
+    """The formula applying connective ``op`` to ``args``."""
+    if not args:
+        return Const(op)
+    if len(args) == 1:
+        return Not(*args)
+    return Bin(op, *args)
 
 
 def _prec(f: Formula) -> int:
-    if isinstance(f, Bin):
-        return _PREC[f.op]
-    return 4
+    # called on children already rendered, so their connectives are known
+    if isinstance(f, (Bin, Not, Const)):
+        return CONNECTIVES[f.op].prec
+    return ATOM_PREC
 
 
 def render_formula(f: Formula, var: str = "x") -> str:
     """Deterministic text with minimal parentheses (round-trips via parse)."""
     if isinstance(f, Pred):
         return f"{f.name}({var})"
-    if isinstance(f, Const):
-        return f.kind
     if isinstance(f, Hole):
         return f"?{f.label}"
+    if isinstance(f, Const):
+        return connective(f.op).symbol
     if isinstance(f, Not):
+        c = connective(f.op)
         inner = render_formula(f.arg, var)
-        if _prec(f.arg) < 3:
+        if _prec(f.arg) < c.prec:
             inner = f"({inner})"
-        return f"~{inner}"
-    assert isinstance(f, Bin)
-    sym = BINARY_SYMBOLS[f.op]
-    p = _PREC[f.op]
-    # & and | parse left-associatively, arrows right-associatively; a child at
-    # the same precedence level needs parentheses on the non-associating side
+        return f"{c.symbol}{inner}"
+    if not isinstance(f, Bin):
+        raise UnknownSymbol(f"cannot render {f!r}")
+    c = connective(f.op)
+    p = c.prec
+    # the arrows (precedence 0) parse right-associatively, the others left;
+    # a child at the same precedence needs parentheses on the other side
     lhs = render_formula(f.lhs, var)
     if _prec(f.lhs) < p or (p == 0 and _prec(f.lhs) == 0):
         lhs = f"({lhs})"
     rhs = render_formula(f.rhs, var)
     if _prec(f.rhs) < p or (p > 0 and _prec(f.rhs) == p):
         rhs = f"({rhs})"
-    return f"{lhs} {sym} {rhs}"
+    return f"{lhs} {c.symbol} {rhs}"
 
 
 @dataclass(frozen=True)
@@ -112,10 +130,14 @@ def render_sequent(s: Sequent, var: str = "x") -> str:
 
 # --- tokenizer -------------------------------------------------------------
 
-_PRED_RE = re.compile(r"([A-Za-z_\[][^\s(),&|~]*)\(([A-Za-z0-9_,\s]*)\)")
+# a predicate name stops at whitespace, parentheses, commas and the
+# one-character connective symbols
+_NAME_STOP = re.escape("".join(s for s in _OPERATORS if len(s) == 1))
+_PRED_RE = re.compile(rf"([A-Za-z_\[][^\s(),{_NAME_STOP}]*)\(([A-Za-z0-9_,\s]*)\)")
 _WS_RE = re.compile(r"\s*")
 
-_FIXED = ("|-", "->", "<-", "&", "|", "~", "(", ")", ",")
+# longest first, so that "|-" is not read as "|" and then "-"
+_FIXED = sorted(("|-", "(", ")", ",", *_OPERATORS), key=len, reverse=True)
 
 
 def _tokenize(text: str, line: int | None = None):
@@ -132,13 +154,11 @@ def _tokenize(text: str, line: int | None = None):
             tokens.append(("pred", (m.group(1), args), pos))
             pos = m.end()
             continue
-        if text.startswith("tt", pos) and not _is_name_char(text, pos + 2):
-            tokens.append(("const", "tt", pos))
-            pos += 2
-            continue
-        if text.startswith("ff", pos) and not _is_name_char(text, pos + 2):
-            tokens.append(("const", "ff", pos))
-            pos += 2
+        const = next((c for c in _CONSTANTS if text.startswith(c.symbol, pos)
+                      and not _is_name_char(text, pos + len(c.symbol))), None)
+        if const is not None:
+            tokens.append(("const", const.name, pos))
+            pos += len(const.symbol)
             continue
         for sym in _FIXED:
             if text.startswith(sym, pos):
@@ -176,34 +196,26 @@ class _Parser:
         return tok
 
     def formula(self) -> Formula:
-        return self._arrow()
+        return self._binary(0)
 
-    def _arrow(self) -> Formula:
-        lhs = self._disj()
-        kind, _, _ = self.peek()
-        if kind in ("->", "<-"):
+    def _binary(self, prec: int) -> Formula:
+        """Binary connectives binding at least as tightly as ``prec``; the
+        arrows (precedence 0) associate to the right, the others left."""
+        if prec > _TOP_BINARY_PREC:
+            return self._unary()
+        lhs = self._binary(prec + 1)
+        while True:
+            c = _OPERATORS.get(self.peek()[0])
+            if c is None or c.arity != 2 or c.prec != prec:
+                return lhs
             self.next()
-            rhs = self._arrow()
-            return Bin(SYMBOL_OPS[kind], lhs, rhs)
-        return lhs
-
-    def _disj(self) -> Formula:
-        f = self._conj()
-        while self.peek()[0] == "|":
-            self.next()
-            f = Bin("or", f, self._conj())
-        return f
-
-    def _conj(self) -> Formula:
-        f = self._unary()
-        while self.peek()[0] == "&":
-            self.next()
-            f = Bin("and", f, self._unary())
-        return f
+            if prec == 0:
+                return Bin(c.name, lhs, self._binary(0))
+            lhs = Bin(c.name, lhs, self._binary(prec + 1))
 
     def _unary(self) -> Formula:
         kind, value, pos = self.peek()
-        if kind == "~":
+        if kind in _OPERATORS and _OPERATORS[kind].arity == 1:
             self.next()
             return Not(self._unary())
         if kind == "pred":
@@ -274,9 +286,9 @@ def formula_symbols(f: Formula) -> tuple[set[str], set[str]]:
         if isinstance(g, Pred):
             preds.add(g.name)
         elif isinstance(g, Const):
-            conns.add(g.kind)
+            conns.add(g.op)
         elif isinstance(g, Not):
-            conns.add("not")
+            conns.add(g.op)
             walk(g.arg)
         elif isinstance(g, Bin):
             conns.add(g.op)

@@ -203,6 +203,13 @@ def test_one_axis_iota_and_closure():
         assert back.axes[0].members == r.axes[0].members
 
 
+def test_tuple_universe_accepts_a_generator():
+    w = ConcreteUniverse.window(0, 2)
+    target = tuple_universe(u for u in [w, w])
+    assert target == ConcreteUniverse.window(0, 2, dim=2)
+    assert target.describe() == "window 0 2 dim 2"
+
+
 def test_galois_one_axis():
     res = check_galois(((0, 3),))
     assert res.ok and res.checked == 16 * 16

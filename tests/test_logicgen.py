@@ -3,7 +3,7 @@
 import pytest
 
 from abslog.concrete import preservation_report
-from abslog.errors import UnknownFormat
+from abslog.errors import AbslogError, MinimizationFailed, UnknownFormat
 from abslog.lattice import hasse_edges
 from abslog.logicgen import (
     KIND_INTRODUCTION,
@@ -131,6 +131,28 @@ def test_minimize_fixpoint(threechain):
     mini = minimize_proof_system(system(threechain), ORACLE)
     again = minimize_proof_system(mini, ORACLE)
     assert again == mini
+
+
+def test_minimize_needs_the_abstraction(parity):
+    detached = parse_machine(render(system(parity), "machine"))
+    with pytest.raises(AbslogError):
+        minimize_proof_system(detached, ORACLE)
+
+
+def test_minimize_rejects_an_inconsistent_oracle(parity):
+    # says yes to every candidate in the greedy pass, then no in the re-check
+    ps = system(parity)
+    greedy = sum(r.kind == KIND_OPERATION for r in ps.rules)
+    calls = 0
+
+    def lying(system_, sequent):
+        nonlocal calls
+        calls += 1
+        return calls <= greedy
+
+    with pytest.raises(MinimizationFailed):
+        minimize_proof_system(ps, lying)
+    assert calls == greedy + 1
 
 
 def test_minimize_keeps_infeasibility_frontier(builtins):

@@ -1,0 +1,68 @@
+"""Octagon predicates: export, symbolic feasibility, irreducibility,
+the conjunction witness, the degenerate model and negation checks."""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+from abslog import specfile
+from abslog.errors import UnknownElement
+from abslog.octagon import (
+    OctLattice,
+    OctPredicate,
+    OctRegion,
+    conjunction_nonpreservation_witness,
+    degenerate_model_check,
+    export_abstraction,
+    hemisphere_negation,
+    meet_feasible,
+    verify_irreducibility,
+)
+
+from conftest import SPECS
+
+
+def test_export_c1_is_the_builtin_spec():
+    emitted = specfile.emit(export_abstraction(OctLattice.build(1), 4))
+    assert emitted == (SPECS / "octagon-c1.spec").read_text()
+
+
+@pytest.mark.parametrize("window_c, pairs", [(1, 36), (2, 136), (3, 300)])
+def test_meet_feasible_agrees_with_grid(window_c, pairs):
+    # independent oracle: brute-force nonemptiness on the grid [-4C, 4C]^2
+    grid = range(-4 * window_c, 4 * window_c + 1)
+    preds = OctLattice.build(window_c).predicates
+    checked = 0
+    for p, q in combinations_with_replacement(preds, 2):
+        brute = any(p.holds(x, y) and q.holds(x, y) for x in grid for y in grid)
+        assert meet_feasible(OctRegion.from_predicates((p, q))) == brute, (p.name, q.name)
+        checked += 1
+    assert checked == pairs
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3])
+def test_irreducibility(window_c):
+    assert verify_irreducibility(OctLattice.build(window_c))
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3])
+def test_conjunction_witness_is_complete(window_c):
+    witness = conjunction_nonpreservation_witness(window_c)
+    assert witness.complete
+    assert set(witness.separations) == set(OctLattice.build(window_c).carrier)
+
+
+def test_degenerate_model():
+    assert degenerate_model_check().ok
+
+
+def test_hemisphere_negation_is_an_involution():
+    lat = OctLattice.build(2)
+    table = hemisphere_negation(lat).table
+    assert all(table[table[e]] == e for e in lat.carrier)
+
+
+def test_missing_complement_is_a_typed_error():
+    # the complement x+y <= 0 (name p:-x-y>=1) is not in this carrier
+    with pytest.raises(UnknownElement):
+        hemisphere_negation(OctLattice(1, (OctPredicate(1, 1, 0),)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abslog.errors import ParseError
+from abslog.errors import ParseError, UnknownSymbol
 from abslog.syntax import (
     Bin,
     Const,
@@ -22,6 +22,11 @@ def test_parse_atoms():
     assert parse_formula("Even(x)") == Pred("Even")
     assert parse_formula("tt") == Const("tt")
     assert parse_formula("~Odd(x)") == Not(Pred("Odd"))
+
+
+def test_render_rejects_a_non_formula():
+    with pytest.raises(UnknownSymbol):
+        render_formula("Even")
 
 
 def test_octagon_style_names():

@@ -19,6 +19,8 @@ from .lattice import FiniteLattice
 from .specfile import default_var_names
 
 ELEMENT_SEP = "*"
+MAX_PRODUCT_CARRIER = 4096   # largest product lattice built
+MAX_PRODUCT_POINTS = 10_000  # largest tuple universe built
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ class ProductAbstraction:
                                for c, p in zip(self.components, parts)))
 
 
-def product(components, name: str | None = None,
-            max_carrier: int = 4096, max_points: int = 10_000) -> ProductAbstraction:
+def product(components) -> ProductAbstraction:
     """Componentwise product lattice with composite gamma = iota after gamma'."""
     components = tuple(components)
     if not components:
@@ -100,11 +101,12 @@ def product(components, name: str | None = None,
     size = 1
     for c in components:
         size *= len(c.lattice.elements)
-    if size > max_carrier:
-        raise CarrierTooLarge(f"product carrier {size} exceeds {max_carrier}")
+    if size > MAX_PRODUCT_CARRIER:
+        raise CarrierTooLarge(f"product carrier {size} exceeds {MAX_PRODUCT_CARRIER}")
     uni = tuple_universe([c.universe for c in components])
-    if len(uni) > max_points:
-        raise CarrierTooLarge(f"tuple universe {len(uni)} exceeds {max_points}")
+    if len(uni) > MAX_PRODUCT_POINTS:
+        raise CarrierTooLarge(
+            f"tuple universe {len(uni)} exceeds {MAX_PRODUCT_POINTS}")
 
     lattices = [c.lattice for c in components]
     tuples = list(iproduct(*(l.elements for l in lattices)))
@@ -129,8 +131,7 @@ def product(components, name: str | None = None,
         rect = Rectangle(tuple(c.gamma(p) for c, p in zip(components, t)))
         table[nm] = iota(rect, uni)
     gamma = ConcretizationMap(lattice, uni, table)
-    pname = name or ELEMENT_SEP.join(c.name for c in components)
-    abs_ = Abstraction(pname, lattice, gamma,
+    abs_ = Abstraction(ELEMENT_SEP.join(c.name for c in components), lattice, gamma,
                        var_names=default_var_names(len(components)))
     return ProductAbstraction(components, abs_)
 

@@ -46,6 +46,8 @@ class ConcreteUniverse:
     def window(cls, lo: int, hi: int, dim: int = 1) -> "ConcreteUniverse":
         if lo > hi:
             raise InvalidConcretization(f"empty window [{lo}, {hi}]")
+        if dim < 1:
+            raise InvalidConcretization(f"window dimension {dim} is below 1")
         axis = range(lo, hi + 1)
         if dim == 1:
             pts = tuple(axis)

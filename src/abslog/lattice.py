@@ -21,6 +21,8 @@ from .errors import (
     UnknownElement,
 )
 
+INVOLUTION_LIMIT = 12  # largest carrier whose involutions are enumerated
+
 
 @dataclass(frozen=True)
 class UnaryOpTable:
@@ -274,18 +276,17 @@ def hasse_edges(lattice: FiniteLattice) -> list[tuple[str, str]]:
     return out
 
 
-def find_order_reversing_involutions(lattice: FiniteLattice,
-                                     max_size: int = 12) -> list[UnaryOpTable]:
+def find_order_reversing_involutions(lattice: FiniteLattice) -> list[UnaryOpTable]:
     """Enumerate all order-reversing involutions of the carrier.
 
     Such a map is automatically an order anti-automorphism, which prunes
     the backtracking hard enough for desk-scale carriers.  Raises
-    :class:`CarrierTooLarge` above ``max_size`` elements.
+    :class:`CarrierTooLarge` above ``INVOLUTION_LIMIT`` elements.
     """
     n = len(lattice)
-    if n > max_size:
+    if n > INVOLUTION_LIMIT:
         raise CarrierTooLarge(
-            f"involution enumeration capped at {max_size} elements, got {n}")
+            f"involution enumeration capped at {INVOLUTION_LIMIT} elements, got {n}")
     lq = lattice._leq
     found: list[tuple[int, ...]] = []
     assign: list[int | None] = [None] * n

@@ -87,10 +87,6 @@ class OctLattice:
         raise UnknownElement(f"unknown octagon element {name!r}")
 
 
-def build_oct_lattice(window_c: int) -> OctLattice:
-    return OctLattice.build(window_c)
-
-
 def oct_leq(lat: OctLattice, a: OctPredicate | str, b: OctPredicate | str) -> bool:
     """bot below everything, top above; same slope compares by constant
     (a larger threshold cuts a smaller half-plane); distinct slopes are
@@ -248,21 +244,13 @@ class ConjunctionWitness:
         return bool(self.separations)
 
 
-def conjunction_nonpreservation_witness(
-        window_c: int,
-        p: OctPredicate | None = None,
-        q: OctPredicate | None = None) -> ConjunctionWitness:
-    """No carrier element concretizes to gamma(p) & gamma(q).
-
-    Defaults to the quarter-plane pair x+y >= 0, x-y >= 0; for every
-    candidate element a distinguishing grid point (N = 4C) is produced.
+def conjunction_nonpreservation_witness(window_c: int) -> ConjunctionWitness:
+    """No carrier element concretizes to gamma(p) & gamma(q) for the
+    quarter-plane pair p: x+y >= 0, q: x-y >= 0; for every candidate
+    element a distinguishing grid point (N = 4C) is produced.
     """
     lat = OctLattice.build(window_c)
-    p = p or OctPredicate(1, 1, 0)
-    q = q or OctPredicate(1, -1, 0)
-    if (p.sx, p.sy) == (q.sx, q.sy):
-        raise WindowOverflow(
-            "same-slope pairs have representable meets; pick distinct slopes")
+    p, q = OctPredicate(1, 1, 0), OctPredicate(1, -1, 0)
     grid_n = 4 * window_c
     target = grid_gamma(lat, p, grid_n) & grid_gamma(lat, q, grid_n)
     separations: dict[str, tuple[int, int]] = {}

@@ -7,9 +7,9 @@ operation axioms plus cut), and the derivable relation over
 predicate-set sequents is then closed under the structural and
 introduction rules.  Weakening makes that relation upward closed, so the
 engine stores a subsumption-reduced generating set (sequents as bitmask
-pairs) whose upward closure is the saturated set; queries are membership
-checks against that closure and support early exit while saturation is
-still running.
+pairs) whose upward closure is the saturated set; a query is a membership
+check against that closure, and on an engine still saturating it runs
+saturation steps only until the check holds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
 from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
+CLOSURE_LIMIT = 10  # largest carrier whose full closure is materialized
+REPLAY_DEPTH = 4    # depth of the random derivations soundness replays
 
 
 # --- formula evaluation ------------------------------------------------------
@@ -165,8 +167,6 @@ class DerivabilityEngine:
         self.by_ante: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.by_succ: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.queue: deque[tuple[int, int]] = deque()
-        self._target: tuple[int, int] | None = None
-        self._hit = False
 
         self._seed()
 
@@ -237,17 +237,11 @@ class DerivabilityEngine:
         for b in _bits(d):
             self.by_succ[b].append(key)
         self.queue.append(key)
-        if self._target is not None:
-            tg, td = self._target
-            if (g & ~tg) == 0 and (d & ~td) == 0:
-                self._hit = True
 
     # saturation ----------------------------------------------------------
 
     def saturate(self) -> None:
         while self.queue:
-            if self._target is not None and self._hit:
-                return  # early exit: the pending query is already subsumed
             self._step(self.queue.popleft())
 
     def _step(self, item: tuple[int, int]) -> None:
@@ -374,37 +368,37 @@ class DerivabilityEngine:
         return g, d
 
     def derivable_masks(self, g: int, d: int) -> bool:
+        """Saturate only until some generator subsumes the sequent.
+
+        Only a step's new generators can newly subsume it, so each step
+        checks just those: a wide sequent would cost ``_subsumed`` up to
+        2^16 lookups per step."""
         if self._subsumed(g, d):
             return True
-        if not self.queue:
-            return False
-        self._target = (g, d)
-        self._hit = False
-        try:
-            self.saturate()
-        finally:
-            self._target = None
-        return self._hit or self._subsumed(g, d)
+        ng, nd = ~g, ~d
+        gens = self.gen_list
+        while self.queue:
+            start = len(gens)
+            self._step(self.queue.popleft())
+            if any((g0 & ng) == 0 and (d0 & nd) == 0 for g0, d0 in gens[start:]):
+                return True
+        return False
 
     def derivable(self, s: Sequent) -> bool:
         g, d = self.masks(s)
         return self.derivable_masks(g, d)
 
-    def generators(self) -> list[Sequent]:
-        self.saturate()
-        return [self.mask_sequent(g, d) for g, d in self.gen_list]
-
     def mask_sequent(self, g: int, d: int) -> Sequent:
         return Sequent(tuple(Pred(self.preds[i]) for i in _bits(g)),
                        tuple(Pred(self.preds[i]) for i in _bits(d)))
 
-    def closure_rows(self, max_n: int = 12) -> list[int]:
+    def closure_rows(self) -> list[int]:
         """Full upward closure as one bitset of succedent masks per
         antecedent mask.  Exponential in the carrier; guarded."""
         self.saturate()
         n = self.n
-        if n > max_n:
-            raise CarrierTooLarge(f"closure materialization capped at {max_n}")
+        if n > CLOSURE_LIMIT:
+            raise CarrierTooLarge(f"closure materialization capped at {CLOSURE_LIMIT}")
         size = 1 << n
         rows = [0] * size
         for g, d in self.gen_list:
@@ -445,18 +439,14 @@ def derivable(ps: ProofSystem, s: Sequent,
 @dataclass
 class LindenbaumAlgebra:
     """Interderivability classes of predicate formulas with induced order
-    and operations; ``embedding`` maps each element name to its class."""
+    and operations.  ``class_of`` maps each element name to its class;
+    ``ops`` holds one table per connective, indexed by classes: a class for
+    a constant, a row for negation, a square for a binary connective."""
 
     classes: tuple[frozenset[str], ...]
-    reps: tuple[str, ...]
     class_of: dict[str, int]
     leq: tuple[tuple[bool, ...], ...]
-    unary_ops: dict[str, tuple[int, ...]]
-    binary_ops: dict[str, tuple[tuple[int, ...], ...]]
-    constants: dict[str, int]
-
-    def embedding(self, element: str) -> int:
-        return self.class_of[element]
+    ops: dict[str, int | tuple]
 
 
 def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
@@ -474,26 +464,15 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
     der = [[engine.derivable_masks(1 << i, 1 << j) for j in range(n)]
            for i in range(n)]
 
+    # canonical ordering: classes in the order of their least member name
     cls_of_idx = [-1] * n
     classes: list[list[int]] = []
-    for i in range(n):
-        if cls_of_idx[i] >= 0:
-            continue
-        group = [j for j in range(n) if der[i][j] and der[j][i]]
-        k = len(classes)
-        for j in group:
-            cls_of_idx[j] = k
-        classes.append(group)
-
-    # canonical ordering: classes sorted by their least member name
-    named = sorted((sorted(engine.preds[j] for j in grp), grp)
-                   for grp in classes)
-    classes = [grp for _, grp in named]
-    cls_of_idx = [-1] * n
-    for k, grp in enumerate(classes):
-        for j in grp:
-            cls_of_idx[j] = k
-    reps = tuple(min(engine.preds[j] for j in grp) for grp in classes)
+    for i in sorted(range(n), key=engine.preds.__getitem__):
+        if cls_of_idx[i] < 0:
+            group = [j for j in range(n) if der[i][j] and der[j][i]]
+            for j in group:
+                cls_of_idx[j] = len(classes)
+            classes.append(group)
     class_of = {engine.preds[j]: cls_of_idx[j] for j in range(n)}
     m = len(classes)
     leq = tuple(tuple(der[classes[i][0]][classes[j][0]] for j in range(m))
@@ -519,8 +498,6 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
     lat = abs_.lattice
     if lat.elements != engine.preds:
         raise AbslogError("the abstraction's carrier is not the system's predicates")
-    induced: tuple[dict, dict, dict] = ({}, {}, {})  # constants, unary, binary
-
     def induce(c, table, chosen=()):
         if len(chosen) == c.arity:
             img = {cls_of_idx[lookup(table, args)]
@@ -530,15 +507,11 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
             return img.pop()
         return tuple(induce(c, table, chosen + (k,)) for k in range(m))
 
-    for c in CONNECTIVES.values():
-        if c.name in ps.signature.connectives:
-            induced[c.arity][c.name] = induce(c, lat.table(c.name))
-    constants, unary_ops, binary_ops = induced
-
+    ops = {c.name: induce(c, lat.table(c.name)) for c in CONNECTIVES.values()
+           if c.name in ps.signature.connectives}
     return LindenbaumAlgebra(
         classes=tuple(frozenset(engine.preds[j] for j in grp) for grp in classes),
-        reps=reps, class_of=class_of, leq=leq,
-        unary_ops=unary_ops, binary_ops=binary_ops, constants=constants)
+        class_of=class_of, leq=leq, ops=ops)
 
 
 @dataclass
@@ -563,8 +536,7 @@ class IsoReport:
         ]
 
 
-def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra,
-                       connectives: frozenset[str] | None = None) -> IsoReport:
+def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra) -> IsoReport:
     """Check that e(a) = [a(x)] is an order isomorphism and homomorphism."""
     lat = abs_.lattice
     failures: list[str] = []
@@ -592,18 +564,14 @@ def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra,
                 failures.append(f"order not reflected on ({a}, {b})")
 
     hom: dict[str, bool] = {}
-    induced = {**lind.constants, **lind.unary_ops, **lind.binary_ops}
-    conns = connectives if connectives is not None else frozenset(induced)
-    for c in CONNECTIVES.values():
-        if c.name not in conns or c.name not in induced:
-            continue
-        table, image = lat.table(c.name), induced[c.name]
-        hom[c.name] = True
-        for args in iproduct(lat.elements, repeat=c.arity):
+    for name, image in lind.ops.items():
+        table = lat.table(name)
+        hom[name] = True
+        for args in iproduct(lat.elements, repeat=CONNECTIVES[name].arity):
             value = lat.elements[lookup(table, map(lat.index.__getitem__, args))]
             if lind.class_of[value] != lookup(image, map(lind.class_of.__getitem__, args)):
-                hom[c.name] = False
-                failures.append(f"{c.name} not a homomorphism on ({', '.join(args)})")
+                hom[name] = False
+                failures.append(f"{name} not a homomorphism on ({', '.join(args)})")
                 break
 
     ok = (surjective and injective and order_preserving and order_reflecting
@@ -624,18 +592,17 @@ class SoundnessResult:
     replays_checked: int = 0
 
 
-def verify_soundness(abs_: Abstraction, ps: ProofSystem, depth_bound: int = 4,
+def verify_soundness(abs_: Abstraction, ps: ProofSystem,
                      max_predicates: int = DEFAULT_SATURATION_BOUND,
-                     exhaustive_limit: int = 10, replays: int = 500,
-                     rng_seed: int = 20240811) -> SoundnessResult:
+                     replays: int = 500, rng_seed: int = 20240811) -> SoundnessResult:
     """Check every saturated-derivable sequent against the concrete semantics.
 
-    The generating set is checked directly; for small carriers the entire
-    upward closure is enumerated as well (``holds_concrete`` is monotone
-    under weakening, so the generator check already covers the closure —
-    the exhaustive pass re-verifies that).  Finally ``replays`` random
-    formula-level derivations of bounded depth are replayed and their
-    conclusions checked.
+    The generating set is checked directly; for carriers of at most
+    ``CLOSURE_LIMIT`` predicates the entire upward closure is enumerated as
+    well (``holds_concrete`` is monotone under weakening, so the generator
+    check already covers the closure — the exhaustive pass re-verifies
+    that).  Finally ``replays`` random formula-level derivations of depth
+    ``REPLAY_DEPTH`` are replayed and their conclusions checked.
     """
     engine = DerivabilityEngine(ps, max_predicates=max_predicates)
     engine.saturate()
@@ -648,7 +615,7 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem, depth_bound: int = 4,
 
     cells = 0
     n = engine.n
-    if n <= exhaustive_limit:
+    if n <= CLOSURE_LIMIT:
         rows = engine.closure_rows()
         pts = abs_.universe.points
         pt_bit = {p: 1 << i for i, p in enumerate(pts)}
@@ -683,7 +650,7 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem, depth_bound: int = 4,
     rng = random.Random(rng_seed)
     replayed = 0
     for _ in range(replays):
-        s = _random_derivation(abs_, ps, rng, depth_bound)
+        s = _random_derivation(abs_, ps, rng, REPLAY_DEPTH)
         if s is None:
             continue
         replayed += 1

@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
-from .errors import AbslogError, ParseError, SpecError
+from .errors import AbslogError, InvalidConcretization, ParseError, SpecError
 from .lattice import BinaryOpTable, FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
 from .syntax import formula_symbols, parse_sequent
 
@@ -172,6 +172,8 @@ def _parse_universe(ln_no: int, line: str) -> ConcreteUniverse:
                                                dim=int(words[4]))
         except ValueError:
             pass
+        except InvalidConcretization as e:
+            raise SpecError(str(e), ln_no) from e
         raise ParseError("expected 'window LO HI' or 'window LO HI dim N'", ln_no)
     raise ParseError(f"unknown universe kind {words[0]!r}", ln_no)
 
@@ -180,12 +182,18 @@ _TUPLE_RE = re.compile(r"\(\s*-?\d+\s*(?:,\s*-?\d+\s*)+\)|\S+")
 
 
 def _parse_point(tok: str, uni: ConcreteUniverse):
-    if tok.startswith("("):
-        return tuple(int(x) for x in tok[1:-1].split(","))
-    try:
-        return int(tok)
-    except ValueError:
+    """A point token read by the universe's kind: an atom name, an int on a
+    1-D window, an int tuple on a window of higher dimension."""
+    if uni.kind == "atoms":
         return tok
+    try:
+        if uni.params[2] == 1:
+            return int(tok)
+        if tok.startswith("("):
+            return tuple(int(x) for x in tok[1:-1].split(","))
+    except ValueError:
+        pass
+    raise SpecError(f"point {tok} is outside the universe")
 
 
 def _eval_set_expr(expr: str, uni: ConcreteUniverse) -> ConcreteSet:

@@ -55,14 +55,7 @@ class Bin:
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Hole:
-    """Schematic metavariable, used only in rule schema displays."""
-
-    label: str
-
-
-Formula = Pred | Const | Not | Bin | Hole
+Formula = Pred | Const | Not | Bin
 
 
 def compound(op: str, *args: Formula) -> Formula:
@@ -85,8 +78,6 @@ def render_formula(f: Formula, var: str = "x") -> str:
     """Deterministic text with minimal parentheses (round-trips via parse)."""
     if isinstance(f, Pred):
         return f"{f.name}({var})"
-    if isinstance(f, Hole):
-        return f"?{f.label}"
     if isinstance(f, Const):
         return connective(f.op).symbol
     if isinstance(f, Not):

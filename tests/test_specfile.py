@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from abslog import specfile
-from abslog.errors import NotAPartialOrder, ParseError, SpecError
+from abslog.concrete import ConcreteUniverse
+from abslog.errors import InvalidConcretization, NotAPartialOrder, ParseError, SpecError
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -126,6 +127,13 @@ def test_gamma_point_outside_universe():
     with pytest.raises(SpecError) as exc:
         specfile.load(text)
     assert "5" in str(exc.value)
+    # a token is read as a point of the universe's kind, or refused
+    for universe, token in (("window 0 2", "(1,1)"), ("window 0 2 dim 2", "1"),
+                            ("window 0 2", "x")):
+        with pytest.raises(SpecError) as exc:
+            specfile.load(f"ELEMENTS\na\nUNIVERSE\n{universe}\nGAMMA\na = {{{token}}}")
+        assert f"point {token} is outside the universe" in str(exc.value)
+        assert exc.value.line == 6
 
 
 def test_emit_roundtrip(builtins):
@@ -143,3 +151,25 @@ def test_emit_roundtrip(builtins):
         assert abs_.extra_axioms == again.extra_axioms
         # determinism: emitting the reloaded abstraction is byte-identical
         assert specfile.emit(again) == text
+
+
+def test_integer_like_atoms_roundtrip():
+    text = "ELEMENTS\nbot a top\nORDER\nbot < a\na < top\nUNIVERSE\natoms 1 2\n" \
+           "GAMMA\nbot = {}\na = {1}\ntop = all\n"
+    abs_ = specfile.load(text, "digits")
+    assert abs_.universe.points == ("1", "2")
+    assert abs_.gamma("a").members == frozenset(["1"])
+    again = specfile.load(specfile.emit(abs_), "digits")
+    assert again.gamma("a").members == frozenset(["1"])
+    assert specfile.emit(again) == specfile.emit(abs_)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_window_dimension_below_one_rejected(dim):
+    with pytest.raises(InvalidConcretization):
+        ConcreteUniverse.window(0, 2, dim=dim)
+    text = f"ELEMENTS\na\nUNIVERSE\nwindow 0 2 dim {dim}\nGAMMA\na = all"
+    with pytest.raises(SpecError) as exc:
+        specfile.load(text)
+    assert exc.value.line == 4
+    assert "dimension" in str(exc.value)

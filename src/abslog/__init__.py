@@ -42,6 +42,7 @@ from .proofengine import (
     LindenbaumAlgebra,
     build_lindenbaum,
     derivable,
+    engine_for,
     eval_abstract,
     eval_concrete,
     holds_concrete,

@@ -15,6 +15,7 @@ from itertools import product as iproduct
 
 from .connectives import CONNECTIVES, Connective, lookup
 from .errors import (
+    CarrierTooLarge,
     InvalidConcretization,
     NotDistributive,
     UnknownElement,
@@ -22,6 +23,10 @@ from .errors import (
     UnknownSymbol,
 )
 from .lattice import FiniteLattice
+
+# largest window built, in points and in coordinates per point; the
+# products of ``cartesian`` have their own, smaller MAX_PRODUCT_POINTS
+MAX_WINDOW_POINTS = 100_000
 
 
 class ConcreteUniverse:
@@ -48,6 +53,11 @@ class ConcreteUniverse:
             raise InvalidConcretization(f"empty window [{lo}, {hi}]")
         if dim < 1:
             raise InvalidConcretization(f"window dimension {dim} is below 1")
+        # counted before any point is made; the dimension is bounded first so
+        # that the power stays small
+        if dim > MAX_WINDOW_POINTS or (hi - lo + 1) ** dim > MAX_WINDOW_POINTS:
+            raise CarrierTooLarge(f"window [{lo}, {hi}] of dimension {dim} "
+                                  f"exceeds {MAX_WINDOW_POINTS} points")
         axis = range(lo, hi + 1)
         if dim == 1:
             pts = tuple(axis)

@@ -86,6 +86,15 @@ class ProofSystem:
     rules: tuple[Rule, ...]
     source: str
     abstraction: Abstraction | None = field(default=None, repr=False, compare=False)
+    # the system's one derivability engine, built on first use by
+    # ``proofengine.engine_for``; a derived system starts without one, and
+    # assigning a field drops it
+    _engine: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name != "_engine":
+            object.__setattr__(self, "_engine", None)
+        object.__setattr__(self, name, value)
 
     def sorted_rules(self) -> list[Rule]:
         return sorted(self.rules, key=lambda r: (r.kind, r.name))

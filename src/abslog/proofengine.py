@@ -10,6 +10,13 @@ engine stores a subsumption-reduced generating set (sequents as bitmask
 pairs) whose upward closure is the saturated set; a query is a membership
 check against that closure, and on an engine still saturating it runs
 saturation steps only until the check holds.
+
+Each proof system has one engine, built on first use by :func:`engine_for`
+and kept on the system: :func:`derivable`, :func:`build_lindenbaum`,
+:func:`verify_soundness` and :func:`verify_completeness` all query it, so one
+verification saturates once.  A query leaves the engine partly saturated
+and a later ``saturate()`` finishes the same steps in the same order, so the
+order of the calls does not change any answer.
 """
 
 from __future__ import annotations
@@ -112,6 +119,11 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _check_bound(n: int, max_predicates: int) -> None:
+    if n > max_predicates:
+        raise CarrierTooLarge(f"|A| = {n} exceeds the saturation bound {max_predicates}")
+
+
 class DerivabilityEngine:
     """Saturates the predicate-sequent derivability relation of one system.
 
@@ -132,7 +144,6 @@ class DerivabilityEngine:
         missing = set(_STRUCTURAL_SCHEMAS) - names
         if missing:
             raise AbslogError(f"structural rules missing: {sorted(missing)}")
-        self.ps = ps
         self.abs_ = abs_
         lat = abs_.lattice
         preds = ps.signature.predicates
@@ -140,9 +151,7 @@ class DerivabilityEngine:
             raise AbslogError("the signature predicates must be the lattice "
                               "elements, in carrier order")
         self.n = len(preds)
-        if self.n > max_predicates:
-            raise CarrierTooLarge(
-                f"|A| = {self.n} exceeds the saturation bound {max_predicates}")
+        _check_bound(self.n, max_predicates)
         self.idx = lat.index
         self.preds = preds
         self.lat = lat
@@ -168,16 +177,17 @@ class DerivabilityEngine:
         self.by_succ: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.queue: deque[tuple[int, int]] = deque()
 
-        self._seed()
+        # the engine keeps no reference to ``ps``: ``ps`` holds the engine, and
+        # a cycle would outlive the system until the next garbage collection
+        self._seed(ps.rules, names)
 
     # seeding ---------------------------------------------------------------
 
-    def _seed(self) -> None:
-        names = self.ps.rule_names()
+    def _seed(self, rules, names) -> None:
         if "identity" in names:
             for i in range(self.n):
                 self._add(1 << i, 1 << i)
-        for r in self.ps.rules:
+        for r in rules:
             if r.axiom is not None:
                 g = 0
                 for f in r.axiom.ante:
@@ -427,10 +437,24 @@ class DerivabilityEngine:
         return rows
 
 
+def engine_for(ps: ProofSystem,
+               max_predicates: int = DEFAULT_SATURATION_BOUND) -> DerivabilityEngine:
+    """The system's engine, built on first use and shared by every caller.
+
+    The bound is checked on every call, so an engine built for a larger
+    bound still refuses a caller with a smaller one."""
+    engine = ps._engine
+    if engine is None:
+        engine = ps._engine = DerivabilityEngine(ps, max_predicates=max_predicates)
+    else:
+        _check_bound(engine.n, max_predicates)
+    return engine
+
+
 def derivable(ps: ProofSystem, s: Sequent,
               max_predicates: int = DEFAULT_SATURATION_BOUND) -> bool:
     """Decide derivability of a sequent in a generated proof system."""
-    return DerivabilityEngine(ps, max_predicates=max_predicates).derivable(s)
+    return engine_for(ps, max_predicates).derivable(s)
 
 
 # --- Lindenbaum-Tarski -----------------------------------------------------
@@ -458,7 +482,7 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
     operation is re-verified exhaustively.
     """
     abs_ = abs_ or ps.abstraction
-    engine = DerivabilityEngine(ps, max_predicates=max_predicates)
+    engine = engine_for(ps, max_predicates)
     engine.saturate()
     n = engine.n
     der = [[engine.derivable_masks(1 << i, 1 << j) for j in range(n)]
@@ -604,7 +628,7 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     that).  Finally ``replays`` random formula-level derivations of depth
     ``REPLAY_DEPTH`` are replayed and their conclusions checked.
     """
-    engine = DerivabilityEngine(ps, max_predicates=max_predicates)
+    engine = engine_for(ps, max_predicates)
     engine.saturate()
     gens = 0
     for g, d in engine.gen_list:
@@ -647,10 +671,18 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
                     return SoundnessResult(
                         False, engine.mask_sequent(g, dmask), gens, cells)
 
+    # what every replay draws from: the axioms, the atomic formulas and the
+    # binary connectives of the signature
+    axioms = [r.axiom for r in ps.rules if r.axiom is not None]
+    conns = ps.signature.connectives
+    atoms = [Pred(p) for p in ps.signature.predicates]
+    atoms += [Const(c.name) for c in CONNECTIVES.values()
+              if c.arity == 0 and c.name in conns]
+    ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
     rng = random.Random(rng_seed)
     replayed = 0
     for _ in range(replays):
-        s = _random_derivation(abs_, ps, rng, REPLAY_DEPTH)
+        s = _random_derivation(rng, REPLAY_DEPTH, axioms, atoms, ops, conns)
         if s is None:
             continue
         replayed += 1
@@ -659,21 +691,15 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     return SoundnessResult(True, None, gens, cells, replayed)
 
 
-def _random_derivation(abs_, ps, rng, depth) -> Sequent | None:
+def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent | None:
     """Replay one random derivation and return its conclusion."""
-    axioms = [r.axiom for r in ps.rules if r.axiom is not None]
-    conns = ps.signature.connectives
-    pool: list[Formula] = [Pred(p) for p in ps.signature.predicates]
-    pool += [Const(c.name) for c in CONNECTIVES.values()
-             if c.arity == 0 and c.name in conns]
-    base = list(pool)
+    pool: list[Formula] = list(atoms)
     for _ in range(6):  # shallow compound formulas over the signature
-        f = rng.choice(base)
+        f = rng.choice(atoms)
         if "not" in conns and rng.random() < 0.4:
             pool.append(Not(f))
-        ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
         if ops:
-            pool.append(Bin(rng.choice(ops), f, rng.choice(base)))
+            pool.append(Bin(rng.choice(ops), f, rng.choice(atoms)))
 
     def leaf() -> Sequent:
         if axioms and rng.random() < 0.7:
@@ -769,7 +795,7 @@ def verify_completeness(abs_: Abstraction, ps: ProofSystem,
     emb = check_order_embedding(abs_)
     if not emb.is_embedding:
         return CompletenessResult("precondition_unmet", emb.witness)
-    engine = DerivabilityEngine(ps, max_predicates=max_predicates)
+    engine = engine_for(ps, max_predicates)
     checked = 0
     for a in abs_.lattice.elements:
         for b in abs_.lattice.elements:

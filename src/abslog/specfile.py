@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
-from .errors import AbslogError, InvalidConcretization, ParseError, SpecError
+from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
 from .lattice import BinaryOpTable, FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
 from .syntax import formula_symbols, parse_sequent
 
@@ -172,7 +172,7 @@ def _parse_universe(ln_no: int, line: str) -> ConcreteUniverse:
                                                dim=int(words[4]))
         except ValueError:
             pass
-        except InvalidConcretization as e:
+        except (InvalidConcretization, CarrierTooLarge) as e:
             raise SpecError(str(e), ln_no) from e
         raise ParseError("expected 'window LO HI' or 'window LO HI dim N'", ln_no)
     raise ParseError(f"unknown universe kind {words[0]!r}", ln_no)
@@ -254,7 +254,17 @@ def _render_point(p) -> str:
 
 
 def emit(abs_: Abstraction) -> str:
-    """Serialize an abstraction deterministically (explicit point lists)."""
+    """Serialize an abstraction deterministically (explicit point lists).
+
+    Raises :class:`SpecError` for an atom name that ``load`` cannot read back.
+    """
+    if abs_.universe.kind == "atoms":
+        for atom in abs_.universe.params:
+            # ``load`` must read the name back as one point token: whitespace
+            # would split it, ``#`` would start a comment, a leading int tuple
+            # would be read as its own token
+            if "#" in atom or _TUPLE_RE.findall(atom) != [atom]:
+                raise SpecError(f"atom name {atom!r} cannot be written to a spec file")
     lat = abs_.lattice
     lines = [f"# abstraction: {abs_.name}", "ELEMENTS"]
     lines += [" ".join(lat.elements)]

@@ -1,10 +1,13 @@
 """Concrete universes, gamma maps, preservation analysis and the left adjoint."""
 
+import math
 import random
 
 import pytest
 
+from abslog import concrete
 from abslog.concrete import (
+    MAX_WINDOW_POINTS,
     Abstraction,
     ConcreteUniverse,
     ConcretizationMap,
@@ -13,7 +16,7 @@ from abslog.concrete import (
     concrete_op,
     preservation_report,
 )
-from abslog.errors import InvalidConcretization, UnknownOperation
+from abslog.errors import CarrierTooLarge, InvalidConcretization, UnknownOperation
 from abslog.lattice import UnaryOpTable, build_lattice
 
 
@@ -175,3 +178,20 @@ def test_left_adjoint_absent_on_meet_failure():
     res = compute_left_adjoint(Abstraction("nomeet", lat, gamma))
     assert not res.total
     assert res.witness.members == frozenset([1])
+
+
+def test_window_point_bound_refuses_before_building(monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("points were built")
+
+    monkeypatch.setattr(concrete, "iproduct", no_points)
+    side = math.isqrt(MAX_WINDOW_POINTS) + 1  # side**2 is just over the bound
+    with pytest.raises(CarrierTooLarge):
+        ConcreteUniverse.window(1, side, dim=2)
+    with pytest.raises(CarrierTooLarge):
+        ConcreteUniverse.window(0, 29, dim=4)
+    with pytest.raises(CarrierTooLarge):  # one point, but of 10^9 coordinates
+        ConcreteUniverse.window(0, 0, dim=10**9)
+    with pytest.raises(CarrierTooLarge):
+        ConcreteUniverse.window(1, MAX_WINDOW_POINTS + 1)
+    assert len(ConcreteUniverse.window(1, MAX_WINDOW_POINTS)) == MAX_WINDOW_POINTS

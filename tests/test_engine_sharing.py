@@ -1,0 +1,138 @@
+"""One derivability engine per proof system.
+
+``engine_for`` builds a system's engine on first use and keeps it on the
+system, so the verifiers that follow ``build_lindenbaum`` run no further
+saturation step; the saturation bound is still checked on every call; a
+derived system starts with an engine of its own, assigning a field drops the
+engine and dropping the system frees it; and a cached engine changes no
+output.
+"""
+
+import gc
+import weakref
+from pathlib import Path
+
+import pytest
+
+from abslog import specfile
+from abslog.concrete import preservation_report
+from abslog.errors import CarrierTooLarge
+from abslog.logicgen import (
+    KIND_OPERATION,
+    Rule,
+    generate_proof_system,
+    minimize_proof_system,
+    parse_machine,
+    render,
+)
+from abslog.proofengine import (
+    DerivabilityEngine,
+    build_lindenbaum,
+    derivable,
+    engine_for,
+    verify_completeness,
+    verify_soundness,
+)
+from abslog.syntax import parse_sequent
+
+from conftest import BUILTIN_NAMES, load_builtin
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def system(abs_):
+    return generate_proof_system(abs_, preservation_report(abs_))
+
+
+def count_steps(monkeypatch) -> list:
+    """Count every saturation step of every engine from here on."""
+    steps = []
+    step = DerivabilityEngine._step
+
+    def counted(self, item):
+        steps.append(item)
+        return step(self, item)
+
+    monkeypatch.setattr(DerivabilityEngine, "_step", counted)
+    return steps
+
+
+@pytest.mark.parametrize("name", ("interval", "octagon-c1"))
+def test_verifiers_after_lindenbaum_run_no_step(monkeypatch, name):
+    abs_ = load_builtin(name)
+    # order axioms cut down to the Hasse edges, so that completeness needs
+    # saturation steps and not only the seeded axioms
+    ps = minimize_proof_system(system(abs_), derivable)
+    build_lindenbaum(ps, abs_)
+    steps = count_steps(monkeypatch)
+    assert verify_soundness(abs_, ps, replays=50).ok
+    assert verify_completeness(abs_, ps).status == "complete"
+    assert steps == []
+    # the counter does count: a copy of the system has no engine yet
+    assert verify_completeness(abs_, ps.without(set())).status == "complete"
+    assert steps
+
+
+def test_smaller_bound_refused_after_larger():
+    # the reverse order of test_carrier_too_large_guard
+    ps = system(specfile.load_path(DATA / "huge.spec"))
+    s = parse_sequent("c00(x) |- c01(x)")
+    assert derivable(ps, s, max_predicates=20)
+    with pytest.raises(CarrierTooLarge):
+        derivable(ps, s)
+    with pytest.raises(CarrierTooLarge):
+        build_lindenbaum(ps)
+    assert derivable(ps, s, max_predicates=20)
+
+
+def test_one_engine_per_system(parity):
+    ps = system(parity)
+    engine = engine_for(ps)
+    assert engine_for(ps) is engine
+    trial = ps.without({ps.rules[-1].name})
+    assert engine_for(trial) is not engine
+    assert engine_for(trial) is engine_for(trial)
+    back = parse_machine(render(ps, "machine"))
+    assert back == ps
+    back.abstraction = parity  # the machine format does not carry it
+    assert engine_for(back) is not engine
+
+
+def test_assigning_a_field_drops_the_engine(parity):
+    ps = system(parity)
+    s = parse_sequent("top(x) |- bot(x)")
+    assert not derivable(ps, s)
+    engine = engine_for(ps)
+    ps.rules += (Rule(KIND_OPERATION, "unsound", (), "top(x) |- bot(x)", axiom=s),)
+    assert derivable(ps, s)
+    assert engine_for(ps) is not engine
+
+
+def test_dropped_system_frees_its_engine(parity):
+    # no reference cycle between a system and its engine, so the engine goes
+    # with the system and not only at the next garbage collection
+    ps = system(parity)
+    engine = weakref.ref(engine_for(ps))
+    gc.disable()
+    try:
+        del ps
+        assert engine() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cached_engine_changes_no_output(name):
+    abs_ = load_builtin(name)
+    ps = system(abs_)
+
+    def outputs():
+        return ([render(ps, f) for f in ("text", "latex", "machine")],
+                specfile.emit(abs_), repr(ps))
+
+    before = outputs()
+    build_lindenbaum(ps, abs_)
+    assert not engine_for(ps).queue  # saturated and kept on the system
+    assert outputs() == before
+    assert ps == system(abs_)
+    assert system(abs_) == ps

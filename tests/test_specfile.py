@@ -5,8 +5,15 @@ from pathlib import Path
 import pytest
 
 from abslog import specfile
-from abslog.concrete import ConcreteUniverse
-from abslog.errors import InvalidConcretization, NotAPartialOrder, ParseError, SpecError
+from abslog.concrete import Abstraction, ConcreteUniverse, ConcretizationMap
+from abslog.errors import (
+    CarrierTooLarge,
+    InvalidConcretization,
+    NotAPartialOrder,
+    ParseError,
+    SpecError,
+)
+from abslog.lattice import build_lattice
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -173,3 +180,36 @@ def test_window_dimension_below_one_rejected(dim):
         specfile.load(text)
     assert exc.value.line == 4
     assert "dimension" in str(exc.value)
+
+
+def _atoms_abstraction(atom):
+    uni = ConcreteUniverse.atoms([atom, "q"])
+    lat = build_lattice(["bot", "a", "top"], [("bot", "a"), ("a", "top")])
+    gamma = ConcretizationMap(lat, uni, {
+        "bot": uni.empty(), "a": uni.subset([atom]), "top": uni.full()})
+    return Abstraction("atoms", lat, gamma)
+
+
+@pytest.mark.parametrize("atom", ["p#1", "p 1", "p\t1", "#", "", "(1,2)x"])
+def test_emit_refuses_an_atom_name_load_cannot_read(atom):
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(_atoms_abstraction(atom))
+    assert repr(atom) in str(exc.value)
+
+
+@pytest.mark.parametrize("atom", ["p", "p1", "x_2", "a.b", "-3", "(1,2)",
+                                  "{p", "p}", "p,q", "a}b", "x(1,2)"])
+def test_emit_roundtrips_readable_atom_names(atom):
+    abs_ = _atoms_abstraction(atom)
+    again = specfile.load(specfile.emit(abs_), "atoms")
+    assert again.universe.points == abs_.universe.points
+    for e in abs_.lattice.elements:
+        assert again.gamma(e).members == abs_.gamma(e).members
+
+
+def test_window_over_the_point_bound_is_positioned():
+    text = "ELEMENTS\na\nUNIVERSE\nwindow 0 29 dim 4\nGAMMA\na = all"
+    with pytest.raises(SpecError) as exc:
+        specfile.load(text)
+    assert exc.value.line == 4
+    assert isinstance(exc.value.__cause__, CarrierTooLarge)

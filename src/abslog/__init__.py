@@ -40,6 +40,7 @@ from .logicgen import (
 from .proofengine import (
     DerivabilityEngine,
     LindenbaumAlgebra,
+    ModelEngine,
     build_lindenbaum,
     derivable,
     engine_for,

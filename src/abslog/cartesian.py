@@ -43,6 +43,12 @@ def tuple_universe(axis_universes) -> ConcreteUniverse:
     A one-axis product uses the axis window itself, with int points; two or
     more axes give a window of that dimension, with tuple points."""
     axis_universes = list(axis_universes)
+    lo, hi = _shared_window(axis_universes)
+    return ConcreteUniverse.window(lo, hi, dim=len(axis_universes))
+
+
+def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
+    """The one integer window every axis lives on."""
     windows = set()
     for u in axis_universes:
         if u.kind != "window" or u.params[2] != 1:
@@ -51,8 +57,7 @@ def tuple_universe(axis_universes) -> ConcreteUniverse:
         windows.add(u.params[:2])
     if len(windows) != 1:
         raise InvalidConcretization(f"axis windows differ: {sorted(windows)}")
-    lo, hi = windows.pop()
-    return ConcreteUniverse.window(lo, hi, dim=len(axis_universes))
+    return windows.pop()
 
 
 def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:
@@ -103,10 +108,12 @@ def product(components) -> ProductAbstraction:
         size *= len(c.lattice.elements)
     if size > MAX_PRODUCT_CARRIER:
         raise CarrierTooLarge(f"product carrier {size} exceeds {MAX_PRODUCT_CARRIER}")
-    uni = tuple_universe([c.universe for c in components])
-    if len(uni) > MAX_PRODUCT_POINTS:
-        raise CarrierTooLarge(
-            f"tuple universe {len(uni)} exceeds {MAX_PRODUCT_POINTS}")
+    # counted from the axes before any point is built
+    lo, hi = _shared_window([c.universe for c in components])
+    points = (hi - lo + 1) ** len(components)
+    if points > MAX_PRODUCT_POINTS:
+        raise CarrierTooLarge(f"tuple universe {points} exceeds {MAX_PRODUCT_POINTS}")
+    uni = ConcreteUniverse.window(lo, hi, dim=len(components))
 
     lattices = [c.lattice for c in components]
     tuples = list(iproduct(*(l.elements for l in lattices)))

@@ -81,3 +81,14 @@ class SpecError(AbslogError):
         self.line = line
         where = f" at line {line}" if line is not None else ""
         super().__init__(message + where)
+
+
+class TooManyModels(CarrierTooLarge):
+    """The model enumeration passed its bound; carries how far it got."""
+
+    def __init__(self, reached: int, predicates: int, count: int, bound: int):
+        self.reached = reached
+        self.predicates = predicates
+        self.count = count
+        super().__init__(f"{count} partial models after predicate {reached} of "
+                         f"{predicates} exceed the model bound {bound}")

@@ -1,40 +1,73 @@
 """Derivability, normalization, Lindenbaum-Tarski construction and the
 machine-checked soundness / isomorphism / completeness verifications.
 
-Derivability is decided by saturation: every formula is first normalized
-to a predicate using the abstract operation tables (sound by the
-operation axioms plus cut), and the derivable relation over
-predicate-set sequents is then closed under the structural and
-introduction rules.  Weakening makes that relation upward closed, so the
-engine stores a subsumption-reduced generating set (sequents as bitmask
-pairs) whose upward closure is the saturated set; a query is a membership
-check against that closure, and on an engine still saturating it runs
-saturation steps only until the check holds.
+Every formula is first normalized to a predicate through the abstract
+operation tables (sound by the operation axioms plus cut), so derivability
+is a relation |- between finite sets of predicates.  The generated rules
+close it under identity, weakening and cut: it is an *entailment relation*
+(Scott 1974; Cederquist and Coquand 2000).  A *model* is a set V of
+predicates that no derivable sequent refutes: whenever G |- D and G is in V,
+D meets V.  For a finite entailment relation, G |- D holds iff every model
+that contains G meets D; and the relation that a finite set M of valuations
+defines this way has exactly M as its models, Mod(|-_M) = M.  So the engine
+computes the model set M* and reads every answer off it:
 
-Each proof system has one engine, built on first use by :func:`engine_for`
-and kept on the system: :func:`derivable`, :func:`build_lindenbaum`,
-:func:`verify_soundness` and :func:`verify_completeness` all query it, so one
-verification saturates once.  A query leaves the engine partly saturated
-and a later ``saturate()`` finishes the same steps in the same order, so the
-order of the calls does not change any answer.
+1. M0 is the set of valuations that satisfy the seed sequents (identity,
+   the axioms, |- top, the negation seeds) and, for each connective whose
+   rule family is on, its clauses: ``a, b |- a & b`` and ``a & b |- a``;
+   ``a | b |- a, b`` and ``a |- a | b``; ``a, a -> b |- b``;
+   ``a |- b, a <- b``.  The other rules of those families are cuts of
+   these clauses.
+2. Three rules read the whole relation, not one valuation, so they cannot
+   be clauses.  A model that breaks one is removed:
+
+   - impl.r (``G, a |- b`` gives ``G |- a -> b``): if ``a -> b`` is not in V,
+     some model W that contains V and a lacks b (the Kripke condition);
+   - coimpl.l (``a |- D, b`` gives ``a <- b |- D``, D not empty): if
+     ``a <- b`` is in V and V is not the full set, some model W inside V
+     holds a and lacks b (Rauszer's condition for co-implication);
+   - contraposition, when negation is primitive: if ``a |- b``, no model
+     holds ``~b`` without ``~a``.
+
+   Each condition only gets harder to meet as models go, so removing every
+   model that breaks one, and repeating until none does, reaches the
+   greatest model set that meets all three: M*, the models of the least
+   relation closed under the rules.
+3. Each predicate gets one bit column over M*, and ``G |- D`` holds iff
+   ``AND(col[G]) & ~OR(col[D]) == 0``.  No derivable sequent has an empty
+   succedent, so the full valuation is always a model and ``G |-`` never
+   holds.
+
+Soundness reads off the models as well.  A sequent fails at a concrete
+point x exactly when x's valuation V_x = {a : x in gamma(a)} refutes it, so
+every derivable sequent holds at x iff V_x is in M*.  When V_x is not a
+model, ``V_x |- (every other predicate)`` is derivable and fails at x.
+
+Each proof system has one engine, a :class:`ModelEngine` built on first use
+by :func:`engine_for` and kept on the system: :func:`derivable`,
+:func:`build_lindenbaum`, :func:`verify_soundness` and
+:func:`verify_completeness` all query it.  :class:`DerivabilityEngine`
+saturates a generating set of derivable sequents instead; it stays as the
+reference that the tests and the benchmark check the model engine against.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .concrete import Abstraction
 from .connectives import CONNECTIVES, connective, lookup
-from .errors import AbslogError, CarrierTooLarge, UnknownSymbol
+from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
 from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
-CLOSURE_LIMIT = 10  # largest carrier whose full closure is materialized
-REPLAY_DEPTH = 4    # depth of the random derivations soundness replays
+MAX_MODELS = 100_000  # largest model set enumerated, partial or final
+REPLAY_DEPTH = 4      # depth of the random derivations soundness replays
 
 
 # --- formula evaluation ------------------------------------------------------
@@ -109,7 +142,7 @@ def holds_concrete(abs_: Abstraction, s: Sequent) -> bool:
     return inter.issubset(union)
 
 
-# --- the saturation engine ---------------------------------------------------
+# --- the engines ---------------------------------------------------------------
 
 
 def _bits(mask: int):
@@ -124,16 +157,15 @@ def _check_bound(n: int, max_predicates: int) -> None:
         raise CarrierTooLarge(f"|A| = {n} exceeds the saturation bound {max_predicates}")
 
 
-class DerivabilityEngine:
-    """Saturates the predicate-sequent derivability relation of one system.
+class _Engine:
+    """What both engines read off a proof system: its predicates, which rule
+    families are on, the operation tables, and the sequents it starts from.
 
     Sequents are ``(antecedent_mask, succedent_mask)`` pairs over the
-    signature predicates.  The engine keeps a subsumption-reduced
-    generating set: a sequent is derivable iff some stored sequent is a
-    componentwise subset.  Rule application only instantiates designated
-    formulas that are present in stored premises; instances that weaken a
-    designated formula in always yield subsumed conclusions.
-    """
+    signature predicates.  A subclass starts from the rules in ``_start``
+    and answers ``derivable_masks``.  The engine keeps no reference to the
+    system: the system holds the engine, and a cycle would outlive the
+    system until the next garbage collection."""
 
     def __init__(self, ps: ProofSystem,
                  max_predicates: int = DEFAULT_SATURATION_BOUND):
@@ -144,7 +176,6 @@ class DerivabilityEngine:
         missing = set(_STRUCTURAL_SCHEMAS) - names
         if missing:
             raise AbslogError(f"structural rules missing: {sorted(missing)}")
-        self.abs_ = abs_
         lat = abs_.lattice
         preds = ps.signature.predicates
         if preds != lat.elements:
@@ -152,7 +183,6 @@ class DerivabilityEngine:
                               "elements, in carrier order")
         self.n = len(preds)
         _check_bound(self.n, max_predicates)
-        self.idx = lat.index
         self.preds = preds
         self.lat = lat
         self.conns = ps.signature.connectives
@@ -168,22 +198,66 @@ class DerivabilityEngine:
         tables = {c: lat.table(c) for c in self.conns if CONNECTIVES[c].arity}
         self.meet, self.join, self.neg, self.hey, self.coi = (
             tables.get(c) for c in ("and", "or", "not", "impl", "coimpl"))
-        self.top_i = self.idx[lat.top]
-        self.bot_i = self.idx[lat.bottom]
+        self.top_i = lat.index[lat.top]
+        self.bot_i = lat.index[lat.bottom]
+        self._start(ps.rules, names)
 
+    def _table_seeds(self):
+        """The seed sequents read off the operation tables."""
+        if self.f_tt:
+            yield 0, 1 << self.top_i
+        if self.f_not_def and self.neg is not None:
+            for a in range(self.n):
+                na, ha = self.neg[a], self.hey[a][self.bot_i]
+                yield 1 << na, 1 << ha
+                yield 1 << ha, 1 << na
+        if self.f_not_prim and self.neg is not None:
+            for a in range(self.n):
+                nna = self.neg[self.neg[a]]
+                yield 1 << nna, 1 << a
+                yield 1 << a, 1 << nna
+
+    def _norm(self, f: Formula) -> int:
+        return _denote(self.lat, f, self.conns)
+
+    def masks(self, s: Sequent) -> tuple[int, int]:
+        g = 0
+        for f in s.ante:
+            g |= 1 << self._norm(f)
+        d = 0
+        for f in s.succ:
+            d |= 1 << self._norm(f)
+        return g, d
+
+    def derivable(self, s: Sequent) -> bool:
+        return self.derivable_masks(*self.masks(s))
+
+    def mask_sequent(self, g: int, d: int) -> Sequent:
+        return Sequent(tuple(Pred(self.preds[i]) for i in _bits(g)),
+                       tuple(Pred(self.preds[i]) for i in _bits(d)))
+
+
+class DerivabilityEngine(_Engine):
+    """Saturates the predicate-sequent derivability relation of one system.
+
+    The reference engine: the tests and the benchmark build it directly to
+    check the model engine against.  It keeps a subsumption-reduced
+    generating set: a sequent is derivable iff some stored sequent is a
+    componentwise subset.  Rule application only instantiates designated
+    formulas that are present in stored premises; instances that weaken a
+    designated formula in always yield subsumed conclusions.  coimpl.l keeps
+    only the premise's context, so from a premise with none it weakens in
+    each predicate in turn.
+    """
+
+    # seeding ---------------------------------------------------------------
+
+    def _start(self, rules, names) -> None:
         self.members: set[tuple[int, int]] = set()
         self.gen_list: list[tuple[int, int]] = []
         self.by_ante: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.by_succ: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.queue: deque[tuple[int, int]] = deque()
-
-        # the engine keeps no reference to ``ps``: ``ps`` holds the engine, and
-        # a cycle would outlive the system until the next garbage collection
-        self._seed(ps.rules, names)
-
-    # seeding ---------------------------------------------------------------
-
-    def _seed(self, rules, names) -> None:
         if "identity" in names:
             for i in range(self.n):
                 self._add(1 << i, 1 << i)
@@ -196,21 +270,8 @@ class DerivabilityEngine:
                 for f in r.axiom.succ:
                     d |= 1 << self._norm(f)
                 self._add(g, d)
-        if self.f_tt:
-            self._add(0, 1 << self.top_i)
-        if self.f_not_def and self.neg is not None:
-            for a in range(self.n):
-                na, ha = self.neg[a], self.hey[a][self.bot_i]
-                self._add(1 << na, 1 << ha)
-                self._add(1 << ha, 1 << na)
-        if self.f_not_prim and self.neg is not None:
-            for a in range(self.n):
-                nna = self.neg[self.neg[a]]
-                self._add(1 << nna, 1 << a)
-                self._add(1 << a, 1 << nna)
-
-    def _norm(self, f: Formula) -> int:
-        return _denote(self.lat, f, self.conns)
+        for g, d in self._table_seeds():
+            self._add(g, d)
 
     # core set maintenance ----------------------------------------------------
 
@@ -344,16 +405,13 @@ class DerivabilityEngine:
                     for g1, d1 in by_succ[a]:
                         add(g1 | gb, (d1 & ~ba) | d | c)
             if g == 0 or g & (g - 1) == 0:  # at most one antecedent
+                heads = (g.bit_length() - 1,) if g else range(n)
                 for b in _bits(d):
                     rest = d & ~(1 << b)
-                    if not rest:
-                        continue
-                    if g:
-                        a = g.bit_length() - 1
-                        add(1 << coi[a][b], rest)
-                    else:
-                        for a in range(n):
-                            add(1 << coi[a][b], rest)
+                    # with no context left, any one predicate is weakened in
+                    for r in (rest,) if rest else (1 << x for x in range(n)):
+                        for a in heads:
+                            add(1 << coi[a][b], r)
 
         if self.f_not_prim and self.neg is not None:
             if d and d & (d - 1) == 0 and (g == 0 or g & (g - 1) == 0):
@@ -367,15 +425,6 @@ class DerivabilityEngine:
                         add(nb, 1 << self.neg[a])
 
     # queries ---------------------------------------------------------------
-
-    def masks(self, s: Sequent) -> tuple[int, int]:
-        g = 0
-        for f in s.ante:
-            g |= 1 << self._norm(f)
-        d = 0
-        for f in s.succ:
-            d |= 1 << self._norm(f)
-        return g, d
 
     def derivable_masks(self, g: int, d: int) -> bool:
         """Saturate only until some generator subsumes the sequent.
@@ -394,58 +443,222 @@ class DerivabilityEngine:
                 return True
         return False
 
-    def derivable(self, s: Sequent) -> bool:
-        g, d = self.masks(s)
-        return self.derivable_masks(g, d)
 
-    def mask_sequent(self, g: int, d: int) -> Sequent:
-        return Sequent(tuple(Pred(self.preds[i]) for i in _bits(g)),
-                       tuple(Pred(self.preds[i]) for i in _bits(d)))
+# clauses read off a lattice's tables, and the masks of each axiom sequent,
+# kept for every model engine on that lattice: minimization builds one engine
+# per trial system, and the trials share their lattice and their axioms
+_TABLE_CLAUSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_AXIOM_MASKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def closure_rows(self) -> list[int]:
-        """Full upward closure as one bitset of succedent masks per
-        antecedent mask.  Exponential in the carrier; guarded."""
-        self.saturate()
+
+class ModelEngine(_Engine):
+    """Decides derivability from the finite models of the derivability
+    relation (see the module docstring).
+
+    ``models`` is the model set M*, one predicate mask per model, and
+    ``cols`` holds one bit column per predicate over the models."""
+
+    def _start(self, rules, names) -> None:
+        clauses = set(self._table_clauses())
+        clauses.update(self._axiom_clauses(rules))
+        self.models, self.cols = self._prune(self._enumerate(clauses))
+        self.live = (1 << len(self.models)) - 1
+
+    # the clauses of M0 -------------------------------------------------------
+
+    def _table_clauses(self) -> frozenset:
+        """The table seeds and the connective clauses, built once per lattice
+        and rule-family switches; tautologies left out."""
+        key = (self.conns, self.f_and, self.f_or, self.f_impl, self.f_coimpl,
+               self.f_tt, self.f_not_def, self.f_not_prim)
+        memo = _TABLE_CLAUSES.get(self.lat)
+        if memo is None:
+            memo = _TABLE_CLAUSES[self.lat] = {}
+        clauses = memo.get(key)
+        if clauses is None:
+            clauses = memo[key] = frozenset(
+                (g, d) for g, d in self._connective_clauses() if not g & d)
+        return clauses
+
+    def _connective_clauses(self):
+        yield from self._table_seeds()
+        pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
+        if self.f_and:
+            for a, b in pairs:
+                c = self.meet[a][b]
+                yield 1 << a | 1 << b, 1 << c   # a, b |- a & b
+                yield 1 << c, 1 << a            # a & b |- a
+        if self.f_or:
+            for a, b in pairs:
+                c = self.join[a][b]
+                yield 1 << c, 1 << a | 1 << b   # a | b |- a, b
+                yield 1 << a, 1 << c            # a |- a | b
+        if self.f_impl:
+            for a, b in pairs:
+                yield 1 << a | 1 << self.hey[a][b], 1 << b   # a, a -> b |- b
+        if self.f_coimpl:
+            for a, b in pairs:
+                yield 1 << a, 1 << b | 1 << self.coi[a][b]   # a |- b, a <- b
+
+    def _axiom_clauses(self, rules):
+        """The axioms as mask pairs, each normalized once per lattice and
+        signature.  The memo is keyed by identity because hashing a sequent
+        costs as much as normalizing it; an entry holds its sequent, so the
+        identity is not reused while the entry lives."""
+        per_lat = _AXIOM_MASKS.get(self.lat)
+        if per_lat is None:
+            per_lat = _AXIOM_MASKS[self.lat] = {}
+        memo = per_lat.get(self.conns)
+        if memo is None:
+            memo = per_lat[self.conns] = {}
+        for r in rules:
+            s = r.axiom
+            if s is None:
+                continue
+            hit = memo.get(id(s))
+            if hit is None:
+                hit = memo[id(s)] = (s, *self.masks(s))
+            _, g, d = hit
+            if d and not g & d:  # no sequent has an empty succedent
+                yield g, d
+
+    # M0, then M* --------------------------------------------------------------
+
+    def _enumerate(self, clauses) -> list[int]:
+        """M0: the valuations that satisfy every clause, extended one
+        predicate at a time; a clause is checked once its last predicate is
+        set.  Raises :class:`TooManyModels` past ``MAX_MODELS``."""
         n = self.n
-        if n > CLOSURE_LIMIT:
-            raise CarrierTooLarge(f"closure materialization capped at {CLOSURE_LIMIT}")
-        size = 1 << n
-        rows = [0] * size
-        for g, d in self.gen_list:
-            rows[g] |= 1 << d
-        for b in range(n):
-            bit = 1 << b
-            for g in range(size):
-                if g & bit:
-                    rows[g] |= rows[g ^ bit]
-        spreads = []
-        for b in range(n):
-            chunk = (1 << (1 << b)) - 1
-            step = 1 << (b + 1)
-            m = 0
-            pos = 0
-            while pos < size:
-                m |= chunk << pos
-                pos += step
-            spreads.append((m, 1 << b))
-        for g in range(size):
-            row = rows[g]
-            if row:
-                for m, shift in spreads:
-                    row |= (row & m) << shift
-                rows[g] = row
-        return rows
+        pull = [0] * n  # a |- k: any such a in the valuation puts k in
+        need = [0] * n  # k |- b: k goes in only with every such b
+        ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for g, d in clauses:
+            k = (g | d).bit_length() - 1
+            bit = 1 << k
+            if d & bit:
+                rest = d ^ bit
+                if not rest and g and not g & (g - 1):
+                    pull[k] |= g
+                else:  # g |- rest, k: k must go in when g holds and rest fails
+                    ins[k].append((g, rest))
+            else:
+                rest = g ^ bit
+                if not rest and not d & (d - 1):
+                    need[k] |= d
+                else:  # rest, k |- d: k must stay out when rest holds and d fails
+                    outs[k].append((rest, d))
+        partial = [0]
+        for k in range(n):
+            bit, pull_k, need_k, ins_k, outs_k = 1 << k, pull[k], need[k], ins[k], outs[k]
+            grown = []
+            for v in partial:
+                if not v & pull_k:
+                    for g, d in ins_k:
+                        if (v & g) == g and not v & d:
+                            break
+                    else:
+                        grown.append(v)
+                if (v & need_k) == need_k:
+                    for g, d in outs_k:
+                        if (v & g) == g and not v & d:
+                            break
+                    else:
+                        grown.append(v | bit)
+            if len(grown) > MAX_MODELS:
+                raise TooManyModels(k + 1, n, len(grown), MAX_MODELS)
+            partial = grown
+        return partial
 
+    def _prune(self, models: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        """Remove every model that breaks impl.r, coimpl.l or contraposition,
+        and repeat until none does; return M* and its bit columns."""
+        n = self.n
+        contraposition = self.f_not_prim and self.neg is not None
+        while True:
+            cols = [0] * n
+            for j, v in enumerate(models):
+                bit = 1 << j
+                for p in _bits(v):
+                    cols[p] |= bit
+            live = (1 << len(models)) - 1
+            outs = [live & ~c for c in cols]  # the models without each predicate
+            bad = 0
+            if contraposition:
+                neg = self.neg
+                for a in range(n):
+                    ca, above = cols[a], 0
+                    for b in range(n):
+                        if not ca & outs[b]:  # a |- b
+                            above |= cols[neg[b]]
+                    bad |= above & outs[neg[a]]  # ~b without ~a
+            if self.f_impl or self.f_coimpl:
+                for j, v in enumerate(models):
+                    if not bad >> j & 1 and self._breaks_context_rule(v, cols, outs, live):
+                        bad |= 1 << j
+            if not bad:
+                return tuple(models), cols
+            models = [v for j, v in enumerate(models) if not bad >> j & 1]
+
+    def _breaks_context_rule(self, v: int, cols, outs, live: int) -> bool:
+        n = self.n
+        if self.f_impl:
+            above = live  # the models W that contain v
+            for p in _bits(v):
+                above &= cols[p]
+            for a, row in enumerate(self.hey):
+                s = above & cols[a]
+                for b in range(n):
+                    # every model containing v and a holds b: v must hold a -> b
+                    if not v >> row[b] & 1 and not s & outs[b]:
+                        return True
+        full = (1 << n) - 1
+        if self.f_coimpl and v != full:
+            below = live  # the models W contained in v
+            for p in _bits(full & ~v):
+                below &= outs[p]
+            for a, row in enumerate(self.coi):
+                s = below & cols[a]
+                for b in range(n):
+                    # every model inside v that holds a holds b: v must not
+                    # hold a <- b
+                    if v >> row[b] & 1 and not s & outs[b]:
+                        return True
+        return False
+
+    # queries ---------------------------------------------------------------
+
+    def derivable_masks(self, g: int, d: int) -> bool:
+        """No model holds all of ``g`` and none of ``d``."""
+        s = self.live
+        cols = self.cols
+        for p in _bits(g):
+            s &= cols[p]
+        for p in _bits(d):
+            s &= ~cols[p]
+        return not s
+
+    def refutation(self, v: int) -> Sequent:
+        """A derivable sequent that the valuation ``v``, no model, refutes:
+        ``v |- (every other predicate)``, shrunk greedily."""
+        g, d = v, ((1 << self.n) - 1) & ~v
+        for p in _bits(v):
+            if self.derivable_masks(g & ~(1 << p), d):
+                g &= ~(1 << p)
+        for p in _bits(d):
+            if self.derivable_masks(g, d & ~(1 << p)):
+                d &= ~(1 << p)
+        return self.mask_sequent(g, d)
 
 def engine_for(ps: ProofSystem,
-               max_predicates: int = DEFAULT_SATURATION_BOUND) -> DerivabilityEngine:
+               max_predicates: int = DEFAULT_SATURATION_BOUND) -> ModelEngine:
     """The system's engine, built on first use and shared by every caller.
 
     The bound is checked on every call, so an engine built for a larger
     bound still refuses a caller with a smaller one."""
     engine = ps._engine
     if engine is None:
-        engine = ps._engine = DerivabilityEngine(ps, max_predicates=max_predicates)
+        engine = ps._engine = ModelEngine(ps, max_predicates=max_predicates)
     else:
         _check_bound(engine.n, max_predicates)
     return engine
@@ -483,7 +696,6 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
     """
     abs_ = abs_ or ps.abstraction
     engine = engine_for(ps, max_predicates)
-    engine.saturate()
     n = engine.n
     der = [[engine.derivable_masks(1 << i, 1 << j) for j in range(n)]
            for i in range(n)]
@@ -611,65 +823,34 @@ def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra) -> IsoReport:
 class SoundnessResult:
     ok: bool
     counterexample: Sequent | None
-    generators_checked: int = 0
-    cells_checked: int = 0
+    generators_checked: int = 0  # models of the derivability relation
+    cells_checked: int = 0       # concrete points whose valuation was checked
     replays_checked: int = 0
 
 
 def verify_soundness(abs_: Abstraction, ps: ProofSystem,
                      max_predicates: int = DEFAULT_SATURATION_BOUND,
                      replays: int = 500, rng_seed: int = 20240811) -> SoundnessResult:
-    """Check every saturated-derivable sequent against the concrete semantics.
+    """Check every derivable sequent against the concrete semantics.
 
-    The generating set is checked directly; for carriers of at most
-    ``CLOSURE_LIMIT`` predicates the entire upward closure is enumerated as
-    well (``holds_concrete`` is monotone under weakening, so the generator
-    check already covers the closure — the exhaustive pass re-verifies
-    that).  Finally ``replays`` random formula-level derivations of depth
-    ``REPLAY_DEPTH`` are replayed and their conclusions checked.
+    The derivable sequents all hold at a point x iff its valuation
+    {a : x in gamma(a)} is a model (see the module docstring), so checking
+    each point's valuation is exact; a point whose valuation is no model gives
+    a derivable sequent that fails there.  Then ``replays`` random
+    formula-level derivations of depth ``REPLAY_DEPTH`` are replayed and
+    their conclusions checked, which exercises :func:`normalize` too.
     """
     engine = engine_for(ps, max_predicates)
-    engine.saturate()
-    gens = 0
-    for g, d in engine.gen_list:
-        s = engine.mask_sequent(g, d)
-        if not holds_concrete(abs_, s):
-            return SoundnessResult(False, s, gens)
-        gens += 1
-
-    cells = 0
-    n = engine.n
-    if n <= CLOSURE_LIMIT:
-        rows = engine.closure_rows()
-        pts = abs_.universe.points
-        pt_bit = {p: 1 << i for i, p in enumerate(pts)}
-        full = (1 << len(pts)) - 1
-        gmask = []
-        for p in engine.preds:
-            mk = 0
-            for q in abs_.gamma(p).members:
-                mk |= pt_bit[q]
-            gmask.append(mk)
-        size = 1 << n
-        inter = [full] * size
-        for g in range(1, size):
-            low = g & -g
-            inter[g] = inter[g ^ low] & gmask[low.bit_length() - 1]
-        uni = [0] * size
-        for d in range(1, size):
-            low = d & -d
-            uni[d] = uni[d ^ low] | gmask[low.bit_length() - 1]
-        for g in range(size):
-            row = rows[g]
-            ig = inter[g]
-            while row:
-                low = row & -row
-                dmask = low.bit_length() - 1
-                row ^= low
-                cells += 1
-                if ig & ~uni[dmask]:
-                    return SoundnessResult(
-                        False, engine.mask_sequent(g, dmask), gens, cells)
+    models = set(engine.models)
+    valuation = dict.fromkeys(abs_.universe.points, 0)
+    for i, p in enumerate(engine.preds):
+        for x in abs_.gamma(p).members:
+            valuation[x] |= 1 << i
+    checked = 0
+    for v in valuation.values():
+        checked += 1
+        if v not in models:
+            return SoundnessResult(False, engine.refutation(v), len(models), checked)
 
     # what every replay draws from: the axioms, the atomic formulas and the
     # binary connectives of the signature
@@ -687,8 +868,8 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
             continue
         replayed += 1
         if not holds_concrete(abs_, s):
-            return SoundnessResult(False, s, gens, cells, replayed)
-    return SoundnessResult(True, None, gens, cells, replayed)
+            return SoundnessResult(False, s, len(models), checked, replayed)
+    return SoundnessResult(True, None, len(models), checked, replayed)
 
 
 def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent | None:

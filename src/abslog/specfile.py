@@ -256,8 +256,19 @@ def _render_point(p) -> str:
 def emit(abs_: Abstraction) -> str:
     """Serialize an abstraction deterministically (explicit point lists).
 
-    Raises :class:`SpecError` for an atom name that ``load`` cannot read back.
+    Raises :class:`SpecError` for an atom or element name that ``load``
+    cannot read back.
     """
+    lat = abs_.lattice
+    # ``load`` splits ELEMENTS and OPS lines on whitespace, drops what follows
+    # ``#``, reads an OPS line that starts with ``unary`` or ``binary`` as a
+    # new operation, and a lone element's ELEMENTS line can be a section name
+    keywords = ("unary", "binary") if lat.unary_ops or lat.binary_ops else ()
+    if len(lat) == 1:
+        keywords += SECTIONS
+    for e in lat.elements:
+        if "#" in e or e.split() != [e] or e in keywords:
+            raise SpecError(f"element name {e!r} cannot be written to a spec file")
     if abs_.universe.kind == "atoms":
         for atom in abs_.universe.params:
             # ``load`` must read the name back as one point token: whitespace
@@ -265,7 +276,6 @@ def emit(abs_: Abstraction) -> str:
             # would be read as its own token
             if "#" in atom or _TUPLE_RE.findall(atom) != [atom]:
                 raise SpecError(f"atom name {atom!r} cannot be written to a spec file")
-    lat = abs_.lattice
     lines = [f"# abstraction: {abs_.name}", "ELEMENTS"]
     lines += [" ".join(lat.elements)]
     lines.append("ORDER")

@@ -5,7 +5,9 @@ from itertools import product as iproduct
 
 import pytest
 
+from abslog import concrete
 from abslog.cartesian import (
+    MAX_PRODUCT_POINTS,
     Rectangle,
     check_galois,
     check_iota_injective_on_nonempty,
@@ -252,6 +254,19 @@ def test_product_rejects_mismatched_windows():
 def test_product_carrier_cap():
     with pytest.raises(CarrierTooLarge):
         product([small_parity()] * 7)  # 4^7 = 16384 > 4096
+
+
+def test_product_point_bound_refuses_before_building(monkeypatch):
+    parity = small_parity(-12, 12)  # 25 points per axis
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("points were built")
+
+    monkeypatch.setattr(concrete, "iproduct", no_points)
+    assert 25 ** 3 > MAX_PRODUCT_POINTS
+    with pytest.raises(CarrierTooLarge) as exc:
+        product([parity] * 3)
+    assert "15625" in str(exc.value)
 
 
 def test_product_spec_roundtrip():

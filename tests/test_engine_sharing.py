@@ -1,8 +1,8 @@
 """One derivability engine per proof system.
 
-``engine_for`` builds a system's engine on first use and keeps it on the
-system, so the verifiers that follow ``build_lindenbaum`` run no further
-saturation step; the saturation bound is still checked on every call; a
+``engine_for`` builds a system's model engine on first use and keeps it on
+the system, so the verifiers that follow ``build_lindenbaum`` build no
+further engine; the predicate bound is still checked on every call; a
 derived system starts with an engine of its own, assigning a field drops the
 engine and dropping the system frees it; and a cached engine changes no
 output.
@@ -26,7 +26,7 @@ from abslog.logicgen import (
     render,
 )
 from abslog.proofengine import (
-    DerivabilityEngine,
+    ModelEngine,
     build_lindenbaum,
     derivable,
     engine_for,
@@ -44,33 +44,33 @@ def system(abs_):
     return generate_proof_system(abs_, preservation_report(abs_))
 
 
-def count_steps(monkeypatch) -> list:
-    """Count every saturation step of every engine from here on."""
-    steps = []
-    step = DerivabilityEngine._step
+def count_builds(monkeypatch) -> list:
+    """Count every model engine built from here on."""
+    builds = []
+    start = ModelEngine._start
 
-    def counted(self, item):
-        steps.append(item)
-        return step(self, item)
+    def counted(self, rules, names):
+        builds.append(len(rules))
+        return start(self, rules, names)
 
-    monkeypatch.setattr(DerivabilityEngine, "_step", counted)
-    return steps
+    monkeypatch.setattr(ModelEngine, "_start", counted)
+    return builds
 
 
 @pytest.mark.parametrize("name", ("interval", "octagon-c1"))
 def test_verifiers_after_lindenbaum_run_no_step(monkeypatch, name):
     abs_ = load_builtin(name)
     # order axioms cut down to the Hasse edges, so that completeness needs
-    # saturation steps and not only the seeded axioms
+    # more than the seeded axioms
     ps = minimize_proof_system(system(abs_), derivable)
     build_lindenbaum(ps, abs_)
-    steps = count_steps(monkeypatch)
+    builds = count_builds(monkeypatch)
     assert verify_soundness(abs_, ps, replays=50).ok
     assert verify_completeness(abs_, ps).status == "complete"
-    assert steps == []
+    assert builds == []
     # the counter does count: a copy of the system has no engine yet
     assert verify_completeness(abs_, ps.without(set())).status == "complete"
-    assert steps
+    assert builds
 
 
 def test_smaller_bound_refused_after_larger():
@@ -132,7 +132,8 @@ def test_cached_engine_changes_no_output(name):
 
     before = outputs()
     build_lindenbaum(ps, abs_)
-    assert not engine_for(ps).queue  # saturated and kept on the system
+    engine = ps._engine  # built and kept on the system
+    assert engine is not None and engine_for(ps) is engine
     assert outputs() == before
     assert ps == system(abs_)
     assert system(abs_) == ps

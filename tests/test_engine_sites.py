@@ -1,5 +1,7 @@
 """The verifiers share one engine per proof system: the package builds a
-``DerivabilityEngine`` in exactly one place, ``proofengine.engine_for``."""
+``ModelEngine`` in exactly one place, ``proofengine.engine_for``, and builds
+no ``DerivabilityEngine``, which the tests and the benchmark keep as the
+reference."""
 
 import ast
 from pathlib import Path
@@ -19,11 +21,12 @@ def test_engines_are_built_only_by_engine_for():
         parent = {child: node for node in ast.walk(tree)
                   for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _callee(node) == "DerivabilityEngine":
+            callee = _callee(node) if isinstance(node, ast.Call) else None
+            if callee in ("ModelEngine", "DerivabilityEngine"):
                 scope = node
                 while scope in parent and not isinstance(
                         scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     scope = parent[scope]
                 where = getattr(scope, "name", "<module>")
-                sites.append(f"{path.name}:{where}")
-    assert sites == ["proofengine.py:engine_for"], sites
+                sites.append(f"{path.name}:{where}:{callee}")
+    assert sites == ["proofengine.py:engine_for:ModelEngine"], sites

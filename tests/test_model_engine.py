@@ -1,0 +1,266 @@
+"""The model engine against the saturation engine it replaced.
+
+The models of the saturated reference generators must be exactly the model
+engine's set M*: on the builtins, on the benchmark families, on seeded
+prunings and on minimized systems.  Both engines must give the same answer to
+every ``a |- b`` pair and to seeded random sequents, empty sides included.
+Generated intersection-closed families must come out sound, complete and
+isomorphic; Boolean 2^4 and chain 32, out of saturation's reach, verify end
+to end; and the model count stops at a typed error.
+"""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abslog import cartesian, octagon, specfile
+from abslog.concrete import (
+    Abstraction,
+    ConcreteUniverse,
+    ConcretizationMap,
+    preservation_report,
+)
+from abslog.errors import TooManyModels
+from abslog.lattice import build_lattice
+from abslog.logicgen import (
+    KIND_INTRODUCTION,
+    KIND_ORDER,
+    KIND_STRUCTURAL,
+    generate_proof_system,
+    minimize_proof_system,
+)
+from abslog.proofengine import (
+    MAX_MODELS,
+    DerivabilityEngine,
+    ModelEngine,
+    build_lindenbaum,
+    derivable,
+    engine_for,
+    verify_completeness,
+    verify_isomorphism,
+    verify_soundness,
+)
+from abslog.syntax import Pred, Sequent, parse_sequent
+
+from conftest import BUILTIN_NAMES, REPO, load_builtin
+
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+from perfbench import families as fam  # noqa: E402
+
+FAMILIES = ("chain-12", "chain-20", "boolean-3", "octagon-c2", "octagon-c3",
+            "parity-x-parity")
+RANDOM_SEQUENTS = 300
+# seeded prunings per system: more on the small systems whose impl.r and
+# coimpl.l conditions remove a model on a few prunings in a hundred
+PRUNINGS = {"parity": 150, "diamond": 150, "boolean-3": 6}
+
+
+def _abstraction(name):
+    kind, _, size = name.rpartition("-")
+    if kind == "chain":
+        return specfile.load(fam.chain_text(int(size)), name)
+    if kind == "boolean":
+        return specfile.load(fam.boolean_text(int(size)), name)
+    if name in ("octagon-c2", "octagon-c3"):
+        c = int(name[-1])
+        return octagon.export_abstraction(octagon.OctLattice.build(c), 4 * c)
+    if name == "parity-x-parity":
+        parity = load_builtin("parity")
+        return cartesian.product([parity, parity]).abstraction
+    return load_builtin(name)
+
+
+def system(abs_):
+    return generate_proof_system(abs_, preservation_report(abs_))
+
+
+def models_of(sequents, n):
+    """Every valuation that no sequent refutes, extended one predicate at a
+    time and checked against each sequent once its last predicate is set."""
+    last = [[] for _ in range(n)]
+    for g, d in sequents:
+        last[(g | d).bit_length() - 1].append((g, d))
+    vals = [0]
+    for k in range(n):
+        vals = [w for v in vals for w in (v, v | 1 << k)
+                if not any((w & g) == g and not w & d for g, d in last[k])]
+    return set(vals)
+
+
+def reference(ps):
+    engine = DerivabilityEngine(ps, max_predicates=len(ps.signature.predicates))
+    engine.saturate()
+    return engine
+
+
+def same_models(ps):
+    n = len(ps.signature.predicates)
+    model = ModelEngine(ps, max_predicates=n)
+    assert len(set(model.models)) == len(model.models)
+    assert models_of(reference(ps).gen_list, n) == set(model.models)
+
+
+def _masks(n, rng):
+    """Random sequents as mask pairs, up to three predicates a side and each
+    side empty now and then; a ``Sequent`` cannot have an empty succedent,
+    but an engine is still asked for one."""
+    out = [(0, (1 << n) - 1), ((1 << n) - 1, 0)]
+    for _ in range(RANDOM_SEQUENTS):
+        g, d = (sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(3, n))))
+                for _ in "gd")
+        out.append((g, d))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + FAMILIES)
+def test_models_and_answers_equal_the_reference(name):
+    abs_ = _abstraction(name)
+    ps = system(abs_)
+    names = abs_.lattice.elements
+    n = len(names)
+    ref = reference(ps)
+    model = ModelEngine(ps, max_predicates=n)
+    assert models_of(ref.gen_list, n) == set(model.models)
+    for a in names:
+        for b in names:
+            s = Sequent((Pred(a),), (Pred(b),))
+            assert model.derivable(s) == ref.derivable(s), (name, a, b)
+    for g, d in _masks(n, random.Random(f"model-engine-{name}")):
+        assert model.derivable_masks(g, d) == ref.derivable_masks(g, d), (name, g, d)
+    # every point's valuation is a model: the system is sound
+    assert verify_soundness(abs_, ps, max_predicates=n, replays=0).ok
+
+
+@pytest.fixture
+def pruned_models(monkeypatch):
+    """How many models each model engine built from here on removed from M0."""
+    removed = []
+    prune = ModelEngine._prune
+
+    def counted(self, models):
+        kept = prune(self, models)
+        removed.append(len(models) - len(kept[0]))
+        return kept
+
+    monkeypatch.setattr(ModelEngine, "_prune", counted)
+    return removed
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("chain-12", "boolean-3"))
+def test_models_equal_the_reference_on_pruned_systems(name, pruned_models):
+    ps = system(_abstraction(name))
+    rules = [r.name for r in ps.rules if r.kind != KIND_STRUCTURAL]
+    rng = random.Random(f"prune-{name}")
+    for _ in range(PRUNINGS.get(name, 10)):
+        share = rng.random()
+        same_models(ps.without({r for r in rules if rng.random() < share}))
+    if name == "octagon-c1":
+        # contraposition removes models from M0 on some of these systems
+        assert any(pruned_models), pruned_models
+
+
+def test_coimpl_l_weakens_a_context_in():
+    # Even |- Even, weakened to Even |- Odd, Even, gives Even <- Even |- Odd,
+    # and Even <- Even is bot: in parity without its order axioms and with
+    # only the coimplication rules, bot |- Odd comes from coimpl.l alone
+    ps = system(load_builtin("parity"))
+    coimpl = {"intro.coimpl.l", "intro.coimpl.r"}
+    pruned = ps.without({r.name for r in ps.rules if r.kind == KIND_ORDER
+                         or r.kind == KIND_INTRODUCTION and r.name not in coimpl})
+    s = parse_sequent("bot(x) |- Odd(x)")
+    assert reference(pruned).derivable(s)
+    assert ModelEngine(pruned).derivable(s)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("chain-12",))
+def test_models_equal_the_reference_on_minimized_systems(name):
+    same_models(minimize_proof_system(system(_abstraction(name)), derivable))
+
+
+ATOMS = 5
+
+
+@st.composite
+def intersection_closed(draw):
+    """A family of subsets of at most ATOMS atoms, closed under
+    intersection and holding the full set: a lattice whose gamma, the
+    inclusion, preserves meets and is an order embedding."""
+    k = draw(st.integers(1, ATOMS))
+    full = (1 << k) - 1
+    family = {full} | draw(st.sets(st.integers(0, full), max_size=10))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    return k, sorted(family)
+
+
+@settings(max_examples=50, deadline=None)
+@given(intersection_closed())
+def test_intersection_closed_families_verify(case):
+    k, family = case
+    name = {m: f"s{m:0{k}b}" for m in family}
+    lat = build_lattice([name[m] for m in family],
+                        [(name[a], name[b]) for a in family for b in family
+                         if a != b and a & b == a], closure_mode="full")
+    uni = ConcreteUniverse.atoms([f"a{i}" for i in range(k)])
+    gamma = ConcretizationMap(lat, uni, {
+        name[m]: uni.subset(f"a{i}" for i in range(k) if m >> i & 1) for m in family})
+    abs_ = Abstraction("family", lat, gamma)
+    ps = system(abs_)
+    n = len(family)
+    assert verify_soundness(abs_, ps, max_predicates=n, replays=20).ok
+    assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
+    assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok
+
+
+@pytest.mark.parametrize("name", ("boolean-4", "chain-32"))
+def test_beyond_saturation_verifies_end_to_end(name):
+    abs_ = _abstraction(name)
+    ps = system(abs_)
+    n = len(abs_.lattice.elements)
+    assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok
+    sound = verify_soundness(abs_, ps, max_predicates=n)
+    assert sound.ok
+    assert sound.generators_checked == len(engine_for(ps, n).models)
+    assert sound.cells_checked == len(abs_.universe)
+    assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
+
+
+def antichain(k):
+    """bot < a0 .. a(k-1) < top, where every atom's image holds one shared
+    point: meets are not preserved, and every set of atoms is a model."""
+    atoms = [f"a{i}" for i in range(k)]
+    lat = build_lattice(["bot", *atoms, "top"],
+                        [("bot", a) for a in atoms] + [(a, "top") for a in atoms])
+    uni = ConcreteUniverse.atoms(["shared", *(f"p{i}" for i in range(k))])
+    table = {"bot": uni.empty(), "top": uni.full()}
+    table.update({a: uni.subset(["shared", f"p{i}"]) for i, a in enumerate(atoms)})
+    abs_ = Abstraction("antichain", lat, ConcretizationMap(lat, uni, table))
+    report = preservation_report(abs_)
+    assert "and" not in report.preserved()
+    return generate_proof_system(abs_, report)
+
+
+def test_model_count_is_two_to_the_antichain():
+    ps = antichain(8)
+    # every set of atoms with top, and the full set
+    assert len(engine_for(ps, 10).models) == 2 ** 8 + 1
+
+
+def test_model_count_guard():
+    ps = antichain(18)
+    s = Sequent((Pred("a0"),), (Pred("a1"),))
+    with pytest.raises(TooManyModels) as exc:
+        derivable(ps, s, max_predicates=20)
+    err = exc.value
+    # bot, then 17 atoms: 2^17 + 1 partial models pass the bound
+    assert (err.reached, err.predicates, err.count) == (18, 20, 2 ** 17 + 1)
+    assert err.count > MAX_MODELS
+    assert f"{err.count} partial models after predicate 18 of 20" in str(err)
+    assert ps._engine is None

@@ -18,6 +18,7 @@ from abslog.proofengine import (
     DerivabilityEngine,
     build_lindenbaum,
     derivable,
+    engine_for,
     eval_abstract,
     eval_concrete,
     holds_concrete,
@@ -284,9 +285,20 @@ def test_soundness_builtins(builtins):
         ps = system(abs_)
         res = verify_soundness(abs_, ps, replays=120)
         assert res.ok, (abs_.name, render_sequent(res.counterexample))
-        assert res.generators_checked > 0
-        assert res.cells_checked > 0  # all builtins are within the closure limit
+        # every model of the system, and every point's valuation, checked
+        assert res.generators_checked == len(engine_for(ps).models)
+        assert res.cells_checked == len(abs_.universe)
         assert res.replays_checked > 0
+
+
+def test_reference_generators_hold_at_every_point(builtins):
+    # the generator-level soundness check, on the saturation engine
+    for abs_ in builtins.values():
+        eng = DerivabilityEngine(system(abs_))
+        eng.saturate()
+        for g, d in eng.gen_list:
+            s = eng.mask_sequent(g, d)
+            assert holds_concrete(abs_, s), (abs_.name, render_sequent(s))
 
 
 def test_corrupted_system_caught(parity, parity_ps):

@@ -13,7 +13,7 @@ from abslog.errors import (
     ParseError,
     SpecError,
 )
-from abslog.lattice import build_lattice
+from abslog.lattice import UnaryOpTable, build_lattice
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -203,6 +203,56 @@ def test_emit_roundtrips_readable_atom_names(atom):
     abs_ = _atoms_abstraction(atom)
     again = specfile.load(specfile.emit(abs_), "atoms")
     assert again.universe.points == abs_.universe.points
+    for e in abs_.lattice.elements:
+        assert again.gamma(e).members == abs_.gamma(e).members
+
+
+def _elements_abstraction(element, negation=False):
+    uni = ConcreteUniverse.atoms(["p", "q"])
+    ops = {"negation": UnaryOpTable("negation", {
+        "bot": "top", element: element, "top": "bot"})} if negation else None
+    lat = build_lattice(["bot", element, "top"],
+                        [("bot", element), (element, "top")], unary_ops=ops)
+    gamma = ConcretizationMap(lat, uni, {
+        "bot": uni.empty(), element: uni.subset(["p"]), "top": uni.full()})
+    return Abstraction("elements", lat, gamma)
+
+
+@pytest.mark.parametrize("element", ["a#1", "a b", "a\tb", "a\nb", "#", ""])
+def test_emit_refuses_an_element_name_load_cannot_read(element):
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(_elements_abstraction(element))
+    assert repr(element) in str(exc.value)
+
+
+@pytest.mark.parametrize("element", ["unary", "binary"])
+def test_emit_refuses_an_operation_keyword_element_beside_operations(element):
+    # an OPS line that starts with the keyword declares a new operation
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(_elements_abstraction(element, negation=True))
+    assert repr(element) in str(exc.value)
+    abs_ = _elements_abstraction(element)  # without OPS the name reads back
+    assert specfile.load(specfile.emit(abs_)).lattice.elements == abs_.lattice.elements
+
+
+@pytest.mark.parametrize("section", specfile.SECTIONS)
+def test_emit_refuses_a_lone_element_named_like_a_section(section):
+    uni = ConcreteUniverse.atoms(["p"])
+    lat = build_lattice([section], [])
+    abs_ = Abstraction("lone", lat, ConcretizationMap(lat, uni, {section: uni.full()}))
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(abs_)
+    assert repr(section) in str(exc.value)
+
+
+@pytest.mark.parametrize("element", ["a", "a.b", "-3", "{a}", "a,b", "a=b", "=",
+                                     "<", "ORDER", "x(1,2)"])
+@pytest.mark.parametrize("negation", [False, True])
+def test_emit_roundtrips_readable_element_names(element, negation):
+    abs_ = _elements_abstraction(element, negation)
+    again = specfile.load(specfile.emit(abs_), "elements")
+    assert again.lattice.elements == abs_.lattice.elements
+    assert again.lattice.unary_ops == abs_.lattice.unary_ops
     for e in abs_.lattice.elements:
         assert again.gamma(e).members == abs_.gamma(e).members
 

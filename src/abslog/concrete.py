@@ -5,7 +5,9 @@ points drawn from a bounded window.  A 1-D window has int points; only
 windows with dim >= 2 have integer-tuple points.  Concrete sets are plain
 frozensets over those points; the connective-preservation analysis,
 order-embedding check and left-adjoint construction all reduce to
-exhaustive set comparisons at this scale.
+exhaustive set comparisons at this scale.  :class:`PointMasks` holds
+concrete sets as int masks instead, for the soundness replays, which
+evaluate many formulas over one universe.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .connectives import CONNECTIVES, Connective, lookup
+from .connectives import CONNECTIVES, Connective, connective, lookup
 from .errors import (
     CarrierTooLarge,
     InvalidConcretization,
@@ -23,6 +25,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .lattice import FiniteLattice
+from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
 # largest window built, in points and in coordinates per point; the
 # products of ``cartesian`` have their own, smaller MAX_PRODUCT_POINTS
@@ -76,7 +79,10 @@ class ConcreteUniverse:
         return len(self.points)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConcreteUniverse) and self.points == other.points
+        # every set operation compares its operands' universes, which are
+        # nearly always one object
+        return self is other or (isinstance(other, ConcreteUniverse)
+                                 and self.points == other.points)
 
     def __hash__(self) -> int:
         return hash(self.points)
@@ -118,9 +124,10 @@ class ConcreteSet:
     def complement(self) -> "ConcreteSet":
         return ConcreteSet(self.universe, self.universe.point_set - self.members)
 
-    def difference(self, other: "ConcreteSet") -> "ConcreteSet":
-        self._check(other)
-        return ConcreteSet(self.universe, self.members - other.members)
+    # the operators the registry's concrete operations are written with
+    __and__ = intersection
+    __or__ = union
+    __invert__ = complement
 
     def issubset(self, other: "ConcreteSet") -> bool:
         self._check(other)
@@ -131,6 +138,53 @@ class ConcreteSet:
 
     def sorted_points(self) -> list:
         return sorted(self.members, key=lambda p: (str(type(p)), p))
+
+
+class PointMasks:
+    """Concrete sets as int masks over a universe's points: bit j stands for
+    the j-th point.  It offers the ``full()`` and ``empty()`` that the
+    registry's concrete operations read, so those operations compute masks
+    unchanged.  Each formula's mask is kept by object identity; an entry
+    holds its formula, so the identity is not reused while the entry lives."""
+
+    def __init__(self, n_points: int, pred_masks: dict[str, int]):
+        self._full = (1 << n_points) - 1
+        self._preds = pred_masks
+        self._memo: dict[int, tuple[Formula, int]] = {}
+
+    def full(self) -> int:
+        return self._full
+
+    def empty(self) -> int:
+        return 0
+
+    def mask(self, f: Formula) -> int:
+        hit = self._memo.get(id(f))
+        if hit is not None:
+            return hit[1]
+        if isinstance(f, Pred):
+            m = self._preds[f.name]
+        elif isinstance(f, Bin):
+            m = connective(f.op).concrete(self, self.mask(f.lhs), self.mask(f.rhs))
+        elif isinstance(f, Not):
+            m = connective(f.op).concrete(self, self.mask(f.arg))
+        elif isinstance(f, Const):
+            m = connective(f.op).concrete(self)
+        else:
+            raise UnknownSymbol(f"cannot evaluate {f!r}")
+        self._memo[id(f)] = (f, m)
+        return m
+
+    def holds(self, s: Sequent) -> bool:
+        """:func:`~abslog.proofengine.holds_concrete` on masks: no point is
+        in every antecedent and in no succedent."""
+        inter = self._full
+        for f in s.ante:
+            inter &= self.mask(f)
+        union = 0
+        for f in s.succ:
+            union |= self.mask(f)
+        return not inter & ~union
 
 
 _BY_CONCRETE_NAME = {c.concrete_name: c for c in CONNECTIVES.values()}

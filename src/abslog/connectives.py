@@ -8,6 +8,12 @@ generated calculus adds when gamma preserves the connective.  Every
 module that needs one of these facts loops over ``CONNECTIVES`` or looks
 a record up by name; none spells them out again.
 
+The concrete operations are written with the set operators ``&``, ``|``
+and ``~`` and the universe's ``full()`` and ``empty()``, so one definition
+serves both representations of a concrete set: a
+:class:`~abslog.concrete.ConcreteSet`, and the int point masks that the
+soundness replays are checked on (bit j stands for the j-th point).
+
 Abstract tables are nested index tuples of depth ``arity``: an int for a
 constant, one row for a unary connective, a matrix for a binary one.
 :meth:`FiniteLattice.table` builds a table on first use and caches it.
@@ -35,7 +41,7 @@ class Connective:
     latex: str
     prec: int                 # binding strength in text; higher binds tighter
     concrete_name: str
-    concrete: Callable        # (universe, *sets) -> set
+    concrete: Callable        # (universe, *sets) -> set, on sets or point masks
     abstract: Callable        # lattice -> index table
     intro: Schemas
     # rules that replace ``intro`` when every connective in ``via`` is
@@ -111,19 +117,19 @@ _CONNECTIVES = (
         {"intro.ff.l": ((), "G, ff |- D")}),
     Connective(
         "and", 2, "&", r"\wedge ", 2, "intersection",
-        lambda u, x, y: x.intersection(y), lambda lat: lat._meet,
+        lambda u, x, y: x & y, lambda lat: lat._meet,
         {"intro.and.l": (("G, ?phi, ?psi |- D",), "G, ?phi & ?psi |- D"),
          "intro.and.r": (("G |- D, ?phi", "G' |- D', ?psi"),
                          "G, G' |- D, D', ?phi & ?psi")}),
     Connective(
         "or", 2, "|", r"\vee ", 1, "union",
-        lambda u, x, y: x.union(y), lambda lat: lat._join,
+        lambda u, x, y: x | y, lambda lat: lat._join,
         {"intro.or.l": (("G, ?phi |- D", "G', ?psi |- D'"),
                         "G, G', ?phi | ?psi |- D, D'"),
          "intro.or.r": (("G |- D, ?phi, ?psi",), "G |- D, ?phi | ?psi")}),
     Connective(
         "not", 1, "~", r"\neg ", 3, "complement",
-        lambda u, x: x.complement(), _negation,
+        lambda u, x: u.full() & ~x, _negation,
         # a bare involutive, order-reversing negation carries nothing more
         {"intro.not.involution.l": ((), "~~?phi |- ?phi"),
          "intro.not.involution.r": ((), "?phi |- ~~?phi"),
@@ -133,13 +139,13 @@ _CONNECTIVES = (
                    "intro.not.def.r": ((), "?phi -> ff |- ~?phi")}),
     Connective(
         "impl", 2, "->", r"\rightarrow ", 0, "implication",
-        lambda u, x, y: x.complement().union(y), _heyting,
+        lambda u, x, y: (u.full() & ~x) | y, _heyting,
         {"intro.impl.l": (("G |- D, ?phi", "G', ?psi |- D'"),
                           "G, G', ?phi -> ?psi |- D, D'"),
          "intro.impl.r": (("G, ?phi |- ?psi",), "G |- D, ?phi -> ?psi")}),
     Connective(
         "coimpl", 2, "<-", r"\leftarrow ", 0, "coimplication",
-        lambda u, x, y: x.difference(y), _co_heyting,
+        lambda u, x, y: x & ~y, _co_heyting,
         {"intro.coimpl.l": (("?phi |- D, ?psi",), "?phi <- ?psi |- D"),
          "intro.coimpl.r": (("G |- D, ?phi", "G', ?psi |- D'"),
                             "G, G' |- D, D', ?phi <- ?psi")}),

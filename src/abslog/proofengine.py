@@ -41,7 +41,14 @@ computes the model set M* and reads every answer off it:
 Soundness reads off the models as well.  A sequent fails at a concrete
 point x exactly when x's valuation V_x = {a : x in gamma(a)} refutes it, so
 every derivable sequent holds at x iff V_x is in M*.  When V_x is not a
-model, ``V_x |- (every other predicate)`` is derivable and fails at x.
+model, ``V_x |- (every other predicate)`` is derivable and fails at x.  The
+random formula-level replays that follow are checked on *point masks*: bit j
+of a formula's mask stands for the j-th point of the universe.  The pass
+that builds each V_x also builds each predicate's mask (the transpose), the
+registry's concrete operations compute a compound's mask from its
+arguments' masks, each formula's mask is computed once per verification,
+and ``G |- D`` holds iff ``AND(ante masks) & ~OR(succ masks) == 0``.
+:func:`holds_concrete` stays as the reference the tests check this against.
 
 Each proof system has one engine, a :class:`ModelEngine` built on first use
 by :func:`engine_for` and kept on the system: :func:`derivable`,
@@ -59,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .concrete import Abstraction
+from .concrete import Abstraction, PointMasks
 from .connectives import CONNECTIVES, connective, lookup
 from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
@@ -193,7 +200,15 @@ class _Engine:
         self.f_and, self.f_or, self.f_impl, self.f_coimpl, self.f_tt = (
             on[c] for c in ("and", "or", "impl", "coimpl", "tt"))
         self.f_not_prim = on["not"]
-        self.f_not_def = CONNECTIVES["not"].intro_via.keys() <= names
+        not_ = CONNECTIVES["not"]
+        self.f_not_def = not_.intro_via.keys() <= names
+        # a family that is on reads its connective's table; negation read as
+        # implication to absurdity reads those of ``via`` too
+        for c in CONNECTIVES:
+            if c not in self.conns and (on[c] or self.f_not_def
+                                        and (c == "not" or c in not_.via)):
+                raise AbslogError(f"the system holds the rules of connective {c!r}, "
+                                  "which is not in its signature")
 
         tables = {c: lat.table(c) for c in self.conns if CONNECTIVES[c].arity}
         self.meet, self.join, self.neg, self.hey, self.coi = (
@@ -206,12 +221,12 @@ class _Engine:
         """The seed sequents read off the operation tables."""
         if self.f_tt:
             yield 0, 1 << self.top_i
-        if self.f_not_def and self.neg is not None:
+        if self.f_not_def:
             for a in range(self.n):
                 na, ha = self.neg[a], self.hey[a][self.bot_i]
                 yield 1 << na, 1 << ha
                 yield 1 << ha, 1 << na
-        if self.f_not_prim and self.neg is not None:
+        if self.f_not_prim:
             for a in range(self.n):
                 nna = self.neg[self.neg[a]]
                 yield 1 << nna, 1 << a
@@ -413,7 +428,7 @@ class DerivabilityEngine(_Engine):
                         for a in heads:
                             add(1 << coi[a][b], r)
 
-        if self.f_not_prim and self.neg is not None:
+        if self.f_not_prim:
             if d and d & (d - 1) == 0 and (g == 0 or g & (g - 1) == 0):
                 b = d.bit_length() - 1
                 nb = 1 << self.neg[b]
@@ -574,7 +589,6 @@ class ModelEngine(_Engine):
         """Remove every model that breaks impl.r, coimpl.l or contraposition,
         and repeat until none does; return M* and its bit columns."""
         n = self.n
-        contraposition = self.f_not_prim and self.neg is not None
         while True:
             cols = [0] * n
             for j, v in enumerate(models):
@@ -584,7 +598,7 @@ class ModelEngine(_Engine):
             live = (1 << len(models)) - 1
             outs = [live & ~c for c in cols]  # the models without each predicate
             bad = 0
-            if contraposition:
+            if self.f_not_prim:
                 neg = self.neg
                 for a in range(n):
                     ca, above = cols[a], 0
@@ -828,6 +842,21 @@ class SoundnessResult:
     replays_checked: int = 0
 
 
+def replay_conclusions(ps: ProofSystem, replays: int, rng_seed: int):
+    """The conclusions of ``replays`` random formula-level derivations of
+    depth ``REPLAY_DEPTH``, drawn from the system's axioms, its atomic
+    formulas and the binary connectives of its signature."""
+    axioms = [r.axiom for r in ps.rules if r.axiom is not None]
+    conns = ps.signature.connectives
+    atoms = [Pred(p) for p in ps.signature.predicates]
+    atoms += [Const(c.name) for c in CONNECTIVES.values()
+              if c.arity == 0 and c.name in conns]
+    ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
+    rng = random.Random(rng_seed)
+    for _ in range(replays):
+        yield _random_derivation(rng, REPLAY_DEPTH, axioms, atoms, ops, conns)
+
+
 def verify_soundness(abs_: Abstraction, ps: ProofSystem,
                      max_predicates: int = DEFAULT_SATURATION_BOUND,
                      replays: int = 500, rng_seed: int = 20240811) -> SoundnessResult:
@@ -836,43 +865,39 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     The derivable sequents all hold at a point x iff its valuation
     {a : x in gamma(a)} is a model (see the module docstring), so checking
     each point's valuation is exact; a point whose valuation is no model gives
-    a derivable sequent that fails there.  Then ``replays`` random
-    formula-level derivations of depth ``REPLAY_DEPTH`` are replayed and
-    their conclusions checked, which exercises :func:`normalize` too.
+    a derivable sequent that fails there.  Then the conclusions of
+    ``replays`` random formula-level derivations (:func:`replay_conclusions`)
+    are checked against the concrete semantics, on point masks.
     """
     engine = engine_for(ps, max_predicates)
     models = set(engine.models)
-    valuation = dict.fromkeys(abs_.universe.points, 0)
+    points = abs_.universe.points
+    position = {x: j for j, x in enumerate(points)}
+    valuation = [0] * len(points)
+    pred_masks = {}
     for i, p in enumerate(engine.preds):
+        m = 0
         for x in abs_.gamma(p).members:
-            valuation[x] |= 1 << i
+            j = position[x]
+            valuation[j] |= 1 << i
+            m |= 1 << j
+        pred_masks[p] = m
     checked = 0
-    for v in valuation.values():
+    for v in valuation:
         checked += 1
         if v not in models:
             return SoundnessResult(False, engine.refutation(v), len(models), checked)
 
-    # what every replay draws from: the axioms, the atomic formulas and the
-    # binary connectives of the signature
-    axioms = [r.axiom for r in ps.rules if r.axiom is not None]
-    conns = ps.signature.connectives
-    atoms = [Pred(p) for p in ps.signature.predicates]
-    atoms += [Const(c.name) for c in CONNECTIVES.values()
-              if c.arity == 0 and c.name in conns]
-    ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
-    rng = random.Random(rng_seed)
+    masks = PointMasks(len(points), pred_masks)
     replayed = 0
-    for _ in range(replays):
-        s = _random_derivation(rng, REPLAY_DEPTH, axioms, atoms, ops, conns)
-        if s is None:
-            continue
+    for s in replay_conclusions(ps, replays, rng_seed):
         replayed += 1
-        if not holds_concrete(abs_, s):
+        if not masks.holds(s):
             return SoundnessResult(False, s, len(models), checked, replayed)
     return SoundnessResult(True, None, len(models), checked, replayed)
 
 
-def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent | None:
+def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent:
     """Replay one random derivation and return its conclusion."""
     pool: list[Formula] = list(atoms)
     for _ in range(6):  # shallow compound formulas over the signature
@@ -948,10 +973,7 @@ def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent | None:
             return Sequent((Not(s.succ[0]),), (Not(s.ante[0]),))
         return s
 
-    try:
-        return derive(depth)
-    except UnknownSymbol:
-        return None
+    return derive(depth)
 
 
 # --- completeness ------------------------------------------------------------

@@ -11,11 +11,19 @@ from abslog.concrete import (
     ConcretizationMap,
     preservation_report,
 )
-from abslog.errors import CarrierTooLarge, UnknownSymbol
+from abslog.errors import AbslogError, CarrierTooLarge, UnknownSymbol
 from abslog.lattice import UnaryOpTable, build_lattice
-from abslog.logicgen import KIND_OPERATION, ProofSystem, Rule, generate_proof_system
+from abslog.logicgen import (
+    KIND_OPERATION,
+    ProofSystem,
+    Rule,
+    generate_proof_system,
+    parse_machine,
+    render,
+)
 from abslog.proofengine import (
     DerivabilityEngine,
+    ModelEngine,
     build_lindenbaum,
     derivable,
     engine_for,
@@ -200,6 +208,23 @@ def test_carrier_too_large_guard():
         derivable(ps, parse_sequent("c00(x) |- c01(x)"))
     # the bound is configurable
     assert derivable(ps, parse_sequent("c00(x) |- c01(x)"), max_predicates=20)
+
+
+@pytest.mark.parametrize("engine", [ModelEngine, DerivabilityEngine])
+@pytest.mark.parametrize("name, rules", [
+    ("sign", ("intro.impl.l", "intro.impl.r")),
+    # negation read as implication to absurdity, in a system with no implication
+    ("octagon-c1", ("intro.not.def.l", "intro.not.def.r")),
+])
+def test_rules_of_a_connective_outside_the_signature(builtins, name, rules, engine):
+    abs_ = builtins[name]
+    text = render(system(abs_), "machine") + "".join(f"rule introduction {r}\n"
+                                                     for r in rules)
+    ps = parse_machine(text)
+    ps.abstraction = abs_
+    assert "impl" not in ps.signature.connectives
+    with pytest.raises(AbslogError, match="'impl'"):
+        engine(ps)
 
 
 # --- Lindenbaum-Tarski -------------------------------------------------------

@@ -4,7 +4,8 @@
 ``rectangle_closure`` (axis-wise projections) is its left adjoint, so
 ``iota`` preserves all meets.  Exhaustive small-window checks of the
 adjunction, meet preservation and injectivity-off-empty-axes live here
-alongside the product construction itself.
+alongside the product construction itself.  The exhaustive checks compare
+every pair but compute each rectangle's image under ``iota`` once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .specfile import default_var_names
 ELEMENT_SEP = "*"
 MAX_PRODUCT_CARRIER = 4096   # largest product lattice built
 MAX_PRODUCT_POINTS = 10_000  # largest tuple universe built
+MAX_MEET_AXIS_POINTS = 10    # exhaustive meet check: points of both axes together
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,17 @@ class Rectangle:
 
     axes: tuple[ConcreteSet, ...]
 
+    @property
+    def members(self) -> tuple[frozenset, ...]:
+        """The axis member sets.  As a key it hashes fast: a frozenset
+        keeps its hash, where a rectangle would hash each axis universe."""
+        return tuple([a.members for a in self.axes])
+
     def componentwise_leq(self, other: "Rectangle") -> bool:
-        return all(a.issubset(b) for a, b in zip(self.axes, other.axes))
+        return all(map(ConcreteSet.issubset, self.axes, other.axes))
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        return Rectangle(tuple(a.intersection(b)
-                               for a, b in zip(self.axes, other.axes)))
+        return Rectangle(tuple(map(ConcreteSet.intersection, self.axes, other.axes)))
 
 
 def tuple_universe(axis_universes) -> ConcreteUniverse:
@@ -169,7 +176,10 @@ class CheckResult:
 def check_galois(axis_windows=((0, 4), (0, 4)), sample: int | None = None,
                  rng_seed: int = 20240811) -> CheckResult:
     """rectangle_closure(R) <= X iff R included in iota(X), exhaustively on
-    small axes or sampled for larger spaces."""
+    small axes or sampled for larger spaces.
+
+    The exhaustive branch computes iota(X) once per rectangle X and
+    rectangle_closure(R) once per region R, then compares every pair."""
     axes = [ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows]
     target = tuple_universe(axes)
     rng = random.Random(rng_seed)
@@ -182,13 +192,12 @@ def check_galois(axis_windows=((0, 4), (0, 4)), sample: int | None = None,
             raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
                                   "pass sample=")
         rects = list(_all_rectangles(axes))
+        images = [iota(x, target) for x in rects]
         for r in regions:
             closure = rectangle_closure(r)
-            for x in rects:
+            for x, ix in zip(rects, images):
                 checked += 1
-                lhs = closure.componentwise_leq(x)
-                rhs = r.issubset(iota(x, target))
-                if lhs != rhs:
+                if closure.componentwise_leq(x) != r.issubset(ix):
                     return CheckResult(False, checked, (r, x))
         return CheckResult(True, checked)
     for _ in range(sample):
@@ -205,22 +214,33 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                                sample: int | None = None,
                                rng_seed: int = 20240811) -> CheckResult:
     """iota(X meet Y) = iota(X) & iota(Y); exhaustive for two small axes,
-    sampled otherwise."""
+    sampled otherwise.
+
+    The exhaustive branch computes iota once per rectangle and keeps the
+    images by axis member sets.  Each pair still takes its meet, whose image
+    is looked up; a meet that is none of the rectangles is mapped by iota."""
     axes = [ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows]
     target = tuple_universe(axes)
     checked = 0
     if sample is None:
-        sizes = [len(u) for u in axes]
-        if sum(sizes) > 10 or len(axes) != 2:
-            raise CarrierTooLarge("exhaustive meet check is for two axes of "
-                                  "<= 5 points; pass sample=")
+        points = sum(len(u) for u in axes)
+        if points > MAX_MEET_AXIS_POINTS or len(axes) != 2:
+            raise CarrierTooLarge(
+                f"exhaustive meet check needs two axes with at most "
+                f"{MAX_MEET_AXIS_POINTS} points in all, got {len(axes)} axes "
+                f"with {points} points; pass sample=")
         rects = list(_all_rectangles(axes))
+        images = {x.members: iota(x, target).members for x in rects}
+        pairs = [(y, images[y.members]) for y in rects]
         for x in rects:
-            ix = iota(x, target)
-            for y in rects:
+            ix = images[x.members]
+            for y, iy in pairs:
                 checked += 1
-                lhs = iota(x.meet(y), target)
-                if lhs.members != ix.intersection(iota(y, target)).members:
+                meet = x.meet(y)
+                lhs = images.get(meet.members)
+                if lhs is None:  # a meet that is none of the rectangles
+                    lhs = iota(meet, target).members
+                if lhs != ix & iy:
                     return CheckResult(False, checked, (x, y))
         return CheckResult(True, checked)
     rng = random.Random(rng_seed)

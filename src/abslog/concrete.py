@@ -40,6 +40,7 @@ class ConcreteUniverse:
         self.point_set: frozenset = frozenset(self.points)
         self.kind = kind          # "atoms" | "window"
         self.params = params      # tuple of atom names, or (lo, hi, dim)
+        self._full: ConcreteSet | None = None
         if not self.points:
             raise InvalidConcretization("empty universe")
         if len(self.point_set) != len(self.points):
@@ -88,7 +89,10 @@ class ConcreteUniverse:
         return hash(self.points)
 
     def full(self) -> "ConcreteSet":
-        return ConcreteSet(self, self.point_set)
+        """The set of all points, built on first use and then kept."""
+        if self._full is None:
+            self._full = ConcreteSet(self, self.point_set)
+        return self._full
 
     def empty(self) -> "ConcreteSet":
         return ConcreteSet(self, frozenset())
@@ -110,19 +114,29 @@ class ConcreteSet:
             raise InvalidConcretization(f"point {bad!r} is not in the universe")
 
     def _check(self, other: "ConcreteSet") -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise InvalidConcretization("operands live in different universes")
+
+    def _derive(self, members: frozenset) -> "ConcreteSet":
+        """The result of a set operation on this set's universe.  Its
+        members come from sets that were checked when they were built, so
+        they cannot leave the universe and are not checked again."""
+        out = object.__new__(ConcreteSet)
+        fields = out.__dict__  # the frozen fields, written without __setattr__
+        fields["universe"] = self.universe
+        fields["members"] = members
+        return out
 
     def union(self, other: "ConcreteSet") -> "ConcreteSet":
         self._check(other)
-        return ConcreteSet(self.universe, self.members | other.members)
+        return self._derive(self.members | other.members)
 
     def intersection(self, other: "ConcreteSet") -> "ConcreteSet":
         self._check(other)
-        return ConcreteSet(self.universe, self.members & other.members)
+        return self._derive(self.members & other.members)
 
     def complement(self) -> "ConcreteSet":
-        return ConcreteSet(self.universe, self.universe.point_set - self.members)
+        return self._derive(self.universe.point_set - self.members)
 
     # the operators the registry's concrete operations are written with
     __and__ = intersection

@@ -10,7 +10,7 @@ agrees with grid nonemptiness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
@@ -63,10 +63,19 @@ def oct_complement(p: OctPredicate, window_c: int) -> OctPredicate:
 
 @dataclass
 class OctLattice:
-    """Top, bottom and four disjoint chains of half-plane predicates."""
+    """Top, bottom and four disjoint chains of half-plane predicates.
+
+    The carrier and the name index are built once, with the lattice."""
 
     window_c: int
     predicates: tuple[OctPredicate, ...]
+    carrier: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, OctPredicate] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = tuple(p.name for p in self.predicates)
+        self.carrier = ("bot", "top") + names
+        self._by_name = dict(zip(names, self.predicates))
 
     @classmethod
     def build(cls, window_c: int) -> "OctLattice":
@@ -76,15 +85,11 @@ class OctLattice:
                       for (sx, sy) in SLOPES for c in window_constants(window_c))
         return cls(window_c, preds)
 
-    @property
-    def carrier(self) -> tuple[str, ...]:
-        return ("bot", "top") + tuple(p.name for p in self.predicates)
-
     def by_name(self, name: str) -> OctPredicate:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        raise UnknownElement(f"unknown octagon element {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownElement(f"unknown octagon element {name!r}") from None
 
 
 def oct_leq(lat: OctLattice, a: OctPredicate | str, b: OctPredicate | str) -> bool:
@@ -154,8 +159,10 @@ def grid_universe(grid_n: int) -> ConcreteUniverse:
     return ConcreteUniverse.window(-grid_n, grid_n, dim=2)
 
 
-def grid_gamma(lat: OctLattice, element: OctPredicate | str, grid_n: int) -> frozenset:
-    pts = grid_universe(grid_n).point_set
+def grid_gamma(lat: OctLattice, element: OctPredicate | str,
+               grid: ConcreteUniverse) -> frozenset:
+    """The points of a grid universe where an element holds."""
+    pts = grid.point_set
     if element == "top":
         return pts
     if element == "bot":
@@ -211,8 +218,7 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
             f"grid N = {grid_n} violates the guard N >= 4C = {4 * lat.window_c}")
     finite = to_finite_lattice(lat)
     uni = grid_universe(grid_n)
-    table = {name: uni.subset(grid_gamma(lat, name, grid_n))
-             for name in lat.carrier}
+    table = {name: uni.subset(grid_gamma(lat, name, uni)) for name in lat.carrier}
     gamma = ConcretizationMap(finite, uni, table)
     axioms = []
     for i, (p, q) in enumerate(infeasible_pairs(lat)):
@@ -252,10 +258,11 @@ def conjunction_nonpreservation_witness(window_c: int) -> ConjunctionWitness:
     lat = OctLattice.build(window_c)
     p, q = OctPredicate(1, 1, 0), OctPredicate(1, -1, 0)
     grid_n = 4 * window_c
-    target = grid_gamma(lat, p, grid_n) & grid_gamma(lat, q, grid_n)
+    grid = grid_universe(grid_n)
+    target = grid_gamma(lat, p, grid) & grid_gamma(lat, q, grid)
     separations: dict[str, tuple[int, int]] = {}
     for name in lat.carrier:
-        image = grid_gamma(lat, name, grid_n)
+        image = grid_gamma(lat, name, grid)
         diff = image ^ target
         if not diff:
             return ConjunctionWitness(p, q, grid_n, {})

@@ -1,0 +1,173 @@
+"""The Cartesian checks catch planted faults, compute each rectangle's
+image once, and refuse exactly the windows their message names.
+
+A planted fault makes ``iota``, ``Rectangle.meet`` or
+``rectangle_closure`` wrong on the rectangles whose first axis is {1, 2}.
+The expected verdicts were recorded with the checks that evaluated
+``iota`` once per pair; a check that only reuses images must reach the
+same ``ok``, ``checked`` and witness.
+"""
+
+import pytest
+
+from abslog import cartesian
+from abslog.cartesian import (
+    MAX_MEET_AXIS_POINTS,
+    Rectangle,
+    check_galois,
+    check_iota_preserves_meets,
+)
+from abslog.concrete import ConcreteSet
+from abslog.errors import CarrierTooLarge, InvalidConcretization
+
+FAULTY_AXIS = frozenset({1, 2})
+
+iota = cartesian.iota
+meet = Rectangle.meet
+rectangle_closure = cartesian.rectangle_closure
+
+
+def _hit(rect: Rectangle) -> bool:
+    return rect.axes[0].members == FAULTY_AXIS
+
+
+def _narrowed(rect: Rectangle) -> Rectangle:
+    """The rectangle with its first axis {1, 2} cut to {1}."""
+    return Rectangle((rect.axes[0].universe.subset({1}),) + rect.axes[1:])
+
+
+def iota_drops_a_point(rect, target):
+    image = iota(rect, target)
+    if _hit(rect) and image.members:
+        return target.subset(image.members - {min(image.members)})
+    return image
+
+
+def meet_narrows(self, other):
+    m = meet(self, other)
+    return _narrowed(m) if _hit(m) else m
+
+
+def closure_narrows(r):
+    c = rectangle_closure(r)
+    return _narrowed(c) if _hit(c) else c
+
+
+FAULTS = {
+    "iota": (cartesian, "iota", iota_drops_a_point),
+    "meet": (Rectangle, "meet", meet_narrows),
+    "closure": (cartesian, "rectangle_closure", closure_narrows),
+}
+
+CHECKS = {
+    "meets-exhaustive": (check_iota_preserves_meets, ((0, 3), (0, 3)), None),
+    "galois-exhaustive": (check_galois, ((0, 2), (0, 2)), None),
+    "meets-sampled": (check_iota_preserves_meets, ((0, 2),) * 3, 2000),
+    "galois-sampled": (check_galois, ((0, 2),) * 3, 2000),
+}
+
+# (fault, check) -> (ok, checked, witness as sorted axis members)
+EXPECTED = {
+    ("iota", "meets-exhaustive"): (False, 8546, (([1], [0]), ([1, 2], [0]))),
+    ("iota", "galois-exhaustive"): (False, 562, ([(1, 0)], ([1, 2], [0]))),
+    ("iota", "meets-sampled"):
+        (False, 4, (([1, 2], [0, 1], [0, 2]), ([0, 1, 2], [0], [2]))),
+    ("iota", "galois-sampled"): (True, 2000, None),
+    ("meet", "meets-exhaustive"): (False, 24930, (([1, 2], [0]), ([1, 2], [0]))),
+    ("meet", "galois-exhaustive"): (True, 32768, None),
+    ("meet", "meets-sampled"):
+        (False, 4, (([1, 2], [0, 1], [0, 2]), ([0, 1, 2], [0], [2]))),
+    ("meet", "galois-sampled"): (True, 2000, None),
+    ("closure", "meets-exhaustive"): (True, 65536, None),
+    ("closure", "galois-exhaustive"):
+        (False, 4626, ([(1, 0), (2, 0)], ([1], [0]))),
+    ("closure", "meets-sampled"): (True, 2000, None),
+    ("closure", "galois-sampled"): (True, 2000, None),
+}
+
+
+def _plain(witness):
+    """A witness as sorted member lists, whatever holds the sets."""
+    if witness is None:
+        return None
+    if isinstance(witness, Rectangle):
+        return tuple(sorted(a.members) for a in witness.axes)
+    if isinstance(witness, ConcreteSet):
+        return sorted(witness.members)
+    return tuple(_plain(w) for w in witness)
+
+
+@pytest.mark.parametrize("fault, check", sorted(EXPECTED))
+def test_planted_fault_verdict(monkeypatch, fault, check):
+    owner, name, wrong = FAULTS[fault]
+    monkeypatch.setattr(owner, name, wrong)
+    fn, axes, sample = CHECKS[check]
+    res = fn(axes, sample=sample)
+    assert (res.ok, res.checked, _plain(res.witness)) == EXPECTED[fault, check]
+    assert res.note == ""
+
+
+def _count_iota(monkeypatch) -> list:
+    calls = []
+
+    def counting(rect, target):
+        calls.append(rect)
+        return iota(rect, target)
+
+    monkeypatch.setattr(cartesian, "iota", counting)
+    return calls
+
+
+def test_meet_check_maps_each_rectangle_once(monkeypatch):
+    calls = _count_iota(monkeypatch)
+    res = check_iota_preserves_meets(((0, 3), (0, 3)))
+    assert res.ok and res.checked == 256 * 256
+    # every meet of two rectangles is one of the 256, so none is missing
+    assert len(calls) == 256
+
+
+def test_galois_check_maps_each_rectangle_once(monkeypatch):
+    calls = _count_iota(monkeypatch)
+    res = check_galois(((0, 2), (0, 2)))
+    assert res.ok and res.checked == 512 * 64
+    assert len(calls) == 64
+
+
+def test_meet_missing_from_the_table_is_mapped(monkeypatch):
+    # the meet of the full rectangle with itself gains a third axis: it is
+    # none of the 16 rectangles, so it is mapped, and iota refuses it
+    def third_axis_on_full(self, other):
+        m = meet(self, other)
+        if all(len(a) == 2 for a in m.axes):
+            return Rectangle(m.axes + m.axes[:1])
+        return m
+
+    calls = _count_iota(monkeypatch)
+    monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        check_iota_preserves_meets(((0, 1), (0, 1)))
+    assert len(calls) == 16 + 1 and len(calls[-1].axes) == 3
+
+
+def test_meet_check_accepts_a_window_within_the_bound():
+    res = check_iota_preserves_meets(((0, 3), (0, 3)))  # 4 + 4 points
+    assert res.ok and res.checked == (2 ** 4 * 2 ** 4) ** 2
+
+
+@pytest.mark.parametrize("axes, shape", [
+    (((0, 5), (0, 5)), "2 axes with 12 points"),
+    (((0, 1),) * 3, "3 axes with 6 points"),
+])
+def test_meet_check_refusal_states_the_bound(axes, shape):
+    with pytest.raises(CarrierTooLarge) as exc:
+        check_iota_preserves_meets(axes)
+    message = str(exc.value)
+    assert f"two axes with at most {MAX_MEET_AXIS_POINTS} points in all" in message
+    assert shape in message
+
+
+def test_meet_check_axes_share_one_window():
+    # 7 + 3 points are within the bound, but unequal windows have no
+    # product universe
+    with pytest.raises(InvalidConcretization, match="axis windows differ"):
+        check_iota_preserves_meets(((0, 6), (0, 2)))

@@ -9,6 +9,7 @@ from abslog import concrete
 from abslog.concrete import (
     MAX_WINDOW_POINTS,
     Abstraction,
+    ConcreteSet,
     ConcreteUniverse,
     ConcretizationMap,
     check_order_embedding,
@@ -73,6 +74,28 @@ def test_concrete_ops():
     assert concrete_op(u, "coimplication", u.full(), evens).members == odds.members
     with pytest.raises(UnknownOperation):
         concrete_op(u, "xor", evens, odds)
+
+
+def test_set_operations_check_universes_once(monkeypatch):
+    u, v = window(0, 3), window(0, 4)
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        ConcreteSet(u, frozenset({4}))
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        u.subset([7])
+    a, b = u.subset([0, 1]), u.subset([1, 2])
+    for op in (a.union, a.intersection, a.issubset):
+        with pytest.raises(InvalidConcretization, match="different universes"):
+            op(v.subset([1]))
+    assert u.full() is u.full()
+    # a result on one universe cannot leave it, so it is not checked again
+    checks = []
+    post_init = ConcreteSet.__post_init__
+    monkeypatch.setattr(ConcreteSet, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    results = [a | b, a & b, ~a, u.full() & ~b]
+    assert not checks
+    assert results == [u.subset(m) for m in ([0, 1, 2], [1], [2, 3], [0, 3])]
+    assert all(r.universe is u for r in results)
 
 
 def test_monotonicity_validated():

@@ -81,14 +81,16 @@ def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:
 def rectangle_closure(r: ConcreteSet) -> Rectangle:
     """Axis-wise projections: the smallest rectangle containing r.
 
-    On a 1-D window the only projection is the set itself."""
+    The projections live on the universe's kept axis window
+    (:meth:`ConcreteUniverse.axis`), the axes of the checks below.  On a
+    1-D window the only projection is the set itself."""
     uni = r.universe
     if uni.kind != "window":
         raise InvalidConcretization("rectangle closure needs a window universe")
-    lo, hi, dim = uni.params
+    dim = uni.params[2]
     if dim == 1:
         return Rectangle((r,))
-    axis = ConcreteUniverse.window(lo, hi)
+    axis = uni.axis()
     return Rectangle(tuple(
         axis.subset(frozenset(p[k] for p in r.members)) for k in range(dim)))
 
@@ -180,8 +182,8 @@ def check_galois(axis_windows=((0, 4), (0, 4)), sample: int | None = None,
 
     The exhaustive branch computes iota(X) once per rectangle X and
     rectangle_closure(R) once per region R, then compares every pair."""
-    axes = [ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows]
-    target = tuple_universe(axes)
+    target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
+    axes = [target.axis()] * len(axis_windows)
     rng = random.Random(rng_seed)
     checked = 0
     pts = list(target.points)
@@ -219,8 +221,8 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
     The exhaustive branch computes iota once per rectangle and keeps the
     images by axis member sets.  Each pair still takes its meet, whose image
     is looked up; a meet that is none of the rectangles is mapped by iota."""
-    axes = [ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows]
-    target = tuple_universe(axes)
+    target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
+    axes = [target.axis()] * len(axis_windows)
     checked = 0
     if sample is None:
         points = sum(len(u) for u in axes)
@@ -260,8 +262,8 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
     """iota is injective on tuples of nonempty axes; every collision
     involves an empty axis (everything collapses to the empty set)."""
     lo, hi = axis_window
-    axes = [ConcreteUniverse.window(lo, hi), ConcreteUniverse.window(lo, hi)]
-    target = tuple_universe(axes)
+    target = ConcreteUniverse.window(lo, hi, dim=2)
+    axes = [target.axis()] * 2
     seen: dict[frozenset, Rectangle] = {}
     checked = 0
     collisions = 0

@@ -41,6 +41,7 @@ class ConcreteUniverse:
         self.kind = kind          # "atoms" | "window"
         self.params = params      # tuple of atom names, or (lo, hi, dim)
         self._full: ConcreteSet | None = None
+        self._axis: ConcreteUniverse | None = None
         if not self.points:
             raise InvalidConcretization("empty universe")
         if len(self.point_set) != len(self.points):
@@ -93,6 +94,19 @@ class ConcreteUniverse:
         if self._full is None:
             self._full = ConcreteSet(self, self.point_set)
         return self._full
+
+    def axis(self) -> "ConcreteUniverse":
+        """A window's 1-D window of one coordinate, built on first use and
+        then kept, so the sets on it share one universe object; a 1-D
+        window is its own axis."""
+        if self.kind != "window":
+            raise InvalidConcretization("only a window universe has an axis")
+        lo, hi, dim = self.params
+        if dim == 1:
+            return self
+        if self._axis is None:
+            self._axis = ConcreteUniverse.window(lo, hi)
+        return self._axis
 
     def empty(self) -> "ConcreteSet":
         return ConcreteSet(self, frozenset())

@@ -65,12 +65,15 @@ def oct_complement(p: OctPredicate, window_c: int) -> OctPredicate:
 class OctLattice:
     """Top, bottom and four disjoint chains of half-plane predicates.
 
-    The carrier and the name index are built once, with the lattice."""
+    The carrier and the name index are built once, with the lattice; the
+    :class:`FiniteLattice` is built on first use (:func:`to_finite_lattice`)."""
 
     window_c: int
     predicates: tuple[OctPredicate, ...]
     carrier: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, OctPredicate] = field(init=False, repr=False, compare=False)
+    _finite: FiniteLattice | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         names = tuple(p.name for p in self.predicates)
@@ -204,10 +207,14 @@ def hemisphere_negation(lat: OctLattice) -> UnaryOpTable:
 
 
 def to_finite_lattice(lat: OctLattice) -> FiniteLattice:
-    pairs = [(a, b) for a in lat.carrier for b in lat.carrier
-             if a != b and oct_leq(lat, a, b)]
-    return build_lattice(lat.carrier, pairs, closure_mode="full",
-                         unary_ops={"negation": hemisphere_negation(lat)})
+    """The lattice with its negation table, built on first use and then kept
+    on ``lat``, which the export and the irreducibility check share."""
+    if lat._finite is None:
+        pairs = [(a, b) for a in lat.carrier for b in lat.carrier
+                 if a != b and oct_leq(lat, a, b)]
+        lat._finite = build_lattice(lat.carrier, pairs, closure_mode="full",
+                                    unary_ops={"negation": hemisphere_negation(lat)})
+    return lat._finite
 
 
 def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:

@@ -42,12 +42,16 @@ Soundness reads off the models as well.  A sequent fails at a concrete
 point x exactly when x's valuation V_x = {a : x in gamma(a)} refutes it, so
 every derivable sequent holds at x iff V_x is in M*.  When V_x is not a
 model, ``V_x |- (every other predicate)`` is derivable and fails at x.  The
-random formula-level replays that follow are checked on *point masks*: bit j
-of a formula's mask stands for the j-th point of the universe.  The pass
-that builds each V_x also builds each predicate's mask (the transpose), the
-registry's concrete operations compute a compound's mask from its
-arguments' masks, each formula's mask is computed once per verification,
-and ``G |- D`` holds iff ``AND(ante masks) & ~OR(succ masks) == 0``.
+random formula-level replays that follow (:mod:`abslog.replay`) are checked
+on *point masks*: bit j of a formula's mask stands for the j-th point of the
+universe.  The pass that builds each V_x also builds each predicate's mask
+(the transpose), the registry's concrete operations compute a compound's
+mask from its arguments' masks, each formula's mask is computed once per
+verification, and ``G |- D`` holds iff
+``AND(ante masks) & ~OR(succ masks) == 0``.  The replays draw every pick
+through one picker that runs ``Random.choice``'s algorithm on
+``getrandbits``, so they draw ``choice``'s own stream, and they share the
+compound formulas of their pools, whose masks are then computed once.
 :func:`holds_concrete` stays as the reference the tests check this against.
 
 Each proof system has one engine, a :class:`ModelEngine` built on first use
@@ -60,7 +64,6 @@ reference that the tests and the benchmark check the model engine against.
 
 from __future__ import annotations
 
-import random
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -70,11 +73,11 @@ from .concrete import Abstraction, PointMasks
 from .connectives import CONNECTIVES, connective, lookup
 from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
+from .replay import replay_conclusions
 from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
 MAX_MODELS = 100_000  # largest model set enumerated, partial or final
-REPLAY_DEPTH = 4      # depth of the random derivations soundness replays
 
 
 # --- formula evaluation ------------------------------------------------------
@@ -842,21 +845,6 @@ class SoundnessResult:
     replays_checked: int = 0
 
 
-def replay_conclusions(ps: ProofSystem, replays: int, rng_seed: int):
-    """The conclusions of ``replays`` random formula-level derivations of
-    depth ``REPLAY_DEPTH``, drawn from the system's axioms, its atomic
-    formulas and the binary connectives of its signature."""
-    axioms = [r.axiom for r in ps.rules if r.axiom is not None]
-    conns = ps.signature.connectives
-    atoms = [Pred(p) for p in ps.signature.predicates]
-    atoms += [Const(c.name) for c in CONNECTIVES.values()
-              if c.arity == 0 and c.name in conns]
-    ops = [c.name for c in CONNECTIVES.values() if c.arity == 2 and c.name in conns]
-    rng = random.Random(rng_seed)
-    for _ in range(replays):
-        yield _random_derivation(rng, REPLAY_DEPTH, axioms, atoms, ops, conns)
-
-
 def verify_soundness(abs_: Abstraction, ps: ProofSystem,
                      max_predicates: int = DEFAULT_SATURATION_BOUND,
                      replays: int = 500, rng_seed: int = 20240811) -> SoundnessResult:
@@ -895,85 +883,6 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
         if not masks.holds(s):
             return SoundnessResult(False, s, len(models), checked, replayed)
     return SoundnessResult(True, None, len(models), checked, replayed)
-
-
-def _random_derivation(rng, depth, axioms, atoms, ops, conns) -> Sequent:
-    """Replay one random derivation and return its conclusion."""
-    pool: list[Formula] = list(atoms)
-    for _ in range(6):  # shallow compound formulas over the signature
-        f = rng.choice(atoms)
-        if "not" in conns and rng.random() < 0.4:
-            pool.append(Not(f))
-        if ops:
-            pool.append(Bin(rng.choice(ops), f, rng.choice(atoms)))
-
-    def leaf() -> Sequent:
-        if axioms and rng.random() < 0.7:
-            return rng.choice(axioms)
-        f = rng.choice(pool)
-        return Sequent((f,), (f,))
-
-    def derive(k: int) -> Sequent:
-        if k == 0 or rng.random() < 0.35:
-            return leaf()
-        s = derive(k - 1)
-        step = rng.choice(("weaken.l", "weaken.r", "cut", "and.r", "or.l",
-                           "or.r", "and.l", "impl.r", "contraposition"))
-        if step == "weaken.l":
-            return Sequent(s.ante + (rng.choice(pool),), s.succ)
-        if step == "weaken.r":
-            return Sequent(s.ante, s.succ + (rng.choice(pool),))
-        if step == "cut":
-            t = derive(k - 1)
-            phi = rng.choice(s.succ)
-            t = Sequent(t.ante + (phi,), t.succ)  # weakened into position
-            rest = list(s.succ)
-            rest.remove(phi)
-            return Sequent(s.ante + t.ante, tuple(rest) + t.succ)
-        if step == "and.r" and "and" in conns:
-            t = derive(k - 1)
-            phi, psi = rng.choice(s.succ), rng.choice(t.succ)
-            rest_s = list(s.succ)
-            rest_s.remove(phi)
-            rest_t = list(t.succ)
-            rest_t.remove(psi)
-            return Sequent(s.ante + t.ante,
-                           tuple(rest_s) + tuple(rest_t) + (Bin("and", phi, psi),))
-        if step == "or.l" and "or" in conns and s.ante:
-            t = derive(k - 1)
-            if not t.ante:
-                t = Sequent(t.ante + (rng.choice(pool),), t.succ)
-            phi, psi = rng.choice(s.ante), rng.choice(t.ante)
-            rest_s = list(s.ante)
-            rest_s.remove(phi)
-            rest_t = list(t.ante)
-            rest_t.remove(psi)
-            return Sequent(tuple(rest_s) + tuple(rest_t) + (Bin("or", phi, psi),),
-                           s.succ + t.succ)
-        if step == "or.r" and "or" in conns:
-            phi = rng.choice(s.succ)
-            psi = rng.choice(pool)
-            rest = list(s.succ)
-            rest.remove(phi)
-            # weaken psi in, then introduce the disjunction
-            return Sequent(s.ante, tuple(rest) + (Bin("or", phi, psi),))
-        if step == "and.l" and "and" in conns and s.ante:
-            phi = rng.choice(s.ante)
-            psi = rng.choice(pool)
-            rest = list(s.ante)
-            rest.remove(phi)
-            return Sequent(tuple(rest) + (Bin("and", phi, psi),), s.succ)
-        if step == "impl.r" and "impl" in conns and len(s.succ) == 1 and s.ante:
-            phi = rng.choice(s.ante)
-            rest = list(s.ante)
-            rest.remove(phi)
-            return Sequent(tuple(rest), (Bin("impl", phi, s.succ[0]),))
-        if step == "contraposition" and "not" in conns and "impl" not in conns \
-                and len(s.ante) == 1 and len(s.succ) == 1:
-            return Sequent((Not(s.succ[0]),), (Not(s.ante[0]),))
-        return s
-
-    return derive(depth)
 
 
 # --- completeness ------------------------------------------------------------

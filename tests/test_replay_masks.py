@@ -3,19 +3,29 @@
 The mask check must equal the naive ``holds_concrete`` on seeded replays,
 true and false verdicts both; every registry operation must compute the
 same set on ``ConcreteSet`` members and on masks; ``verify_soundness`` on a
-sound system builds no ``ConcreteSet``; and the replay draw stream is pinned
-by a digest, so the masks leave it as it was.
+sound system builds no ``ConcreteSet`` and catches a wrong concrete operation
+in a replay; the replays' picker draws what ``random.Random.choice`` draws;
+and the replay draw stream is pinned by digests, so neither the masks nor the
+picker leave it changed.
 """
 
+import dataclasses
 import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
 
+from abslog import connectives
 from abslog.concrete import ConcreteSet, ConcreteUniverse, PointMasks
 from abslog.connectives import CONNECTIVES
-from abslog.proofengine import holds_concrete, replay_conclusions, verify_soundness
+from abslog.proofengine import (
+    engine_for,
+    holds_concrete,
+    replay_conclusions,
+    verify_soundness,
+)
+from abslog.replay import picker
 from abslog.syntax import Const, Pred, Sequent, render_sequent
 
 from conftest import BUILTIN_NAMES, load_builtin
@@ -120,3 +130,50 @@ def test_replay_draw_stream_is_pinned(builtins):
         for s in replay_conclusions(system(builtins[name]), 500, 20240811):
             h.update(render_sequent(s).encode() + b"\n")
     assert h.hexdigest()[:16] == REPLAY_DIGEST
+
+
+def test_a_replay_catches_a_wrong_concrete_operation(monkeypatch):
+    # the point check reads gamma alone, so with "and" read as union only a
+    # replay whose conclusion holds a conjunction can find the fault
+    abs_ = load_builtin("interval")
+    ps = system(abs_)
+    engine_for(ps)
+    wrong = dataclasses.replace(CONNECTIVES["and"], concrete=lambda u, x, y: x | y)
+    monkeypatch.setitem(connectives.CONNECTIVES, "and", wrong)
+    res = verify_soundness(abs_, ps, rng_seed=7)
+    assert (res.ok, res.cells_checked, res.replays_checked) == (False, 3, 4)
+    assert render_sequent(res.counterexample) == "[1..1](x) & [-1..0](x) |- bot(x)"
+
+
+# the replay conclusions on the scaling families at two seeds, pinned as
+# REPLAY_DIGEST is, over larger signatures and octagon axioms
+SCALING_REPLAY_DIGEST = "e3667502bea7d3dd"
+
+
+def test_replay_draw_stream_is_pinned_on_the_scaling_families():
+    h = hashlib.sha256()
+    for name in SCALING:
+        ps = system(_abstraction(name))
+        for seed in (1, 20240811):
+            for s in replay_conclusions(ps, 500, seed):
+                h.update(render_sequent(s).encode() + b"\n")
+    assert h.hexdigest()[:16] == SCALING_REPLAY_DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20240811])
+def test_picker_draws_what_choice_draws(seed):
+    # lengths 1-70 take in the powers of two, where choice draws again most
+    # often; random() calls in between must stay in step as well
+    by_choice, by_picker = random.Random(seed), random.Random(seed)
+    pick = picker(by_picker)
+    for _ in range(3):
+        for n in range(1, 71):
+            seq = tuple(f"item{i}" for i in range(n))
+            assert pick(seq) == by_choice.choice(seq), n
+            if n % 3 == 0:
+                assert by_picker.random() == by_choice.random(), n
+    assert by_picker.getstate() == by_choice.getstate()
+    with pytest.raises(IndexError):
+        pick(())
+    with pytest.raises(IndexError):
+        by_choice.choice(())

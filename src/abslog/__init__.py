@@ -10,11 +10,9 @@ from .concrete import (
     PreservationReport,
     check_order_embedding,
     compute_left_adjoint,
-    concrete_op,
     preservation_report,
 )
 from .lattice import (
-    BinaryOpTable,
     FiniteLattice,
     UnaryOpTable,
     build_lattice,
@@ -22,10 +20,8 @@ from .lattice import (
     find_order_reversing_involutions,
     hasse_edges,
     heyting_implication,
-    is_distributive,
     is_join_irreducible,
     is_meet_irreducible,
-    leq,
 )
 from .logicgen import (
     ProofSystem,

@@ -155,16 +155,23 @@ def product(components) -> ProductAbstraction:
 # --- exhaustive / sampled checks ---------------------------------------------
 
 
+def _subsets(u: ConcreteUniverse) -> list[ConcreteSet]:
+    """Every subset of a universe, in the order of the bitmasks over its
+    points."""
+    pts = u.points
+    return [u.subset(p for i, p in enumerate(pts) if mask >> i & 1)
+            for mask in range(1 << len(pts))]
+
+
 def _all_rectangles(axis_universes):
-    axes_subsets = []
-    for u in axis_universes:
-        pts = list(u.points)
-        subs = []
-        for mask in range(1 << len(pts)):
-            subs.append(u.subset(p for i, p in enumerate(pts) if mask >> i & 1))
-        axes_subsets.append(subs)
-    for combo in iproduct(*axes_subsets):
-        yield Rectangle(tuple(combo))
+    for combo in iproduct(*map(_subsets, axis_universes)):
+        yield Rectangle(combo)
+
+
+def _random_rectangle(axes, rng: random.Random) -> Rectangle:
+    """A rectangle whose axes each hold a point with probability 1/2."""
+    return Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.5)
+                           for u in axes))
 
 
 @dataclass
@@ -186,13 +193,11 @@ def check_galois(axis_windows=((0, 4), (0, 4)), sample: int | None = None,
     axes = [target.axis()] * len(axis_windows)
     rng = random.Random(rng_seed)
     checked = 0
-    pts = list(target.points)
     if sample is None:
-        regions = [target.subset(p for i, p in enumerate(pts) if mask >> i & 1)
-                   for mask in range(1 << len(pts))] if len(pts) <= 12 else None
-        if regions is None:
+        if len(target) > 12:
             raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
                                   "pass sample=")
+        regions = _subsets(target)
         rects = list(_all_rectangles(axes))
         images = [iota(x, target) for x in rects]
         for r in regions:
@@ -203,9 +208,8 @@ def check_galois(axis_windows=((0, 4), (0, 4)), sample: int | None = None,
                     return CheckResult(False, checked, (r, x))
         return CheckResult(True, checked)
     for _ in range(sample):
-        r = target.subset(p for p in pts if rng.random() < 0.4)
-        x = Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.5)
-                            for u in axes))
+        r = target.subset(p for p in target.points if rng.random() < 0.4)
+        x = _random_rectangle(axes, rng)
         checked += 1
         if rectangle_closure(r).componentwise_leq(x) != r.issubset(iota(x, target)):
             return CheckResult(False, checked, (r, x))
@@ -247,10 +251,8 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
         return CheckResult(True, checked)
     rng = random.Random(rng_seed)
     for _ in range(sample):
-        x = Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.5)
-                            for u in axes))
-        y = Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.5)
-                            for u in axes))
+        x = _random_rectangle(axes, rng)
+        y = _random_rectangle(axes, rng)
         checked += 1
         lhs = iota(x.meet(y), target)
         if lhs.members != iota(x, target).intersection(iota(y, target)).members:

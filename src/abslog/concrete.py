@@ -21,7 +21,6 @@ from .errors import (
     InvalidConcretization,
     NotDistributive,
     UnknownElement,
-    UnknownOperation,
     UnknownSymbol,
 )
 from .lattice import FiniteLattice
@@ -213,17 +212,6 @@ class PointMasks:
         for f in s.succ:
             union |= self.mask(f)
         return not inter & ~union
-
-
-_BY_CONCRETE_NAME = {c.concrete_name: c for c in CONNECTIVES.values()}
-
-
-def concrete_op(universe: ConcreteUniverse, op_name: str, *args: ConcreteSet) -> ConcreteSet:
-    """Apply a named concrete (Boolean) operation over a universe."""
-    c = _BY_CONCRETE_NAME.get(op_name)
-    if c is None:
-        raise UnknownOperation(f"unknown concrete operation {op_name!r}")
-    return c.concrete(universe, *args)
 
 
 class ConcretizationMap:

@@ -31,10 +31,6 @@ class InvalidConcretization(AbslogError):
     """A concretization table is not total or not monotone."""
 
 
-class UnknownOperation(AbslogError):
-    """Unknown concrete operation name."""
-
-
 class UnknownFormat(AbslogError):
     """Unknown render format."""
 

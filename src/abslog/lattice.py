@@ -32,25 +32,17 @@ class UnaryOpTable:
     table: dict[str, str]
 
 
-@dataclass(frozen=True)
-class BinaryOpTable:
-    """A named total binary operation on a lattice carrier."""
-
-    name: str
-    table: dict[tuple[str, str], str]
-
-
 class FiniteLattice:
     """A finite bounded lattice over named elements.
 
     The carrier keeps declaration order (used for deterministic iteration
-    and rendering).  ``unary_ops`` / ``binary_ops`` hold user-declared
-    extra operation tables; a table named ``negation`` is the one the
-    logic pipeline treats as the abstract negation candidate.
+    and rendering).  ``unary_ops`` holds user-declared operation tables;
+    a table named ``negation`` is the one the logic pipeline treats as the
+    abstract negation candidate.
     """
 
     def __init__(self, elements, leq, meet_idx, join_idx, top, bottom,
-                 unary_ops=None, binary_ops=None):
+                 unary_ops=None):
         self.elements: tuple[str, ...] = tuple(elements)
         self.index: dict[str, int] = {e: i for i, e in enumerate(self.elements)}
         self._leq: tuple[tuple[bool, ...], ...] = tuple(tuple(row) for row in leq)
@@ -59,13 +51,10 @@ class FiniteLattice:
         self.top: str = top
         self.bottom: str = bottom
         self.unary_ops: dict[str, UnaryOpTable] = dict(unary_ops or {})
-        self.binary_ops: dict[str, BinaryOpTable] = dict(binary_ops or {})
         self._distributive: bool | None = None
         self._tables: dict[str, object] = {}
         for op in self.unary_ops.values():
             self._check_unary_total(op)
-        for op in self.binary_ops.values():
-            self._check_binary_total(op)
 
     def _check_unary_total(self, op: UnaryOpTable) -> None:
         for e in self.elements:
@@ -74,15 +63,6 @@ class FiniteLattice:
             if op.table[e] not in self.index:
                 raise UnknownElement(
                     f"operation {op.name!r} maps {e!r} outside the carrier")
-
-    def _check_binary_total(self, op: BinaryOpTable) -> None:
-        for a, b in iproduct(self.elements, self.elements):
-            if (a, b) not in op.table:
-                raise UnknownElement(
-                    f"operation {op.name!r} missing entry for ({a!r}, {b!r})")
-            if op.table[(a, b)] not in self.index:
-                raise UnknownElement(
-                    f"operation {op.name!r} maps ({a!r}, {b!r}) outside the carrier")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -134,7 +114,7 @@ class FiniteLattice:
 
 
 def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
-                  unary_ops=None, binary_ops=None) -> FiniteLattice:
+                  unary_ops=None) -> FiniteLattice:
     """Build and validate a :class:`FiniteLattice`.
 
     ``order_pairs`` are covering edges when ``closure_mode`` is ``hasse``
@@ -212,15 +192,7 @@ def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
 
     return FiniteLattice(elements, leq, meet_idx, join_idx,
                          elements[top], elements[bot],
-                         unary_ops=unary_ops, binary_ops=binary_ops)
-
-
-def leq(lattice: FiniteLattice, a: str, b: str) -> bool:
-    return lattice.leq(a, b)
-
-
-def is_distributive(lattice: FiniteLattice) -> bool:
-    return lattice.is_distributive()
+                         unary_ops=unary_ops)
 
 
 def heyting_implication(lattice: FiniteLattice, a: str, b: str) -> str:

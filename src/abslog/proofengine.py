@@ -172,17 +172,25 @@ class _Engine:
     families are on, the operation tables, and the sequents it starts from.
 
     Sequents are ``(antecedent_mask, succedent_mask)`` pairs over the
-    signature predicates.  A subclass starts from the rules in ``_start``
-    and answers ``derivable_masks``.  The engine keeps no reference to the
-    system: the system holds the engine, and a cycle would outlive the
-    system until the next garbage collection."""
+    signature predicates.  A subclass starts in ``_start`` from the axiom
+    sequents and the names of the schema rules, and answers
+    ``derivable_masks``.  The engine keeps no reference to the system: the
+    system holds the engine, and a cycle would outlive the system until the
+    next garbage collection."""
 
     def __init__(self, ps: ProofSystem,
                  max_predicates: int = DEFAULT_SATURATION_BOUND):
         abs_ = ps.abstraction
         if abs_ is None:
             raise AbslogError("the derivability engine needs the source abstraction")
-        names = ps.rule_names()
+        # one pass over the rules: schemas are read by name, axioms by sequent
+        names: set[str] = set()
+        axioms: list[Sequent] = []
+        for r in ps.rules:
+            if r.axiom is None:
+                names.add(r.name)
+            else:
+                axioms.append(r.axiom)
         missing = set(_STRUCTURAL_SCHEMAS) - names
         if missing:
             raise AbslogError(f"structural rules missing: {sorted(missing)}")
@@ -218,7 +226,7 @@ class _Engine:
             tables.get(c) for c in ("and", "or", "not", "impl", "coimpl"))
         self.top_i = lat.index[lat.top]
         self.bot_i = lat.index[lat.bottom]
-        self._start(ps.rules, names)
+        self._start(axioms, names)
 
     def _table_seeds(self):
         """The seed sequents read off the operation tables."""
@@ -235,16 +243,14 @@ class _Engine:
                 yield 1 << nna, 1 << a
                 yield 1 << a, 1 << nna
 
-    def _norm(self, f: Formula) -> int:
-        return _denote(self.lat, f, self.conns)
-
     def masks(self, s: Sequent) -> tuple[int, int]:
+        lat, conns = self.lat, self.conns
         g = 0
         for f in s.ante:
-            g |= 1 << self._norm(f)
+            g |= 1 << _denote(lat, f, conns)
         d = 0
         for f in s.succ:
-            d |= 1 << self._norm(f)
+            d |= 1 << _denote(lat, f, conns)
         return g, d
 
     def derivable(self, s: Sequent) -> bool:
@@ -270,7 +276,7 @@ class DerivabilityEngine(_Engine):
 
     # seeding ---------------------------------------------------------------
 
-    def _start(self, rules, names) -> None:
+    def _start(self, axioms, names) -> None:
         self.members: set[tuple[int, int]] = set()
         self.gen_list: list[tuple[int, int]] = []
         self.by_ante: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -279,15 +285,8 @@ class DerivabilityEngine(_Engine):
         if "identity" in names:
             for i in range(self.n):
                 self._add(1 << i, 1 << i)
-        for r in rules:
-            if r.axiom is not None:
-                g = 0
-                for f in r.axiom.ante:
-                    g |= 1 << self._norm(f)
-                d = 0
-                for f in r.axiom.succ:
-                    d |= 1 << self._norm(f)
-                self._add(g, d)
+        for s in axioms:
+            self._add(*self.masks(s))
         for g, d in self._table_seeds():
             self._add(g, d)
 
@@ -295,7 +294,7 @@ class DerivabilityEngine(_Engine):
 
     def _subsumed(self, g: int, d: int) -> bool:
         members = self.members
-        total_bits = bin(g).count("1") + bin(d).count("1")
+        total_bits = g.bit_count() + d.bit_count()
         if total_bits <= 16:
             gs = g
             while True:
@@ -476,9 +475,9 @@ class ModelEngine(_Engine):
     ``models`` is the model set M*, one predicate mask per model, and
     ``cols`` holds one bit column per predicate over the models."""
 
-    def _start(self, rules, names) -> None:
+    def _start(self, axioms, names) -> None:
         clauses = set(self._table_clauses())
-        clauses.update(self._axiom_clauses(rules))
+        clauses.update(self._axiom_clauses(axioms))
         self.models, self.cols = self._prune(self._enumerate(clauses))
         self.live = (1 << len(self.models)) - 1
 
@@ -518,7 +517,7 @@ class ModelEngine(_Engine):
             for a, b in pairs:
                 yield 1 << a, 1 << b | 1 << self.coi[a][b]   # a |- b, a <- b
 
-    def _axiom_clauses(self, rules):
+    def _axiom_clauses(self, axioms):
         """The axioms as mask pairs, each normalized once per lattice and
         signature.  The memo is keyed by identity because hashing a sequent
         costs as much as normalizing it; an entry holds its sequent, so the
@@ -529,10 +528,7 @@ class ModelEngine(_Engine):
         memo = per_lat.get(self.conns)
         if memo is None:
             memo = per_lat[self.conns] = {}
-        for r in rules:
-            s = r.axiom
-            if s is None:
-                continue
+        for s in axioms:
             hit = memo.get(id(s))
             if hit is None:
                 hit = memo[id(s)] = (s, *self.masks(s))

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
-from .lattice import BinaryOpTable, FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
-from .syntax import formula_symbols, parse_sequent
+from .lattice import FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
+from .syntax import formula_predicates, parse_sequent
 
 SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
 
@@ -39,12 +39,11 @@ def load(text: str, name: str = "spec") -> Abstraction:
     elements: list[str] = []
     order: list[tuple[str, str]] = []
     unary: dict[str, dict[str, str]] = {}
-    binary: dict[str, dict[tuple[str, str], str]] = {}
     universe_line: tuple[int, str] | None = None
     gamma_lines: list[tuple[int, str, str]] = []
     axiom_lines: list[tuple[int, str]] = []
     section = None
-    current_op: tuple[str, str] | None = None  # (kind, name)
+    current_op: str | None = None
 
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,30 +72,23 @@ def load(text: str, name: str = "spec") -> Abstraction:
             order.append((a, b))
         elif section == "OPS":
             words = line.split()
-            if words[0] in ("unary", "binary"):
+            if words[0] == "unary":
                 if len(words) != 2:
-                    raise ParseError(f"expected '{words[0]} NAME'", ln_no)
-                current_op = (words[0], words[1])
-                (unary if words[0] == "unary" else binary).setdefault(words[1], {})
+                    raise ParseError("expected 'unary NAME'", ln_no)
+                current_op = words[1]
+                unary.setdefault(current_op, {})
             elif current_op is None:
-                raise ParseError("operation entry before 'unary NAME' or "
-                                 "'binary NAME'", ln_no)
+                raise ParseError("operation entry before 'unary NAME'", ln_no)
             elif " = " in line:
                 lhs, _, rhs = line.partition(" = ")
                 args = lhs.split()
                 rhs = rhs.strip()
-                kind, opname = current_op
                 for sym in args + [rhs]:
                     if sym not in elements:
                         raise SpecError(f"unknown element {sym!r} in OPS", ln_no)
-                if kind == "unary":
-                    if len(args) != 1:
-                        raise ParseError("unary entry needs one argument", ln_no)
-                    unary[opname][args[0]] = rhs
-                else:
-                    if len(args) != 2:
-                        raise ParseError("binary entry needs two arguments", ln_no)
-                    binary[opname][(args[0], args[1])] = rhs
+                if len(args) != 1:
+                    raise ParseError("unary entry needs one argument", ln_no)
+                unary[current_op][args[0]] = rhs
             else:
                 raise ParseError(f"malformed OPS line {line!r}", ln_no)
         elif section == "UNIVERSE":
@@ -121,8 +113,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
 
     lattice = build_lattice(
         elements, order, closure_mode="hasse",
-        unary_ops={n: UnaryOpTable(n, t) for n, t in unary.items()},
-        binary_ops={n: BinaryOpTable(n, t) for n, t in binary.items()})
+        unary_ops={n: UnaryOpTable(n, t) for n, t in unary.items()})
 
     uni = _parse_universe(*universe_line)
 
@@ -145,8 +136,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
     for i, (ln_no, line) in enumerate(axiom_lines):
         seq = parse_sequent(line, line=ln_no, expected_args=var_names)
         for f in seq.ante + seq.succ:
-            preds, _ = formula_symbols(f)
-            for p in preds:
+            for p in formula_predicates(f):
                 if p not in lattice.index:
                     raise SpecError(f"axiom uses unknown predicate {p!r}", ln_no)
         axioms.append((f"axiom.{i:03d}", line))
@@ -261,9 +251,9 @@ def emit(abs_: Abstraction) -> str:
     """
     lat = abs_.lattice
     # ``load`` splits ELEMENTS and OPS lines on whitespace, drops what follows
-    # ``#``, reads an OPS line that starts with ``unary`` or ``binary`` as a
-    # new operation, and a lone element's ELEMENTS line can be a section name
-    keywords = ("unary", "binary") if lat.unary_ops or lat.binary_ops else ()
+    # ``#``, reads an OPS line that starts with ``unary`` as a new operation,
+    # and a lone element's ELEMENTS line can be a section name
+    keywords = ("unary",) if lat.unary_ops else ()
     if len(lat) == 1:
         keywords += SECTIONS
     for e in lat.elements:
@@ -281,17 +271,12 @@ def emit(abs_: Abstraction) -> str:
     lines.append("ORDER")
     for a, b in sorted(hasse_edges(lat)):
         lines.append(f"{a} < {b}")
-    if lat.unary_ops or lat.binary_ops:
+    if lat.unary_ops:
         lines.append("OPS")
         for opname in sorted(lat.unary_ops):
             lines.append(f"unary {opname}")
             for e in lat.elements:
                 lines.append(f"{e} = {lat.unary_ops[opname].table[e]}")
-        for opname in sorted(lat.binary_ops):
-            lines.append(f"binary {opname}")
-            for a in lat.elements:
-                for b in lat.elements:
-                    lines.append(f"{a} {b} = {lat.binary_ops[opname].table[(a, b)]}")
     lines.append("UNIVERSE")
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")

@@ -268,23 +268,12 @@ def parse_sequent(text: str, line: int | None = None,
     return Sequent(tuple(ante), tuple(succ))
 
 
-def formula_symbols(f: Formula) -> tuple[set[str], set[str]]:
-    """Collect (predicate names, connective names) used in a formula."""
-    preds: set[str] = set()
-    conns: set[str] = set()
-
-    def walk(g: Formula):
-        if isinstance(g, Pred):
-            preds.add(g.name)
-        elif isinstance(g, Const):
-            conns.add(g.op)
-        elif isinstance(g, Not):
-            conns.add(g.op)
-            walk(g.arg)
-        elif isinstance(g, Bin):
-            conns.add(g.op)
-            walk(g.lhs)
-            walk(g.rhs)
-
-    walk(f)
-    return preds, conns
+def formula_predicates(f: Formula):
+    """Yield the predicate names a formula uses, left to right."""
+    if isinstance(f, Pred):
+        yield f.name
+    elif isinstance(f, Not):
+        yield from formula_predicates(f.arg)
+    elif isinstance(f, Bin):
+        yield from formula_predicates(f.lhs)
+        yield from formula_predicates(f.rhs)

@@ -14,10 +14,10 @@ from abslog.concrete import (
     ConcretizationMap,
     check_order_embedding,
     compute_left_adjoint,
-    concrete_op,
     preservation_report,
 )
-from abslog.errors import CarrierTooLarge, InvalidConcretization, UnknownOperation
+from abslog.connectives import CONNECTIVES
+from abslog.errors import CarrierTooLarge, InvalidConcretization
 from abslog.lattice import UnaryOpTable, build_lattice
 
 
@@ -68,12 +68,10 @@ def test_concrete_ops():
     u = window(-8, 8)
     evens = u.subset(p for p in u.points if p % 2 == 0)
     odds = u.subset(p for p in u.points if p % 2 != 0)
-    assert concrete_op(u, "complement", evens).members == odds.members
-    assert concrete_op(u, "intersection", evens, u.full()).members == evens.members
-    assert concrete_op(u, "implication", evens, u.empty()).members == odds.members
-    assert concrete_op(u, "coimplication", u.full(), evens).members == odds.members
-    with pytest.raises(UnknownOperation):
-        concrete_op(u, "xor", evens, odds)
+    assert CONNECTIVES["not"].concrete(u, evens).members == odds.members
+    assert CONNECTIVES["and"].concrete(u, evens, u.full()).members == evens.members
+    assert CONNECTIVES["impl"].concrete(u, evens, u.empty()).members == odds.members
+    assert CONNECTIVES["coimpl"].concrete(u, u.full(), evens).members == odds.members
 
 
 def test_set_operations_check_universes_once(monkeypatch):

@@ -19,6 +19,7 @@ from abslog.concrete import preservation_report
 from abslog.errors import CarrierTooLarge
 from abslog.logicgen import (
     KIND_OPERATION,
+    ProofSystem,
     Rule,
     generate_proof_system,
     minimize_proof_system,
@@ -26,6 +27,7 @@ from abslog.logicgen import (
     render,
 )
 from abslog.proofengine import (
+    DerivabilityEngine,
     ModelEngine,
     build_lindenbaum,
     derivable,
@@ -49,9 +51,9 @@ def count_builds(monkeypatch) -> list:
     builds = []
     start = ModelEngine._start
 
-    def counted(self, rules, names):
-        builds.append(len(rules))
-        return start(self, rules, names)
+    def counted(self, axioms, names):
+        builds.append(len(axioms))
+        return start(self, axioms, names)
 
     monkeypatch.setattr(ModelEngine, "_start", counted)
     return builds
@@ -71,6 +73,22 @@ def test_verifiers_after_lindenbaum_run_no_step(monkeypatch, name):
     # the counter does count: a copy of the system has no engine yet
     assert verify_completeness(abs_, ps.without(set())).status == "complete"
     assert builds
+
+
+def test_engines_split_the_rules_without_rule_names(monkeypatch):
+    # each engine walks the rules once; a minimization builds one per trial
+    abs_ = load_builtin("interval")
+    expected = minimize_proof_system(system(abs_), derivable)
+
+    def refuse(self):
+        raise RuntimeError("an engine rebuilt the rule names")
+
+    monkeypatch.setattr(ProofSystem, "rule_names", refuse)
+    for name in ("parity", "octagon-c1"):
+        ps = system(load_builtin(name))
+        ModelEngine(ps)
+        DerivabilityEngine(ps)
+    assert minimize_proof_system(system(abs_), derivable) == expected
 
 
 def test_smaller_bound_refused_after_larger():

@@ -17,7 +17,6 @@ from abslog.lattice import (
     find_order_reversing_involutions,
     hasse_edges,
     heyting_implication,
-    is_distributive,
     is_join_irreducible,
     is_meet_irreducible,
 )
@@ -99,9 +98,9 @@ def test_lattice_laws_exhaustive(diamond, chain3, m3):
 
 
 def test_distributivity(diamond, chain3, m3):
-    assert is_distributive(diamond)
-    assert is_distributive(chain3)
-    assert not is_distributive(m3)
+    assert diamond.is_distributive()
+    assert chain3.is_distributive()
+    assert not m3.is_distributive()
     # independent oracle: locate a violating triple in M3 by brute force
     triples = [(a, b, c)
                for a in m3.elements for b in m3.elements for c in m3.elements
@@ -226,5 +225,5 @@ def test_involution_carrier_cap():
 def test_chains_are_distributive(k):
     elems = [f"c{i}" for i in range(k)]
     chain = build_lattice(elems, list(zip(elems, elems[1:])))
-    assert is_distributive(chain)
+    assert chain.is_distributive()
     assert chain.bottom == "c0" and chain.top == f"c{k - 1}"

@@ -123,6 +123,14 @@ def test_positioned_errors():
         specfile.load("junk before section")
 
 
+def test_binary_operation_is_refused_at_its_line():
+    text = "ELEMENTS\nbot top\nORDER\nbot < top\nOPS\nbinary meet\n" \
+           "bot bot = bot\nUNIVERSE\natoms p\nGAMMA\nbot = {}\ntop = all\n"
+    with pytest.raises(ParseError) as exc:
+        specfile.load(text)
+    assert exc.value.line == 6
+
+
 def test_broken_order_fixture():
     with pytest.raises(NotAPartialOrder) as exc:
         specfile.load_path(DATA / "brokenorder.spec")
@@ -225,7 +233,7 @@ def test_emit_refuses_an_element_name_load_cannot_read(element):
     assert repr(element) in str(exc.value)
 
 
-@pytest.mark.parametrize("element", ["unary", "binary"])
+@pytest.mark.parametrize("element", ["unary"])
 def test_emit_refuses_an_operation_keyword_element_beside_operations(element):
     # an OPS line that starts with the keyword declares a new operation
     with pytest.raises(SpecError) as exc:
@@ -246,7 +254,7 @@ def test_emit_refuses_a_lone_element_named_like_a_section(section):
 
 
 @pytest.mark.parametrize("element", ["a", "a.b", "-3", "{a}", "a,b", "a=b", "=",
-                                     "<", "ORDER", "x(1,2)"])
+                                     "<", "ORDER", "x(1,2)", "binary"])
 @pytest.mark.parametrize("negation", [False, True])
 def test_emit_roundtrips_readable_element_names(element, negation):
     abs_ = _elements_abstraction(element, negation)

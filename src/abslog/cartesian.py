@@ -17,7 +17,6 @@ from itertools import product as iproduct
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import CarrierTooLarge, InvalidConcretization
 from .lattice import FiniteLattice
-from .specfile import default_var_names
 
 ELEMENT_SEP = "*"
 MAX_PRODUCT_CARRIER = 4096   # largest product lattice built
@@ -147,8 +146,7 @@ def product(components) -> ProductAbstraction:
         rect = Rectangle(tuple(c.gamma(p) for c, p in zip(components, t)))
         table[nm] = iota(rect, uni)
     gamma = ConcretizationMap(lattice, uni, table)
-    abs_ = Abstraction(ELEMENT_SEP.join(c.name for c in components), lattice, gamma,
-                       var_names=default_var_names(len(components)))
+    abs_ = Abstraction(ELEMENT_SEP.join(c.name for c in components), lattice, gamma)
     return ProductAbstraction(components, abs_)
 
 

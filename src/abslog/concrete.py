@@ -76,6 +76,15 @@ class ConcreteUniverse:
         base = f"window {lo} {hi}"
         return base if dim == 1 else f"{base} dim {dim}"
 
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        """The object variables that predicates over this universe take:
+        ``x`` on atoms and 1-D windows, ``x,y`` in 2-D, ``x1..xN`` above."""
+        dim = self.params[2] if self.kind == "window" else 1
+        if dim > 2:
+            return tuple(f"x{i + 1}" for i in range(dim))
+        return ("x", "y")[:dim]
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -255,7 +264,6 @@ class Abstraction:
     name: str
     lattice: FiniteLattice
     gamma: ConcretizationMap
-    var_names: tuple[str, ...] = ("x",)
     extra_axioms: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):

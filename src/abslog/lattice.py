@@ -165,24 +165,29 @@ def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
                 raise NotAPartialOrder(
                     f"antisymmetry violated on ({elements[i]!r}, {elements[j]!r})")
 
+    # down[k] is the bitmask of the elements below k, up[k] of those above.
+    # The glb of i and j is the element whose down-set is down[i] & down[j]
+    # (antisymmetry makes down-sets distinct); the lub is the dual.
+    down = [sum(1 << m for m in range(n) if leq[m][k]) for k in range(n)]
+    up = [sum(1 << m for m in range(n) if leq[k][m]) for k in range(n)]
+    by_down = {d: k for k, d in enumerate(down)}
+    by_up = {u: k for k, u in enumerate(up)}
     meet_idx = [[0] * n for _ in range(n)]
     join_idx = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lows = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            glb = [k for k in lows if all(leq[m][k] for m in lows)]
-            if len(glb) != 1:
+            glb = by_down.get(down[i] & down[j])
+            if glb is None:
                 raise NotALattice(
                     f"({elements[i]!r}, {elements[j]!r}) has no unique "
                     f"greatest lower bound")
-            ups = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            lub = [k for k in ups if all(leq[k][m] for m in ups)]
-            if len(lub) != 1:
+            lub = by_up.get(up[i] & up[j])
+            if lub is None:
                 raise NotALattice(
                     f"({elements[i]!r}, {elements[j]!r}) has no unique "
                     f"least upper bound")
-            meet_idx[i][j] = meet_idx[j][i] = glb[0]
-            join_idx[i][j] = join_idx[j][i] = lub[0]
+            meet_idx[i][j] = meet_idx[j][i] = glb
+            join_idx[i][j] = join_idx[j][i] = lub
 
     bot = 0
     top = 0

@@ -38,18 +38,11 @@ class Signature:
 
 @dataclass(frozen=True)
 class Rule:
-    """A named rule: either a schema (display strings) or an axiom sequent."""
+    """A named rule: a stock schema (``axiom`` is None) or an axiom sequent."""
 
     kind: str
     name: str
-    premises_display: tuple[str, ...] = ()
-    conclusion_display: str = ""
     axiom: Sequent | None = None
-
-    def display(self) -> str:
-        if self.premises_display:
-            return " ;; ".join(self.premises_display) + " ==> " + self.conclusion_display
-        return self.conclusion_display
 
 
 # schema displays for the structural rules; `G`/`D` are context
@@ -76,8 +69,7 @@ _AXIOM_ORDER = sorted(CONNECTIVES.values(), key=lambda c: -c.arity)
 
 def _stock_rule(name: str) -> Rule:
     kind = KIND_STRUCTURAL if name in _STRUCTURAL_SCHEMAS else KIND_INTRODUCTION
-    prem, concl = STOCK_SCHEMAS[name]
-    return Rule(kind, name, prem, concl)
+    return Rule(kind, name)
 
 
 @dataclass
@@ -119,7 +111,7 @@ def generate_signature(abs_: Abstraction, report: PreservationReport) -> Signatu
     return Signature(
         predicates=abs_.lattice.elements,
         connectives=report.preserved(),
-        var_names=abs_.var_names,
+        var_names=abs_.universe.var_names,
     )
 
 
@@ -139,9 +131,6 @@ def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> Proo
     rules: list[Rule] = [_stock_rule(n) for n in _STRUCTURAL_SCHEMAS]
     rules += _intro_rules(sig.connectives)
 
-    def axiom(kind: str, name: str, s: Sequent) -> Rule:
-        return Rule(kind, name, (), render_sequent(s, sig.var), axiom=s)
-
     # one axiom pair per entry of each preserved connective's table
     for c in _AXIOM_ORDER:
         if c.name not in sig.connectives:
@@ -152,16 +141,16 @@ def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> Proo
             op = compound(c.name, *map(Pred, names))
             value = Pred(lat.elements[lookup(table, args)])
             tag = ".".join(["op", c.name, *names])
-            rules.append(axiom(KIND_OPERATION, f"{tag}.l", Sequent((op,), (value,))))
-            rules.append(axiom(KIND_OPERATION, f"{tag}.r", Sequent((value,), (op,))))
+            rules.append(Rule(KIND_OPERATION, f"{tag}.l", Sequent((op,), (value,))))
+            rules.append(Rule(KIND_OPERATION, f"{tag}.r", Sequent((value,), (op,))))
 
     for a, b in lat.order_pairs():
         name = f"ord.refl.{a}" if a == b else f"ord.{a}.{b}"
-        rules.append(axiom(KIND_ORDER, name, Sequent((Pred(a),), (Pred(b),))))
+        rules.append(Rule(KIND_ORDER, name, Sequent((Pred(a),), (Pred(b),))))
 
     for name, text in abs_.extra_axioms:
-        s = parse_sequent(text, expected_args=abs_.var_names)
-        rules.append(axiom(KIND_OPERATION, name, s))
+        s = parse_sequent(text, expected_args=abs_.universe.var_names)
+        rules.append(Rule(KIND_OPERATION, name, s))
 
     return ProofSystem(sig, tuple(rules), abs_.name, abs_)
 
@@ -224,13 +213,23 @@ def _sig_lines(ps: ProofSystem) -> list[str]:
     ]
 
 
+def _rule_text(r: Rule, var: str) -> tuple[tuple[str, ...], str]:
+    """A rule's premises and conclusion as text: a schema's from
+    ``STOCK_SCHEMAS``, an axiom's rendered over the variables ``var``."""
+    if r.axiom is None:
+        return STOCK_SCHEMAS[r.name]
+    return (), render_sequent(r.axiom, var)
+
+
 def _render_text(ps: ProofSystem) -> str:
     lines = [f"proof system for {ps.source}"]
     lines += ["signature " + l for l in _sig_lines(ps)]
     rules = ps.sorted_rules()
     lines.append(f"rules ({len(rules)}):")
     for r in rules:
-        lines.append(f"  [{r.kind}] {r.name}: {r.display()}")
+        prem, concl = _rule_text(r, ps.signature.var)
+        shown = " ;; ".join(prem) + " ==> " + concl if prem else concl
+        lines.append(f"  [{r.kind}] {r.name}: {shown}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,9 +242,10 @@ def _render_latex(ps: ProofSystem) -> str:
 
     lines = [f"% proof system for {ps.source}"]
     for r in ps.sorted_rules():
-        prem = r" \quad ".join(tex(p) for p in r.premises_display)
+        prem, concl = _rule_text(r, ps.signature.var)
+        above = r" \quad ".join(tex(p) for p in prem)
         lines.append(f"% {r.kind}: {r.name}")
-        lines.append(rf"\[ \frac{{{prem}}}{{{tex(r.conclusion_display)}}} \]")
+        lines.append(rf"\[ \frac{{{above}}}{{{tex(concl)}}} \]")
     return "\n".join(lines) + "\n"
 
 
@@ -289,13 +289,15 @@ def parse_machine(text: str) -> ProofSystem:
         elif head == "rule":
             body, _, seq_text = rest.partition(" | ")
             parts = body.split()
-            kind, name = parts[0], parts[1]
+            if len(parts) != 2:
+                raise UnknownFormat(f"malformed rule line {ln!r}")
+            kind, name = parts
             if seq_text:
-                s = parse_sequent(seq_text)
-                display = render_sequent(s, ",".join(var_names))
-                rules.append(Rule(kind, name, (), display, axiom=s))
-            else:
+                rules.append(Rule(kind, name, parse_sequent(seq_text)))
+            elif name in STOCK_SCHEMAS:
                 rules.append(_stock_rule(name))
+            else:
+                raise UnknownFormat(f"unknown rule schema {name!r}")
         else:
             raise UnknownFormat(f"unknown machine-format line {ln!r}")
     sig = Signature(predicates, connectives, var_names)

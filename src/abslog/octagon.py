@@ -231,7 +231,7 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
     for i, (p, q) in enumerate(infeasible_pairs(lat)):
         axioms.append((f"axiom.{i:03d}", f"{p.name}(x,y), {q.name}(x,y) |- ff"))
     return Abstraction(f"octagon-c{lat.window_c}", finite, gamma,
-                       var_names=("x", "y"), extra_axioms=tuple(axioms))
+                       extra_axioms=tuple(axioms))
 
 
 def verify_irreducibility(lat: OctLattice) -> bool:

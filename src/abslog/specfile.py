@@ -22,14 +22,6 @@ from .syntax import formula_predicates, parse_sequent
 SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
 
 
-def default_var_names(dim: int) -> tuple[str, ...]:
-    if dim == 1:
-        return ("x",)
-    if dim == 2:
-        return ("x", "y")
-    return tuple(f"x{i + 1}" for i in range(dim))
-
-
 def load_path(path: str | Path) -> Abstraction:
     path = Path(path)
     return load(path.read_text(), name=path.stem)
@@ -130,19 +122,16 @@ def load(text: str, name: str = "spec") -> Abstraction:
         raise SpecError(f"GAMMA missing entries for {missing}")
     gamma = ConcretizationMap(lattice, uni, table)
 
-    dim = uni.params[2] if uni.kind == "window" else 1
-    var_names = default_var_names(dim)
     axioms = []
     for i, (ln_no, line) in enumerate(axiom_lines):
-        seq = parse_sequent(line, line=ln_no, expected_args=var_names)
+        seq = parse_sequent(line, line=ln_no, expected_args=uni.var_names)
         for f in seq.ante + seq.succ:
             for p in formula_predicates(f):
                 if p not in lattice.index:
                     raise SpecError(f"axiom uses unknown predicate {p!r}", ln_no)
         axioms.append((f"axiom.{i:03d}", line))
 
-    return Abstraction(name, lattice, gamma, var_names=var_names,
-                       extra_axioms=tuple(axioms))
+    return Abstraction(name, lattice, gamma, extra_axioms=tuple(axioms))
 
 
 def _parse_universe(ln_no: int, line: str) -> ConcreteUniverse:

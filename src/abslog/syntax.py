@@ -32,14 +32,10 @@ class Pred:
 
 @dataclass(frozen=True)
 class Const:
-    kind: str  # a constant connective's name
+    op: str  # a constant connective's name
 
     def __str__(self):
-        return self.kind
-
-    @property
-    def op(self) -> str:
-        return self.kind
+        return self.op
 
 
 @dataclass(frozen=True)

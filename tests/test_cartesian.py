@@ -142,7 +142,7 @@ def test_product_parity_parity():
     lat = pa.abstraction.lattice
     assert len(lat.elements) == 16
     assert lat.top == "top*top" and lat.bottom == "bot*bot"
-    assert pa.abstraction.var_names == ("x", "y")
+    assert pa.abstraction.universe.var_names == ("x", "y")
     # composite gamma equals the pointwise definition
     comp0, comp1 = pa.components
     for name in lat.elements:

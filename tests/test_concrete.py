@@ -64,6 +64,13 @@ def test_universe_windows_and_atoms():
     assert t.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def test_universe_names_its_variables():
+    assert ConcreteUniverse.atoms(["p", "q"]).var_names == ("x",)
+    assert ConcreteUniverse.window(0, 1).var_names == ("x",)
+    assert ConcreteUniverse.window(0, 1, dim=2).var_names == ("x", "y")
+    assert ConcreteUniverse.window(0, 1, dim=3).var_names == ("x1", "x2", "x3")
+
+
 def test_concrete_ops():
     u = window(-8, 8)
     evens = u.subset(p for p in u.points if p % 2 == 0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abslog.cartesian import product
 from abslog.errors import (
     CarrierTooLarge,
     NotALattice,
@@ -20,6 +21,8 @@ from abslog.lattice import (
     is_join_irreducible,
     is_meet_irreducible,
 )
+from abslog.octagon import OctLattice, to_finite_lattice
+from conftest import load_builtin
 
 DIAMOND_EDGES = [("bot", "Even"), ("bot", "Odd"), ("Even", "top"), ("Odd", "top")]
 
@@ -58,6 +61,51 @@ def test_missing_lub_is_rejected():
     with pytest.raises(NotALattice) as exc:
         build_lattice(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert "b" in str(exc.value) and "c" in str(exc.value)
+
+
+def test_missing_glb_is_rejected():
+    with pytest.raises(NotALattice, match="greatest lower bound") as exc:
+        build_lattice(["a", "b", "c"], [("b", "a"), ("c", "a")])
+    assert "('b', 'c')" in str(exc.value)
+
+
+def _chain(n):
+    names = [f"c{i}" for i in range(n)]
+    return build_lattice(names, list(zip(names, names[1:])))
+
+
+def _boolean(bits):
+    names = [f"b{m}" for m in range(1 << bits)]
+    edges = [(names[m], names[m | 1 << b]) for m in range(1 << bits)
+             for b in range(bits) if not m >> b & 1]
+    return build_lattice(names, edges)
+
+
+def _parity_squared():
+    parity = load_builtin("parity")
+    lat = product([parity, parity]).abstraction.lattice
+    return build_lattice(lat.elements, lat.order_pairs(), closure_mode="full")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _chain(64),
+    lambda: _boolean(5),
+    lambda: to_finite_lattice(OctLattice.build(3)),
+    _parity_squared,
+], ids=["chain-64", "boolean-5", "octagon-c3", "parity-x-parity"])
+def test_tables_equal_brute_force_bounds(make):
+    lat = make()
+    elements = lat.elements
+    leq = [[lat.leq(a, b) for b in elements] for a in elements]
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            lows = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            ups = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            glb = next(k for k in lows if all(leq[m][k] for m in lows))
+            lub = next(k for k in ups if all(leq[k][m] for m in ups))
+            assert lat.meet(elements[i], elements[j]) == elements[glb]
+            assert lat.join(elements[i], elements[j]) == elements[lub]
 
 
 def test_antisymmetry_violation_named():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from abslog import logicgen
 from abslog.concrete import preservation_report
 from abslog.errors import AbslogError, MinimizationFailed, UnknownFormat
 from abslog.lattice import hasse_edges
@@ -188,6 +189,39 @@ def test_machine_roundtrip(builtins):
         assert render(again, "machine") == text
 
 
+def test_generation_and_parsing_render_no_sequent(builtins, monkeypatch):
+    machines = {name: render(system(abs_), "machine") for name, abs_ in builtins.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sequent was rendered")
+
+    monkeypatch.setattr(logicgen, "render_sequent", refuse)
+    for name, abs_ in builtins.items():
+        system(abs_)
+        parse_machine(machines[name])
+
+
+def test_var_line_after_the_rules(builtins):
+    ps = system(builtins["octagon-c1"])
+    lines = render(ps, "machine").splitlines()
+    var = next(ln for ln in lines if ln.startswith("var "))
+    lines.remove(var)
+    moved = parse_machine("\n".join(lines + [var]) + "\n")
+    assert moved == ps
+    assert render(moved, "text") == render(ps, "text")
+
+
+@pytest.mark.parametrize("line, named", [
+    ("rule", "'rule'"),
+    ("rule structural", "'rule structural'"),
+    ("rule introduction intro.bogus", "'intro.bogus'"),
+])
+def test_malformed_rule_line(parity, line, named):
+    text = render(system(parity), "machine") + line + "\n"
+    with pytest.raises(UnknownFormat, match=named):
+        parse_machine(text)
+
+
 def test_unknown_format(parity):
     with pytest.raises(UnknownFormat):
         render(system(parity), "yaml")
@@ -199,4 +233,4 @@ def test_rule_kinds_partition(parity):
     assert kinds == {KIND_STRUCTURAL, KIND_INTRODUCTION, KIND_OPERATION, KIND_ORDER}
     for r in ps.rules:
         if r.kind in (KIND_OPERATION, KIND_ORDER):
-            assert r.axiom is not None and not r.premises_display
+            assert r.axiom is not None

@@ -327,8 +327,7 @@ def test_reference_generators_hold_at_every_point(builtins):
 
 
 def test_corrupted_system_caught(parity, parity_ps):
-    bad_axiom = Rule(KIND_OPERATION, "corrupt", (), "top(x) |- bot(x)",
-                     axiom=parse_sequent("top(x) |- bot(x)"))
+    bad_axiom = Rule(KIND_OPERATION, "corrupt", parse_sequent("top(x) |- bot(x)"))
     corrupted = ProofSystem(parity_ps.signature, parity_ps.rules + (bad_axiom,),
                             parity_ps.source, parity_ps.abstraction)
     res = verify_soundness(parity, corrupted, replays=0)

@@ -70,7 +70,7 @@ top = all
 """
     abs_ = specfile.load(text, "t")
     assert abs_.gamma("bot").members == frozenset([(0, 0), (1, 1)])
-    assert abs_.var_names == ("x", "y")
+    assert abs_.universe.var_names == ("x", "y")
 
 
 def test_axioms_section():

@@ -40,7 +40,7 @@ class Rectangle:
         return all(map(ConcreteSet.issubset, self.axes, other.axes))
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        return Rectangle(tuple(map(ConcreteSet.intersection, self.axes, other.axes)))
+        return Rectangle(tuple(map(ConcreteSet.__and__, self.axes, other.axes)))
 
 
 def tuple_universe(axis_universes) -> ConcreteUniverse:
@@ -253,7 +253,7 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
         y = _random_rectangle(axes, rng)
         checked += 1
         lhs = iota(x.meet(y), target)
-        if lhs.members != iota(x, target).intersection(iota(y, target)).members:
+        if lhs.members != (iota(x, target) & iota(y, target)).members:
             return CheckResult(False, checked, (x, y))
     return CheckResult(True, checked)
 

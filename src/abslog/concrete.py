@@ -149,21 +149,17 @@ class ConcreteSet:
         fields["members"] = members
         return out
 
-    def union(self, other: "ConcreteSet") -> "ConcreteSet":
+    # the operators the registry's concrete operations are written with
+    def __or__(self, other: "ConcreteSet") -> "ConcreteSet":
         self._check(other)
         return self._derive(self.members | other.members)
 
-    def intersection(self, other: "ConcreteSet") -> "ConcreteSet":
+    def __and__(self, other: "ConcreteSet") -> "ConcreteSet":
         self._check(other)
         return self._derive(self.members & other.members)
 
-    def complement(self) -> "ConcreteSet":
+    def __invert__(self) -> "ConcreteSet":
         return self._derive(self.universe.point_set - self.members)
-
-    # the operators the registry's concrete operations are written with
-    __and__ = intersection
-    __or__ = union
-    __invert__ = complement
 
     def issubset(self, other: "ConcreteSet") -> bool:
         self._check(other)
@@ -256,15 +252,15 @@ class ConcretizationMap:
 class Abstraction:
     """A finite lattice packaged with its concretization map.
 
-    ``extra_axioms`` carries additional axiom sequents (name, sequent text)
-    that the proof-system generator appends verbatim; the octagon export
-    uses it for pairwise infeasibility axioms.
+    ``extra_axioms`` carries additional named axiom sequents that the
+    proof-system generator appends as they are; the octagon export uses it
+    for pairwise infeasibility axioms.
     """
 
     name: str
     lattice: FiniteLattice
     gamma: ConcretizationMap
-    extra_axioms: tuple[tuple[str, str], ...] = ()
+    extra_axioms: tuple[tuple[str, Sequent], ...] = ()
 
     def __post_init__(self):
         if self.gamma.source is not self.lattice:
@@ -389,7 +385,7 @@ def compute_left_adjoint(abs_: Abstraction) -> AdjointResult:
                    "set has no over-approximation")
     for a in lat.elements:
         for b in lat.elements:
-            inter = gamma(a).intersection(gamma(b))
+            inter = gamma(a) & gamma(b)
             if gamma(lat.meet(a, b)).members != inter.members:
                 return AdjointResult(
                     False, witness=inter,

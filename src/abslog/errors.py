@@ -32,7 +32,7 @@ class InvalidConcretization(AbslogError):
 
 
 class UnknownFormat(AbslogError):
-    """Unknown render format."""
+    """Unknown render format, or text that a format cannot read or write."""
 
 
 class UnknownSymbol(AbslogError):

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from .concrete import Abstraction, PreservationReport
 from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
 from .errors import AbslogError, MinimizationFailed, UnknownFormat
-from .syntax import Pred, Sequent, compound, parse_sequent, render_sequent
+from .syntax import NAME_RE, Pred, Sequent, compound, parse_sequent, render_sequent
 
 KIND_STRUCTURAL = "structural"
 KIND_INTRODUCTION = "introduction"
@@ -148,9 +148,7 @@ def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> Proo
         name = f"ord.refl.{a}" if a == b else f"ord.{a}.{b}"
         rules.append(Rule(KIND_ORDER, name, Sequent((Pred(a),), (Pred(b),))))
 
-    for name, text in abs_.extra_axioms:
-        s = parse_sequent(text, expected_args=abs_.universe.var_names)
-        rules.append(Rule(KIND_OPERATION, name, s))
+    rules += [Rule(KIND_OPERATION, name, s) for name, s in abs_.extra_axioms]
 
     return ProofSystem(sig, tuple(rules), abs_.name, abs_)
 
@@ -253,6 +251,12 @@ MACHINE_HEADER = "abslog-rules v1"
 
 
 def _render_machine(ps: ProofSystem) -> str:
+    # the format writes only what ``parse_machine`` reads back: an axiom
+    # names its predicates in formula text
+    for p in ps.signature.predicates:
+        if not NAME_RE.fullmatch(p):
+            raise UnknownFormat(
+                f"predicate name {p!r} cannot be written to the machine format")
     lines = [MACHINE_HEADER, f"source {ps.source}"]
     lines += _sig_lines(ps)
     for r in ps.sorted_rules():

@@ -23,6 +23,7 @@ from .lattice import (
     is_join_irreducible,
     is_meet_irreducible,
 )
+from .syntax import Const, Pred, Sequent
 
 # slope order fixed for deterministic carriers and names
 SLOPES: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -227,11 +228,10 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
     uni = grid_universe(grid_n)
     table = {name: uni.subset(grid_gamma(lat, name, uni)) for name in lat.carrier}
     gamma = ConcretizationMap(finite, uni, table)
-    axioms = []
-    for i, (p, q) in enumerate(infeasible_pairs(lat)):
-        axioms.append((f"axiom.{i:03d}", f"{p.name}(x,y), {q.name}(x,y) |- ff"))
-    return Abstraction(f"octagon-c{lat.window_c}", finite, gamma,
-                       extra_axioms=tuple(axioms))
+    ff = (Const("ff"),)
+    axioms = tuple((f"axiom.{i:03d}", Sequent((Pred(p.name), Pred(q.name)), ff))
+                   for i, (p, q) in enumerate(infeasible_pairs(lat)))
+    return Abstraction(f"octagon-c{lat.window_c}", finite, gamma, extra_axioms=axioms)
 
 
 def verify_irreducibility(lat: OctLattice) -> bool:

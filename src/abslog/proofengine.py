@@ -145,10 +145,10 @@ def holds_concrete(abs_: Abstraction, s: Sequent) -> bool:
     """Intersection of antecedents included in union of succedents."""
     inter = abs_.universe.full()
     for f in s.ante:
-        inter = inter.intersection(eval_concrete(abs_, f))
+        inter &= eval_concrete(abs_, f)
     union = abs_.universe.empty()
     for f in s.succ:
-        union = union.union(eval_concrete(abs_, f))
+        union |= eval_concrete(abs_, f)
     return inter.issubset(union)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
 from .lattice import FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
-from .syntax import formula_predicates, parse_sequent
+from .syntax import formula_predicates, parse_sequent, render_sequent
 
 SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
 
@@ -129,7 +129,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
             for p in formula_predicates(f):
                 if p not in lattice.index:
                     raise SpecError(f"axiom uses unknown predicate {p!r}", ln_no)
-        axioms.append((f"axiom.{i:03d}", line))
+        axioms.append((f"axiom.{i:03d}", seq))
 
     return Abstraction(name, lattice, gamma, extra_axioms=tuple(axioms))
 
@@ -197,7 +197,7 @@ def _eval_set_expr(expr: str, uni: ConcreteUniverse) -> ConcreteSet:
         parts = _split_top_level(inner)
         out = uni.empty()
         for part in parts:
-            out = out.union(_eval_set_expr(part, uni))
+            out |= _eval_set_expr(part, uni)
         return out
     if expr.startswith("{") and expr.endswith("}"):
         toks = _TUPLE_RE.findall(expr[1:-1])
@@ -275,6 +275,6 @@ def emit(abs_: Abstraction) -> str:
         lines.append(f"{e} = {body}")
     if abs_.extra_axioms:
         lines.append("AXIOMS")
-        for _, text in abs_.extra_axioms:
-            lines.append(text)
+        var = ",".join(abs_.universe.var_names)
+        lines += [render_sequent(s, var) for _, s in abs_.extra_axioms]
     return "\n".join(lines) + "\n"

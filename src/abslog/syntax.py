@@ -18,8 +18,7 @@ from .connectives import ATOM_PREC, CONNECTIVES, connective
 from .errors import ParseError, UnknownSymbol
 
 _OPERATORS = {c.symbol: c for c in CONNECTIVES.values() if c.arity}
-_CONSTANTS = tuple(c for c in CONNECTIVES.values() if not c.arity)
-_TOP_BINARY_PREC = max(c.prec for c in _OPERATORS.values() if c.arity == 2)
+_CONSTANTS = {c.symbol: c.name for c in CONNECTIVES.values() if not c.arity}
 
 
 @dataclass(frozen=True)
@@ -117,62 +116,59 @@ def render_sequent(s: Sequent, var: str = "x") -> str:
 
 # --- tokenizer -------------------------------------------------------------
 
-# a predicate name stops at whitespace, parentheses, commas and the
-# one-character connective symbols
-_NAME_STOP = re.escape("".join(s for s in _OPERATORS if len(s) == 1))
-_PRED_RE = re.compile(rf"([A-Za-z_\[][^\s(),{_NAME_STOP}]*)\(([A-Za-z0-9_,\s]*)\)")
-_WS_RE = re.compile(r"\s*")
+# a predicate name (the README grammar's ``name``) stops at whitespace,
+# parentheses, commas and the one-character connective symbols
+NAME_RE = re.compile(r"[A-Za-z_\[][^\s(),%s]*"
+                     % re.escape("".join(s for s in _OPERATORS if len(s) == 1)))
 
 # longest first, so that "|-" is not read as "|" and then "-"
 _FIXED = sorted(("|-", "(", ")", ",", *_OPERATORS), key=len, reverse=True)
 
+# one match per token, its alternatives tried in order: a predicate with its
+# argument list, a constant not followed by a name character, a fixed symbol,
+# the end of input, and last any other character, which is an error
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<pred>(?P<name>{NAME_RE.pattern})\((?P<args>[A-Za-z0-9_,\s]*)\))"
+    rf"|(?P<const>{'|'.join(map(re.escape, _CONSTANTS))})(?![A-Za-z0-9_])"
+    rf"|(?P<fixed>{'|'.join(map(re.escape, _FIXED))})|(?P<end>\Z)|(?P<bad>.))")
 
-def _tokenize(text: str, line: int | None = None):
+
+def _tokenize(text: str, line: int | None = None) -> list[tuple]:
+    """``(kind, value, offset)`` triples, closed by the end-of-input token
+    ``(None, None, len(text))``."""
     tokens = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _PRED_RE.match(text, pos)
-        if m:
-            args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ()
-            tokens.append(("pred", (m.group(1), args), pos))
-            pos = m.end()
-            continue
-        const = next((c for c in _CONSTANTS if text.startswith(c.symbol, pos)
-                      and not _is_name_char(text, pos + len(c.symbol))), None)
-        if const is not None:
-            tokens.append(("const", const.name, pos))
-            pos += len(const.symbol)
-            continue
-        for sym in _FIXED:
-            if text.startswith(sym, pos):
-                tokens.append((sym, sym, pos))
-                pos += len(sym)
-                break
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "pred":
+            args = m["args"]
+            args = tuple(a.strip() for a in args.split(",")) if args.strip() else ()
+            tokens.append(("pred", (m["name"], args), start))
+        elif kind == "const":
+            tokens.append(("const", _CONSTANTS[m["const"]], start))
+        elif kind == "fixed":
+            tokens.append((m["fixed"], m["fixed"], start))
+        elif kind == "end":
+            tokens.append((None, None, start))
+            return tokens
         else:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-    return tokens
-
-
-def _is_name_char(text: str, pos: int) -> bool:
-    return pos < len(text) and re.match(r"[A-Za-z0-9_]", text[pos]) is not None
+            raise ParseError(f"unexpected character {m['bad']!r}", line, start + 1)
+        pos = m.end()
 
 
 class _Parser:
     def __init__(self, text: str, line: int | None = None):
-        self.text = text
         self.line = line
         self.tokens = _tokenize(text, line)
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 
@@ -182,41 +178,43 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", self.line, tok[2] + 1)
         return tok
 
-    def formula(self) -> Formula:
-        return self._binary(0)
+    def done(self, what: str) -> None:
+        kind, _, pos = self.peek()
+        if kind is not None:
+            raise ParseError(f"trailing input after {what}", self.line, pos + 1)
 
-    def _binary(self, prec: int) -> Formula:
-        """Binary connectives binding at least as tightly as ``prec``; the
-        arrows (precedence 0) associate to the right, the others left."""
-        if prec > _TOP_BINARY_PREC:
-            return self._unary()
-        lhs = self._binary(prec + 1)
+    def formula(self, prec: int = 0) -> Formula:
+        """A formula whose binary connectives bind at least as tightly as
+        ``prec``; the arrows (precedence 0) associate to the right, the
+        others to the left."""
+        lhs = self.unary()
         while True:
             c = _OPERATORS.get(self.peek()[0])
-            if c is None or c.arity != 2 or c.prec != prec:
+            if c is None or c.arity != 2 or c.prec < prec:
                 return lhs
-            self.next()
-            if prec == 0:
-                return Bin(c.name, lhs, self._binary(0))
-            lhs = Bin(c.name, lhs, self._binary(prec + 1))
+            self.i += 1
+            lhs = Bin(c.name, lhs, self.formula(c.prec if c.prec == 0 else c.prec + 1))
 
-    def _unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind in _OPERATORS and _OPERATORS[kind].arity == 1:
-            self.next()
-            return Not(self._unary())
+    def formulas(self) -> tuple[Formula, ...]:
+        """A nonempty comma-separated list of formulas."""
+        out = [self.formula()]
+        while self.peek()[0] == ",":
+            self.i += 1
+            out.append(self.formula())
+        return tuple(out)
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.next()
         if kind == "pred":
-            self.next()
-            name, _args = value
-            return Pred(name)
+            return Pred(value[0])
         if kind == "const":
-            self.next()
             return Const(value)
         if kind == "(":
-            self.next()
             f = self.formula()
             self.expect(")")
             return f
+        if kind in _OPERATORS and _OPERATORS[kind].arity == 1:
+            return Not(self.unary())
         raise ParseError("expected a formula", self.line, pos + 1)
 
 
@@ -238,8 +236,7 @@ def parse_formula(text: str, line: int | None = None,
     p = _Parser(text, line)
     _check_args(p, expected_args)
     f = p.formula()
-    if p.i != len(p.tokens):
-        raise ParseError("trailing input after formula", line, p.peek()[2] + 1)
+    p.done("formula")
     return f
 
 
@@ -248,20 +245,11 @@ def parse_sequent(text: str, line: int | None = None,
     """Parse ``Gamma |- Delta``; the antecedent may be empty."""
     p = _Parser(text, line)
     _check_args(p, expected_args)
-    ante: list[Formula] = []
-    if p.peek()[0] != "|-":
-        ante.append(p.formula())
-        while p.peek()[0] == ",":
-            p.next()
-            ante.append(p.formula())
+    ante = p.formulas() if p.peek()[0] != "|-" else ()
     p.expect("|-")
-    succ = [p.formula()]
-    while p.peek()[0] == ",":
-        p.next()
-        succ.append(p.formula())
-    if p.i != len(p.tokens):
-        raise ParseError("trailing input after sequent", line, p.peek()[2] + 1)
-    return Sequent(tuple(ante), tuple(succ))
+    succ = p.formulas()
+    p.done("sequent")
+    return Sequent(ante, succ)
 
 
 def formula_predicates(f: Formula):

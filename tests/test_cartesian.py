@@ -115,7 +115,7 @@ def test_iota_monotone_sampled():
         small = Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.4)
                                 for _ in range(2)))
         grow = Rectangle(tuple(
-            a.union(u.subset(p for p in u.points if rng.random() < 0.3))
+            a | u.subset(p for p in u.points if rng.random() < 0.3)
             for a in small.axes))
         assert iota(small, target).issubset(iota(grow, target))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from abslog import logicgen
+from abslog import logicgen, specfile
 from abslog.concrete import preservation_report
 from abslog.errors import AbslogError, MinimizationFailed, UnknownFormat
 from abslog.lattice import hasse_edges
@@ -17,6 +17,7 @@ from abslog.logicgen import (
     parse_machine,
     render,
 )
+from abslog.octagon import OctLattice, export_abstraction
 from abslog.proofengine import derivable
 from abslog.syntax import parse_sequent
 
@@ -199,6 +200,33 @@ def test_generation_and_parsing_render_no_sequent(builtins, monkeypatch):
     for name, abs_ in builtins.items():
         system(abs_)
         parse_machine(machines[name])
+
+
+@pytest.mark.parametrize("source", ["octagon-c1", "export-c2"])
+def test_generation_parses_no_axiom_text(builtins, monkeypatch, source):
+    abs_ = (builtins["octagon-c1"] if source == "octagon-c1"
+            else export_abstraction(OctLattice.build(2), 8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sequent was parsed")
+
+    monkeypatch.setattr(logicgen, "parse_sequent", refuse)
+    axioms = [r.axiom for r in system(abs_).rules if r.name.startswith("axiom.")]
+    assert axioms == [s for _, s in abs_.extra_axioms] != []
+
+
+@pytest.mark.parametrize("element", ["0", "a&b"])
+def test_machine_format_refuses_a_name_the_grammar_cannot_read(element):
+    # the spec format reads the name back, the formula grammar does not
+    text = f"ELEMENTS\nbot {element} top\nORDER\nbot < {element}\n{element} < top\n" \
+           f"UNIVERSE\natoms p\nGAMMA\nbot = {{}}\n{element} = {{p}}\ntop = all\n"
+    abs_ = specfile.load(text, "odd")
+    assert specfile.emit(abs_).splitlines()[2] == f"bot {element} top"
+    ps = system(abs_)
+    render(ps, "text")
+    with pytest.raises(UnknownFormat) as exc:
+        render(ps, "machine")
+    assert repr(element) in str(exc.value)
 
 
 def test_var_line_after_the_rules(builtins):

@@ -23,8 +23,11 @@ from conftest import SPECS
 
 
 def test_export_c1_is_the_builtin_spec():
-    emitted = specfile.emit(export_abstraction(OctLattice.build(1), 4))
+    exported = export_abstraction(OctLattice.build(1), 4)
+    emitted = specfile.emit(exported)
     assert emitted == (SPECS / "octagon-c1.spec").read_text()
+    # the axioms the export builds are the ones the spec file reads back
+    assert specfile.load(emitted, exported.name).extra_axioms == exported.extra_axioms
 
 
 @pytest.mark.parametrize("window_c, pairs", [(1, 36), (2, 136), (3, 300)])

@@ -283,7 +283,7 @@ def noninjective_exhibit():
     uni = ConcreteUniverse.atoms(["u1", "u2"])
     s = uni.subset(["u1"])
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), "a": s, "b": s, "c": s.complement(),
+        "bot": uni.empty(), "a": s, "b": s, "c": ~s,
         "top": uni.full()})
     return Abstraction("merge", lat, gamma)
 

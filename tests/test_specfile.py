@@ -14,6 +14,7 @@ from abslog.errors import (
     SpecError,
 )
 from abslog.lattice import UnaryOpTable, build_lattice
+from abslog.syntax import parse_sequent
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -93,7 +94,7 @@ AXIOMS
 a(x), b(x) |- bot(x)
 """
     abs_ = specfile.load(text, "ax")
-    assert abs_.extra_axioms == (("axiom.000", "a(x), b(x) |- bot(x)"),)
+    assert abs_.extra_axioms == (("axiom.000", parse_sequent("a(x), b(x) |- bot(x)")),)
 
 
 def test_axiom_unknown_predicate_rejected():

@@ -85,6 +85,41 @@ def test_parse_errors_position():
     assert "col" in str(exc.value)
 
 
+# malformed input -> the exact message and its 1-based column; the
+# arguments are checked before parsing, and the end of input is the column
+# after the last character
+MALFORMED = [
+    (parse_formula, "a(x) & $", None, "unexpected character '$'", 8),
+    (parse_formula, "a(x) b(x)", None, "trailing input after formula", 6),
+    (parse_formula, "a(x) )", None, "trailing input after formula", 6),
+    (parse_formula, "a(x) |- b(x)", None, "trailing input after formula", 6),
+    (parse_formula, "(a(x)", None, "expected ')'", 6),
+    (parse_formula, "& a(x)", None, "expected a formula", 1),
+    (parse_formula, "", None, "expected a formula", 1),
+    (parse_formula, "~", None, "expected a formula", 2),
+    (parse_formula, "a(x) -> ", None, "expected a formula", 9),
+    (parse_formula, "ttx", None, "unexpected character 't'", 1),
+    (parse_sequent, "a(x) |-", None, "expected a formula", 8),
+    (parse_sequent, "tt, |- ff", None, "expected a formula", 5),
+    (parse_sequent, "a(x) b(x) |- c(x)", None, "expected '|-'", 6),
+    (parse_sequent, "a(x) |- b(x) |- c(x)", None, "trailing input after sequent", 14),
+    (parse_sequent, "0(x) |- a(x)", None, "unexpected character '0'", 1),
+    (parse_sequent, "a(x, y) |- b(x,y) c", ("x", "y"), "unexpected character 'c'", 19),
+    (parse_sequent, "top(x) |- a(y)", ("x",),
+     "predicate 'a' applied to (y); expected (x)", 11),
+    (parse_sequent, "a(x,y) |- b(x)", ("x", "y"),
+     "predicate 'b' applied to (x); expected (x,y)", 11),
+]
+
+
+@pytest.mark.parametrize("parse,text,expected_args,message,col", MALFORMED)
+def test_malformed_input_message_and_column(parse, text, expected_args, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text, line=3, expected_args=expected_args)
+    assert (exc.value.line, exc.value.col) == (3, col)
+    assert str(exc.value) == f"{message} at line 3, col {col}"
+
+
 names = st.sampled_from(["Even", "Odd", "bot", "top", "p:+x+y>=1", "[-1..0]"])
 
 

@@ -79,8 +79,9 @@ class ProofSystem:
     source: str
     abstraction: Abstraction | None = field(default=None, repr=False, compare=False)
     # the system's one derivability engine, built on first use by
-    # ``proofengine.engine_for``; a derived system starts without one, and
-    # assigning a field drops it
+    # ``proofengine.engine_for``; a derived system that drops only axioms
+    # adding no clause inherits it (see ``without``), any other starts
+    # without one, and assigning a field drops it
     _engine: object = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
@@ -95,9 +96,17 @@ class ProofSystem:
         return frozenset(r.name for r in self.rules)
 
     def without(self, names: set[str]) -> "ProofSystem":
-        return ProofSystem(self.signature,
-                           tuple(r for r in self.rules if r.name not in names),
-                           self.source, self.abstraction)
+        """The system without the rules ``names``.  When this system has an
+        engine and only axioms go, the new system gets the engine's
+        ``without`` of them: an engine of its own that shares the models, or
+        None when an axiom adds a clause."""
+        kept, dropped = [], []
+        for r in self.rules:
+            (dropped if r.name in names else kept).append(r)
+        trial = ProofSystem(self.signature, tuple(kept), self.source, self.abstraction)
+        if self._engine is not None and all(r.axiom is not None for r in dropped):
+            trial._engine = self._engine.without([r.axiom for r in dropped])
+        return trial
 
     def __eq__(self, other):
         return (isinstance(other, ProofSystem)
@@ -170,10 +179,15 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
     covers = set(hasse_edges(lat))
     removed: dict[str, Sequent] = {}
     for r in ps.rules:
-        if r.kind == KIND_ORDER:
-            a, b = r.axiom.ante[0].name, r.axiom.succ[0].name
-            if a == b or (a, b) not in covers:
-                removed[r.name] = r.axiom
+        if r.kind != KIND_ORDER:
+            continue
+        match r.axiom:
+            case Sequent((Pred(a),), (Pred(b),)):
+                if a == b or (a, b) not in covers:
+                    removed[r.name] = r.axiom
+            case _:
+                raise AbslogError(f"order axiom {r.name!r} is not one "
+                                  "predicate on each side")
     current = ps.without(set(removed))
 
     candidates = sorted((r for r in current.rules if r.kind == KIND_OPERATION),

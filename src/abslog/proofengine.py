@@ -57,14 +57,17 @@ compound formulas of their pools, whose masks are then computed once.
 Each proof system has one engine, a :class:`ModelEngine` built on first use
 by :func:`engine_for` and kept on the system: :func:`derivable`,
 :func:`build_lindenbaum`, :func:`verify_soundness` and
-:func:`verify_completeness` all query it.  :class:`DerivabilityEngine`
-saturates a generating set of derivable sequents instead; it stays as the
-reference that the tests and the benchmark check the model engine against.
+:func:`verify_completeness` all query it.  A system derived by dropping only
+axioms that add no clause to M0 has the same M*, so it inherits the engine
+(:meth:`ModelEngine.without`); any other derived system builds its own.
+:class:`DerivabilityEngine` saturates a generating set of derivable sequents
+instead; it stays as the reference that the tests and the benchmark check the
+model engine against.
 """
 
 from __future__ import annotations
 
-import weakref
+import copy
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -461,13 +464,6 @@ class DerivabilityEngine(_Engine):
         return False
 
 
-# clauses read off a lattice's tables, and the masks of each axiom sequent,
-# kept for every model engine on that lattice: minimization builds one engine
-# per trial system, and the trials share their lattice and their axioms
-_TABLE_CLAUSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_AXIOM_MASKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 class ModelEngine(_Engine):
     """Decides derivability from the finite models of the derivability
     relation (see the module docstring).
@@ -476,26 +472,12 @@ class ModelEngine(_Engine):
     ``cols`` holds one bit column per predicate over the models."""
 
     def _start(self, axioms, names) -> None:
-        clauses = set(self._table_clauses())
+        clauses = {(g, d) for g, d in self._connective_clauses() if not g & d}
         clauses.update(self._axiom_clauses(axioms))
         self.models, self.cols = self._prune(self._enumerate(clauses))
         self.live = (1 << len(self.models)) - 1
 
     # the clauses of M0 -------------------------------------------------------
-
-    def _table_clauses(self) -> frozenset:
-        """The table seeds and the connective clauses, built once per lattice
-        and rule-family switches; tautologies left out."""
-        key = (self.conns, self.f_and, self.f_or, self.f_impl, self.f_coimpl,
-               self.f_tt, self.f_not_def, self.f_not_prim)
-        memo = _TABLE_CLAUSES.get(self.lat)
-        if memo is None:
-            memo = _TABLE_CLAUSES[self.lat] = {}
-        clauses = memo.get(key)
-        if clauses is None:
-            clauses = memo[key] = frozenset(
-                (g, d) for g, d in self._connective_clauses() if not g & d)
-        return clauses
 
     def _connective_clauses(self):
         yield from self._table_seeds()
@@ -518,23 +500,18 @@ class ModelEngine(_Engine):
                 yield 1 << a, 1 << b | 1 << self.coi[a][b]   # a |- b, a <- b
 
     def _axiom_clauses(self, axioms):
-        """The axioms as mask pairs, each normalized once per lattice and
-        signature.  The memo is keyed by identity because hashing a sequent
-        costs as much as normalizing it; an entry holds its sequent, so the
-        identity is not reused while the entry lives."""
-        per_lat = _AXIOM_MASKS.get(self.lat)
-        if per_lat is None:
-            per_lat = _AXIOM_MASKS[self.lat] = {}
-        memo = per_lat.get(self.conns)
-        if memo is None:
-            memo = per_lat[self.conns] = {}
-        for s in axioms:
-            hit = memo.get(id(s))
-            if hit is None:
-                hit = memo[id(s)] = (s, *self.masks(s))
-            _, g, d = hit
+        """The clauses the axioms add to M0: a tautology adds none."""
+        for g, d in map(self.masks, axioms):
             if d and not g & d:  # no sequent has an empty succedent
                 yield g, d
+
+    def without(self, axioms) -> ModelEngine | None:
+        """The engine of this system without ``axioms`` when none of them
+        adds a clause: M0, and so M*, is unchanged, and the new engine shares
+        this one's models.  None when some axiom adds a clause."""
+        if next(self._axiom_clauses(axioms), None):
+            return None
+        return copy.copy(self)
 
     # M0, then M* --------------------------------------------------------------
 

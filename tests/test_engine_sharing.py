@@ -3,12 +3,15 @@
 ``engine_for`` builds a system's model engine on first use and keeps it on
 the system, so the verifiers that follow ``build_lindenbaum`` build no
 further engine; the predicate bound is still checked on every call; a
-derived system starts with an engine of its own, assigning a field drops the
-engine and dropping the system frees it; and a cached engine changes no
-output.
+derived system that drops only axioms adding no clause inherits the engine
+as an object of its own, and any other derived system builds a new one, so
+a minimization builds one engine per trial that changes M0; assigning a
+field drops the engine and dropping the system frees it; and a cached engine
+changes no output.
 """
 
 import gc
+import sys
 import weakref
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 
 from abslog import specfile
 from abslog.concrete import preservation_report
-from abslog.errors import CarrierTooLarge
+from abslog.errors import AbslogError, CarrierTooLarge
 from abslog.logicgen import (
     KIND_OPERATION,
     ProofSystem,
@@ -37,7 +40,11 @@ from abslog.proofengine import (
 )
 from abslog.syntax import parse_sequent
 
-from conftest import BUILTIN_NAMES, load_builtin
+from conftest import BUILTIN_NAMES, REPO, load_builtin
+
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+from perfbench import families as fam  # noqa: E402
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -70,13 +77,14 @@ def test_verifiers_after_lindenbaum_run_no_step(monkeypatch, name):
     assert verify_soundness(abs_, ps, replays=50).ok
     assert verify_completeness(abs_, ps).status == "complete"
     assert builds == []
-    # the counter does count: a copy of the system has no engine yet
-    assert verify_completeness(abs_, ps.without(set())).status == "complete"
+    # the counter does count: a freshly generated system has no engine yet
+    assert verify_completeness(abs_, system(abs_)).status == "complete"
     assert builds
 
 
 def test_engines_split_the_rules_without_rule_names(monkeypatch):
-    # each engine walks the rules once; a minimization builds one per trial
+    # each engine walks the rules once; a minimization builds one for each
+    # trial whose M0 differs from the system before it
     abs_ = load_builtin("interval")
     expected = minimize_proof_system(system(abs_), derivable)
 
@@ -89,6 +97,44 @@ def test_engines_split_the_rules_without_rule_names(monkeypatch):
         ModelEngine(ps)
         DerivabilityEngine(ps)
     assert minimize_proof_system(system(abs_), derivable) == expected
+
+
+# engines a minimization builds: one for each trial that drops an axiom
+# adding a clause (octagon-c1's six infeasibility axioms), else one for the
+# first trial; every other trial drops a table axiom that normalizes to
+# ``c |- c`` and inherits the engine of the system before it
+MINIMIZATION_BUILDS = {**dict.fromkeys(BUILTIN_NAMES, 1), "octagon-c1": 6,
+                       "chain-12": 1}
+
+
+@pytest.mark.parametrize("name", tuple(MINIMIZATION_BUILDS))
+def test_minimization_builds_an_engine_per_changed_m0(monkeypatch, name):
+    if name == "chain-12":
+        abs_ = specfile.load(fam.chain_text(12), name)
+    else:
+        abs_ = load_builtin(name)
+    ps = system(abs_)
+    builds = count_builds(monkeypatch)
+    minimize_proof_system(ps, derivable)
+    assert len(builds) == MINIMIZATION_BUILDS[name]
+
+
+def test_a_derived_system_inherits_only_an_unchanged_m0(monkeypatch, parity):
+    ps = system(parity)
+    engine = engine_for(ps)
+    builds = count_builds(monkeypatch)
+    # ``a |- a`` adds no clause: the engine is inherited as a new object
+    trial = ps.without({"ord.refl.Even"})
+    assert engine_for(trial) is not engine
+    assert engine_for(trial).models is engine.models
+    assert builds == []
+    # a removed schema rule builds afresh, with the full validation
+    with pytest.raises(AbslogError, match="structural rules missing"):
+        derivable(ps.without({"cut"}), parse_sequent("Even(x) |- top(x)"))
+    # a Hasse order axiom adds a clause: its removal builds a fresh engine
+    trial = ps.without({"ord.Even.top"})
+    assert engine_for(trial) is not engine
+    assert builds == [sum(r.axiom is not None for r in trial.rules)]
 
 
 def test_smaller_bound_refused_after_larger():

@@ -5,17 +5,25 @@ One SHA-256 per builtin spec for each user-visible output: the three
 the isomorphism report lines.  The digests were taken before the
 connective registry replaced the per-module dispatches and must not be
 regenerated to make a change pass: a changed digest is a changed output.
+One more per builtin spec and for chain 12 pins the machine render of the
+minimized system; those were taken before minimization trials inherited
+their parent system's engine.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 from abslog import logicgen, specfile
 from abslog.concrete import preservation_report
-from abslog.proofengine import build_lindenbaum, verify_isomorphism
+from abslog.proofengine import build_lindenbaum, derivable, verify_isomorphism
 
-from conftest import BUILTIN_NAMES, load_builtin
+from conftest import BUILTIN_NAMES, REPO, load_builtin
+
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+from perfbench import families as fam  # noqa: E402
 
 GOLDEN = {
     "parity": {
@@ -101,3 +109,26 @@ def test_builtin_outputs_are_byte_identical(name):
     digests = {kind: hashlib.sha256(text.encode()).hexdigest()
                for kind, text in _outputs(name).items()}
     assert digests == GOLDEN[name]
+
+
+MINIMIZED = {
+    "parity": "8bf3fbef80b6060be36b151a2c97fec089a3746c41e41088fb0fce72e2cf82b2",
+    "sign": "ee9880801f846f1e52eee3dcda14aebc3c6942c1cd272b97771f2df538fb8d3d",
+    "interval": "f8009db5189cb7a39ee50b4bb1ea9e4dcd72bb6b1b6c48d55a9579344a4782e7",
+    "diamond": "5f38f1e044cf8665f33a4d2ae2759454f2e9a17670d512cc3448159777d69def",
+    "threechain": "3ade8af659403346cb99ed93f5f94fa3375af6ceb1653b340b26bed4d25dfdd8",
+    "m3": "77b7bed25bb93411b7fa0c49c626128ea3883ecf2c784935c194f473a4e212e9",
+    "octagon-c1": "398fdc27e0298577193e4025e3a7d52a48fd9b743041c29baf33a693586e38ed",
+    "chain-12": "bb7248574de911368825b959b9706a1af8c4f3ac28cce8b15eac9a5171c1ca16",
+}
+
+
+@pytest.mark.parametrize("name", tuple(MINIMIZED))
+def test_minimized_systems_are_byte_identical(name):
+    if name == "chain-12":
+        abs_ = specfile.load(fam.chain_text(12), name)
+    else:
+        abs_ = load_builtin(name)
+    ps = logicgen.generate_proof_system(abs_, preservation_report(abs_))
+    text = logicgen.render(logicgen.minimize_proof_system(ps, derivable), "machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZED[name]

@@ -157,6 +157,18 @@ def test_minimize_rejects_an_inconsistent_oracle(parity):
     assert calls == greedy + 1
 
 
+@pytest.mark.parametrize("axiom", ("Even(x) & top(x) |- top(x)",
+                                   "Even(x), Odd(x) |- top(x)"))
+def test_minimize_refuses_a_malformed_order_axiom(parity, axiom):
+    # an order axiom names one predicate on each side; a compound used to
+    # crash minimization, and a second antecedent was silently dropped
+    text = render(system(parity), "machine")
+    ps = parse_machine(text + f"rule {KIND_ORDER} ord.bad | {axiom}\n")
+    ps.abstraction = parity
+    with pytest.raises(AbslogError, match="'ord.bad'"):
+        minimize_proof_system(ps, ORACLE)
+
+
 def test_minimize_keeps_infeasibility_frontier(builtins):
     oct_ = builtins["octagon-c1"]
     mini = minimize_proof_system(system(oct_), ORACLE)

@@ -113,14 +113,12 @@ class FiniteLattice:
         return out
 
 
-def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
-                  unary_ops=None) -> FiniteLattice:
+def build_lattice(elements, order_pairs, unary_ops=None) -> FiniteLattice:
     """Build and validate a :class:`FiniteLattice`.
 
-    ``order_pairs`` are covering edges when ``closure_mode`` is ``hasse``
-    (reflexive-transitive closure is taken), or the full order relation
-    when ``full`` (reflexive pairs may be omitted; transitivity must
-    already hold).
+    The order is always the reflexive-transitive closure of
+    ``order_pairs``: covering edges suffice, and a relation that is
+    already a full order closes to itself.
     """
     elements = tuple(elements)
     if not elements:
@@ -128,8 +126,6 @@ def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
     if len(set(elements)) != len(elements):
         dup = next(e for e in elements if elements.count(e) > 1)
         raise NotALattice(f"duplicate element name {dup!r}")
-    if closure_mode not in ("hasse", "full"):
-        raise ValueError(f"unknown closure mode {closure_mode!r}")
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     leq = [[False] * n for _ in range(n)]
@@ -142,22 +138,15 @@ def build_lattice(elements, order_pairs, closure_mode: str = "hasse",
             raise UnknownElement(f"unknown element {b!r} in order pair")
         leq[index[a]][index[b]] = True
 
-    if closure_mode == "hasse":
-        # Warshall closure over the declared covering edges.
-        for k in range(n):
-            lk = leq[k]
-            for i in range(n):
-                if leq[i][k]:
-                    li = leq[i]
-                    for j in range(n):
-                        if lk[j]:
-                            li[j] = True
-    else:
-        for i, j, k in iproduct(range(n), repeat=3):
-            if leq[i][j] and leq[j][k] and not leq[i][k]:
-                raise NotAPartialOrder(
-                    f"transitivity violated: {elements[i]!r} <= {elements[j]!r} <= "
-                    f"{elements[k]!r} but not {elements[i]!r} <= {elements[k]!r}")
+    # Warshall closure over the declared pairs.
+    for k in range(n):
+        lk = leq[k]
+        for i in range(n):
+            if leq[i][k]:
+                li = leq[i]
+                for j in range(n):
+                    if lk[j]:
+                        li[j] = True
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -15,6 +15,7 @@ from itertools import product as iproduct
 from .concrete import Abstraction, PreservationReport
 from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
 from .errors import AbslogError, MinimizationFailed, UnknownFormat
+from .lattice import hasse_edges
 from .syntax import NAME_RE, Pred, Sequent, compound, parse_sequent, render_sequent
 
 KIND_STRUCTURAL = "structural"
@@ -171,8 +172,6 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
     without themselves.  Every removed axiom is re-checked against the
     final system, which re-establishes closure equality.
     """
-    from .lattice import hasse_edges  # local import keeps module deps one-way
-
     if ps.abstraction is None:
         raise AbslogError("minimization needs the source abstraction")
     lat = ps.abstraction.lattice

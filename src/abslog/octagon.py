@@ -4,8 +4,16 @@ Constants live in the window [-C+1, C], which is closed under the
 complement map c -> -c+1, so negation is a total involution on the
 carrier.  The concrete side is a finite grid [-N, N]^2 with the guard
 N >= 4C: every inclusion and incomparability that holds over the full
-integer plane is then witnessed on the grid, and symbolic feasibility
-agrees with grid nonemptiness.
+integer plane is then witnessed on the grid.
+
+Two predicates are disjoint exactly when their slopes are opposite and
+their constants sum above zero.  With t = sx*x + sy*y such a pair reads
+t >= c1 and t <= -c2, and t takes every integer value in [-2N, 2N] on
+the grid, a range that holds the whole window.  Equal slopes give nested
+half-planes.  Two slopes that are neither equal nor opposite share one
+sign, and the grid point with that coordinate at +/-N and the other at 0
+satisfies both, since N >= C.  So the rule holds over the integer plane
+and over the grid alike.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ class OctLattice:
             raise UnknownElement(f"unknown octagon element {name!r}") from None
 
 
-def oct_leq(lat: OctLattice, a: OctPredicate | str, b: OctPredicate | str) -> bool:
+def oct_leq(lat: OctLattice, a: str, b: str) -> bool:
     """bot below everything, top above; same slope compares by constant
     (a larger threshold cuts a smaller half-plane); distinct slopes are
     incomparable."""
@@ -106,57 +114,14 @@ def oct_leq(lat: OctLattice, a: OctPredicate | str, b: OctPredicate | str) -> bo
         return b == "top"
     if b == "bot":
         return a == "bot"
-    pa = lat.by_name(a) if isinstance(a, str) else a
-    pb = lat.by_name(b) if isinstance(b, str) else b
+    pa, pb = lat.by_name(a), lat.by_name(b)
     return (pa.sx, pa.sy) == (pb.sx, pb.sy) and pa.c >= pb.c
 
 
-@dataclass(frozen=True)
-class OctRegion:
-    """At most one constraint per slope class, in rotated coordinates
-    u = x+y and w = x-y: interval bounds (None = unbounded)."""
-
-    u_lo: int | None = None
-    u_hi: int | None = None
-    w_lo: int | None = None
-    w_hi: int | None = None
-
-    @classmethod
-    def from_predicates(cls, preds) -> "OctRegion":
-        u_lo = u_hi = w_lo = w_hi = None
-        for p in preds:
-            if (p.sx, p.sy) == (1, 1):        # x+y >= c
-                u_lo = p.c if u_lo is None else max(u_lo, p.c)
-            elif (p.sx, p.sy) == (-1, -1):    # x+y <= -c
-                u_hi = -p.c if u_hi is None else min(u_hi, -p.c)
-            elif (p.sx, p.sy) == (1, -1):     # x-y >= c
-                w_lo = p.c if w_lo is None else max(w_lo, p.c)
-            else:                             # x-y <= -c
-                w_hi = -p.c if w_hi is None else min(w_hi, -p.c)
-        return cls(u_lo, u_hi, w_lo, w_hi)
-
-
-def _interval_size(lo: int | None, hi: int | None) -> int | None:
-    """None for infinite, else the number of integers in [lo, hi]."""
-    if lo is None or hi is None:
-        return None
-    return max(0, hi - lo + 1)
-
-
-def meet_feasible(region: OctRegion) -> bool:
-    """Nonemptiness over the integer plane.
-
-    x = (u+w)/2 and y = (u-w)/2 must be integers, so a point exists iff
-    both intervals are nonempty and admit u = w (mod 2); an interval with
-    two or more integers contains both parities.
-    """
-    su = _interval_size(region.u_lo, region.u_hi)
-    sw = _interval_size(region.w_lo, region.w_hi)
-    if su == 0 or sw == 0:
-        return False
-    if su == 1 and sw == 1:
-        return (region.u_lo - region.w_lo) % 2 == 0
-    return True  # one interval has >= 2 integers (or is infinite)
+def disjoint(p: OctPredicate, q: OctPredicate) -> bool:
+    """True iff no integer point satisfies both: opposite slopes whose
+    constants sum above zero (see the module docstring)."""
+    return (p.sx, p.sy) == (-q.sx, -q.sy) and p.c + q.c > 0
 
 
 def grid_universe(grid_n: int) -> ConcreteUniverse:
@@ -177,11 +142,7 @@ def grid_gamma(lat: OctLattice, element: OctPredicate | str,
 
 def infeasible_pairs(lat: OctLattice) -> list[tuple[OctPredicate, OctPredicate]]:
     """All unordered predicate pairs with empty planar intersection."""
-    out = []
-    for p, q in combinations(lat.predicates, 2):
-        if not meet_feasible(OctRegion.from_predicates((p, q))):
-            out.append((p, q))
-    return out
+    return [(p, q) for p, q in combinations(lat.predicates, 2) if disjoint(p, q)]
 
 
 def hemisphere_negation(lat: OctLattice) -> UnaryOpTable:
@@ -213,7 +174,7 @@ def to_finite_lattice(lat: OctLattice) -> FiniteLattice:
     if lat._finite is None:
         pairs = [(a, b) for a in lat.carrier for b in lat.carrier
                  if a != b and oct_leq(lat, a, b)]
-        lat._finite = build_lattice(lat.carrier, pairs, closure_mode="full",
+        lat._finite = build_lattice(lat.carrier, pairs,
                                     unary_ops={"negation": hemisphere_negation(lat)})
     return lat._finite
 

@@ -72,7 +72,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .concrete import Abstraction, PointMasks
+from .concrete import Abstraction, PointMasks, check_order_embedding
 from .connectives import CONNECTIVES, connective, lookup
 from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
@@ -875,8 +875,6 @@ def verify_completeness(abs_: Abstraction, ps: ProofSystem,
     Requires gamma to be an order embedding; otherwise reports the unmet
     precondition distinctly instead of failing.
     """
-    from .concrete import check_order_embedding
-
     emb = check_order_embedding(abs_)
     if not emb.is_embedding:
         return CompletenessResult("precondition_unmet", emb.witness)

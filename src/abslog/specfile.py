@@ -104,8 +104,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
         raise SpecError("no UNIVERSE declared")
 
     lattice = build_lattice(
-        elements, order, closure_mode="hasse",
-        unary_ops={n: UnaryOpTable(n, t) for n, t in unary.items()})
+        elements, order, unary_ops={n: UnaryOpTable(n, t) for n, t in unary.items()})
 
     uni = _parse_universe(*universe_line)
 

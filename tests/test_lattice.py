@@ -84,7 +84,7 @@ def _boolean(bits):
 def _parity_squared():
     parity = load_builtin("parity")
     lat = product([parity, parity]).abstraction.lattice
-    return build_lattice(lat.elements, lat.order_pairs(), closure_mode="full")
+    return build_lattice(lat.elements, lat.order_pairs())
 
 
 @pytest.mark.parametrize("make", [
@@ -112,12 +112,6 @@ def test_antisymmetry_violation_named():
     with pytest.raises(NotAPartialOrder) as exc:
         build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
     assert "antisymmetry" in str(exc.value)
-
-
-def test_full_mode_requires_transitivity():
-    with pytest.raises(NotAPartialOrder) as exc:
-        build_lattice(["a", "b", "c"], [("a", "b"), ("b", "c")], closure_mode="full")
-    assert "transitivity" in str(exc.value)
 
 
 def test_unknown_element_in_pairs():

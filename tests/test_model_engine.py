@@ -224,7 +224,7 @@ def test_intersection_closed_families_verify(case):
     name = {m: f"s{m:0{k}b}" for m in family}
     lat = build_lattice([name[m] for m in family],
                         [(name[a], name[b]) for a in family for b in family
-                         if a != b and a & b == a], closure_mode="full")
+                         if a != b and a & b == a])
     uni = ConcreteUniverse.atoms([f"a{i}" for i in range(k)])
     gamma = ConcretizationMap(lat, uni, {
         name[m]: uni.subset(f"a{i}" for i in range(k) if m >> i & 1) for m in family})

@@ -1,4 +1,4 @@
-"""Octagon predicates: export, symbolic feasibility, irreducibility,
+"""Octagon predicates: export, disjointness, the order, irreducibility,
 the conjunction witness, the degenerate model and negation checks."""
 
 from itertools import combinations_with_replacement
@@ -10,12 +10,14 @@ from abslog.errors import UnknownElement
 from abslog.octagon import (
     OctLattice,
     OctPredicate,
-    OctRegion,
     conjunction_nonpreservation_witness,
     degenerate_model_check,
+    disjoint,
     export_abstraction,
     hemisphere_negation,
-    meet_feasible,
+    infeasible_pairs,
+    oct_leq,
+    to_finite_lattice,
     verify_irreducibility,
 )
 
@@ -30,17 +32,35 @@ def test_export_c1_is_the_builtin_spec():
     assert specfile.load(emitted, exported.name).extra_axioms == exported.extra_axioms
 
 
-@pytest.mark.parametrize("window_c, pairs", [(1, 36), (2, 136), (3, 300)])
-def test_meet_feasible_agrees_with_grid(window_c, pairs):
-    # independent oracle: brute-force nonemptiness on the grid [-4C, 4C]^2
+@pytest.mark.parametrize("window_c, pairs", [(1, 36), (2, 136), (3, 300), (4, 528)])
+def test_disjoint_agrees_with_grid(window_c, pairs):
+    # independent oracle: brute-force emptiness on the grid [-4C, 4C]^2
     grid = range(-4 * window_c, 4 * window_c + 1)
-    preds = OctLattice.build(window_c).predicates
+    lat = OctLattice.build(window_c)
     checked = 0
-    for p, q in combinations_with_replacement(preds, 2):
-        brute = any(p.holds(x, y) and q.holds(x, y) for x in grid for y in grid)
-        assert meet_feasible(OctRegion.from_predicates((p, q))) == brute, (p.name, q.name)
+    brute_pairs = []
+    for p, q in combinations_with_replacement(lat.predicates, 2):
+        brute = not any(p.holds(x, y) and q.holds(x, y) for x in grid for y in grid)
+        assert disjoint(p, q) == brute, (p.name, q.name)
+        if brute and p != q:
+            brute_pairs.append((p, q))
         checked += 1
     assert checked == pairs
+    assert infeasible_pairs(lat) == brute_pairs
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3, 4])
+def test_finite_lattice_order_is_oct_leq(window_c):
+    # the order is built by closing oct_leq, so oct_leq must be transitive
+    lat = OctLattice.build(window_c)
+    finite = to_finite_lattice(lat)
+    assert all(finite.leq(a, b) == oct_leq(lat, a, b)
+               for a in lat.carrier for b in lat.carrier)
+    # the emitted spec, read back through the covering-edge path, agrees
+    loaded = specfile.load(specfile.emit(export_abstraction(lat, 4 * window_c))).lattice
+    assert loaded.elements == finite.elements
+    assert (loaded._leq, loaded._meet, loaded._join) == (
+        finite._leq, finite._meet, finite._join)
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3])

@@ -30,6 +30,8 @@ from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 # products of ``cartesian`` have their own, smaller MAX_PRODUCT_POINTS
 MAX_WINDOW_POINTS = 100_000
 
+_new = object.__new__  # a set operation's result, built without __init__
+
 
 class ConcreteUniverse:
     """Finite ordered point set (atoms, or an integer window of some dimension)."""
@@ -143,7 +145,7 @@ class ConcreteSet:
         """The result of a set operation on this set's universe.  Its
         members come from sets that were checked when they were built, so
         they cannot leave the universe and are not checked again."""
-        out = object.__new__(ConcreteSet)
+        out = _new(ConcreteSet)
         fields = out.__dict__  # the frozen fields, written without __setattr__
         fields["universe"] = self.universe
         fields["members"] = members
@@ -155,8 +157,16 @@ class ConcreteSet:
         return self._derive(self.members | other.members)
 
     def __and__(self, other: "ConcreteSet") -> "ConcreteSet":
-        self._check(other)
-        return self._derive(self.members & other.members)
+        # _check and _derive written out: every Rectangle.meet of the
+        # exhaustive Cartesian checks takes one per axis
+        uni = self.universe
+        if uni is not other.universe:
+            self._check(other)
+        out = _new(ConcreteSet)
+        fields = out.__dict__
+        fields["universe"] = uni
+        fields["members"] = self.members & other.members
+        return out
 
     def __invert__(self) -> "ConcreteSet":
         return self._derive(self.universe.point_set - self.members)
@@ -169,7 +179,9 @@ class ConcreteSet:
         return len(self.members)
 
     def sorted_points(self) -> list:
-        return sorted(self.members, key=lambda p: (str(type(p)), p))
+        """The members in point order; a universe's points all have one type
+        (names, ints or int tuples), so the points compare directly."""
+        return sorted(self.members)
 
 
 class PointMasks:

@@ -43,7 +43,8 @@ def _sgn(v: int) -> str:
 
 @dataclass(frozen=True, order=True)
 class OctPredicate:
-    """The constraint  sx*x + sy*y >= c  with sx, sy in {+1, -1}."""
+    """The constraint  sx*x + sy*y >= c  with sx, sy in {+1, -1};
+    :func:`grid_gamma` evaluates it on the grid."""
 
     sx: int
     sy: int
@@ -52,9 +53,6 @@ class OctPredicate:
     @property
     def name(self) -> str:
         return f"p:{_sgn(self.sx)}x{_sgn(self.sy)}y>={self.c}"
-
-    def holds(self, x: int, y: int) -> bool:
-        return self.sx * x + self.sy * y >= self.c
 
 
 def window_constants(window_c: int) -> range:
@@ -130,14 +128,16 @@ def grid_universe(grid_n: int) -> ConcreteUniverse:
 
 def grid_gamma(lat: OctLattice, element: OctPredicate | str,
                grid: ConcreteUniverse) -> frozenset:
-    """The points of a grid universe where an element holds."""
+    """The points of a grid universe where an element holds; a predicate
+    holds where sx*x + sy*y >= c."""
     pts = grid.point_set
     if element == "top":
         return pts
     if element == "bot":
         return frozenset()
     p = lat.by_name(element) if isinstance(element, str) else element
-    return frozenset((x, y) for (x, y) in pts if p.holds(x, y))
+    sx, sy, c = p.sx, p.sy, p.c
+    return frozenset([(x, y) for (x, y) in pts if sx * x + sy * y >= c])
 
 
 def infeasible_pairs(lat: OctLattice) -> list[tuple[OctPredicate, OctPredicate]]:

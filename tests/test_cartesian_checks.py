@@ -1,11 +1,14 @@
 """The Cartesian checks catch planted faults, compute each rectangle's
-image once, and refuse exactly the windows their message names.
+image once, call what they check once per pair or region, and refuse
+exactly the windows their message names.
 
 A planted fault makes ``iota``, ``Rectangle.meet`` or
-``rectangle_closure`` wrong on the rectangles whose first axis is {1, 2}.
-The expected verdicts were recorded with the checks that evaluated
-``iota`` once per pair; a check that only reuses images must reach the
-same ``ok``, ``checked`` and witness.
+``rectangle_closure`` wrong on the rectangles whose first axis is {1, 2},
+or ``Rectangle.componentwise_leq`` wrong when the other rectangle's first
+axis is {1, 2}.  The expected verdicts were recorded with the checks that
+evaluated ``iota`` once per pair and compared frozensets, and, for the
+order fault, ``componentwise_leq`` once per pair; a check that only reuses
+images and order rows must reach the same ``ok``, ``checked`` and witness.
 """
 
 import pytest
@@ -24,6 +27,7 @@ FAULTY_AXIS = frozenset({1, 2})
 
 iota = cartesian.iota
 meet = Rectangle.meet
+componentwise_leq = Rectangle.componentwise_leq
 rectangle_closure = cartesian.rectangle_closure
 
 
@@ -53,10 +57,15 @@ def closure_narrows(r):
     return _narrowed(c) if _hit(c) else c
 
 
+def leq_flips(self, other):
+    return componentwise_leq(self, other) != _hit(other)
+
+
 FAULTS = {
     "iota": (cartesian, "iota", iota_drops_a_point),
     "meet": (Rectangle, "meet", meet_narrows),
     "closure": (cartesian, "rectangle_closure", closure_narrows),
+    "leq": (Rectangle, "componentwise_leq", leq_flips),
 }
 
 CHECKS = {
@@ -83,6 +92,13 @@ EXPECTED = {
         (False, 4626, ([(1, 0), (2, 0)], ([1], [0]))),
     ("closure", "meets-sampled"): (True, 2000, None),
     ("closure", "galois-sampled"): (True, 2000, None),
+    ("leq", "meets-exhaustive"): (True, 65536, None),
+    ("leq", "galois-exhaustive"): (False, 49, ([], ([1, 2], []))),
+    ("leq", "meets-sampled"): (True, 2000, None),
+    ("leq", "galois-sampled"):
+        (False, 3, ([(0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 2), (0, 2, 2),
+                     (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 2),
+                     (2, 1, 0), (2, 1, 1), (2, 2, 0)], ([1, 2], [2], []))),
 }
 
 
@@ -107,19 +123,21 @@ def test_planted_fault_verdict(monkeypatch, fault, check):
     assert res.note == ""
 
 
-def _count_iota(monkeypatch) -> list:
+def _count(monkeypatch, owner, name: str) -> list:
+    """Record the first argument of every call to ``owner.name``."""
     calls = []
+    wrapped = getattr(owner, name)
 
-    def counting(rect, target):
-        calls.append(rect)
-        return iota(rect, target)
+    def counting(first, *rest):
+        calls.append(first)
+        return wrapped(first, *rest)
 
-    monkeypatch.setattr(cartesian, "iota", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 def test_meet_check_maps_each_rectangle_once(monkeypatch):
-    calls = _count_iota(monkeypatch)
+    calls = _count(monkeypatch, cartesian, "iota")
     res = check_iota_preserves_meets(((0, 3), (0, 3)))
     assert res.ok and res.checked == 256 * 256
     # every meet of two rectangles is one of the 256, so none is missing
@@ -127,10 +145,28 @@ def test_meet_check_maps_each_rectangle_once(monkeypatch):
 
 
 def test_galois_check_maps_each_rectangle_once(monkeypatch):
-    calls = _count_iota(monkeypatch)
+    calls = _count(monkeypatch, cartesian, "iota")
     res = check_galois(((0, 2), (0, 2)))
     assert res.ok and res.checked == 512 * 64
     assert len(calls) == 64
+
+
+def test_meet_check_meets_every_pair(monkeypatch):
+    calls = _count(monkeypatch, Rectangle, "meet")
+    res = check_iota_preserves_meets(((0, 3), (0, 3)))
+    assert res.ok and len(calls) == res.checked == 65536
+
+
+def test_galois_check_closes_every_region(monkeypatch):
+    calls = _count(monkeypatch, cartesian, "rectangle_closure")
+    res = check_galois(((0, 2), (0, 2)))
+    assert res.ok and len(calls) == 512
+    assert len({r.members for r in calls}) == 512
+
+
+def test_galois_check_runs_with_its_defaults():
+    res = check_galois()
+    assert res.ok and res.checked == 512 * 64
 
 
 def test_meet_missing_from_the_table_is_mapped(monkeypatch):
@@ -142,7 +178,7 @@ def test_meet_missing_from_the_table_is_mapped(monkeypatch):
             return Rectangle(m.axes + m.axes[:1])
         return m
 
-    calls = _count_iota(monkeypatch)
+    calls = _count(monkeypatch, cartesian, "iota")
     monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
     with pytest.raises(InvalidConcretization, match="not in the universe"):
         check_iota_preserves_meets(((0, 1), (0, 1)))

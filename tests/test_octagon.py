@@ -14,6 +14,8 @@ from abslog.octagon import (
     degenerate_model_check,
     disjoint,
     export_abstraction,
+    grid_gamma,
+    grid_universe,
     hemisphere_negation,
     infeasible_pairs,
     oct_leq,
@@ -22,6 +24,11 @@ from abslog.octagon import (
 )
 
 from conftest import SPECS
+
+
+def holds(p: OctPredicate, x: int, y: int) -> bool:
+    """The oracle's half-plane test: sx*x + sy*y >= c."""
+    return p.sx * x + p.sy * y >= p.c
 
 
 def test_export_c1_is_the_builtin_spec():
@@ -40,13 +47,27 @@ def test_disjoint_agrees_with_grid(window_c, pairs):
     checked = 0
     brute_pairs = []
     for p, q in combinations_with_replacement(lat.predicates, 2):
-        brute = not any(p.holds(x, y) and q.holds(x, y) for x in grid for y in grid)
+        brute = not any(holds(p, x, y) and holds(q, x, y) for x in grid for y in grid)
         assert disjoint(p, q) == brute, (p.name, q.name)
         if brute and p != q:
             brute_pairs.append((p, q))
         checked += 1
     assert checked == pairs
     assert infeasible_pairs(lat) == brute_pairs
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3, 4])
+def test_grid_gamma_is_the_inequality_filter(window_c):
+    lat = OctLattice.build(window_c)
+    n = 4 * window_c
+    grid = grid_universe(n)
+    points = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
+    assert grid_gamma(lat, "top", grid) == frozenset(points)
+    assert grid_gamma(lat, "bot", grid) == frozenset()
+    for p in lat.predicates:
+        brute = frozenset(pt for pt in points if holds(p, *pt))
+        assert grid_gamma(lat, p.name, grid) == brute, p.name
+        assert grid_gamma(lat, p, grid) == brute, p.name
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3, 4])

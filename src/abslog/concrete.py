@@ -6,8 +6,8 @@ windows with dim >= 2 have integer-tuple points.  Concrete sets are plain
 frozensets over those points; the connective-preservation analysis,
 order-embedding check and left-adjoint construction all reduce to
 exhaustive set comparisons at this scale.  :class:`PointMasks` holds
-concrete sets as int masks instead, for the soundness replays, which
-evaluate many formulas over one universe.
+concrete sets as int masks instead, for the soundness check of a system's
+axioms, which evaluates many formulas over one universe.
 """
 
 from __future__ import annotations
@@ -188,13 +188,11 @@ class PointMasks:
     """Concrete sets as int masks over a universe's points: bit j stands for
     the j-th point.  It offers the ``full()`` and ``empty()`` that the
     registry's concrete operations read, so those operations compute masks
-    unchanged.  Each formula's mask is kept by object identity; an entry
-    holds its formula, so the identity is not reused while the entry lives."""
+    unchanged."""
 
     def __init__(self, n_points: int, pred_masks: dict[str, int]):
         self._full = (1 << n_points) - 1
         self._preds = pred_masks
-        self._memo: dict[int, tuple[Formula, int]] = {}
 
     def full(self) -> int:
         return self._full
@@ -203,21 +201,15 @@ class PointMasks:
         return 0
 
     def mask(self, f: Formula) -> int:
-        hit = self._memo.get(id(f))
-        if hit is not None:
-            return hit[1]
         if isinstance(f, Pred):
-            m = self._preds[f.name]
-        elif isinstance(f, Bin):
-            m = connective(f.op).concrete(self, self.mask(f.lhs), self.mask(f.rhs))
-        elif isinstance(f, Not):
-            m = connective(f.op).concrete(self, self.mask(f.arg))
-        elif isinstance(f, Const):
-            m = connective(f.op).concrete(self)
-        else:
-            raise UnknownSymbol(f"cannot evaluate {f!r}")
-        self._memo[id(f)] = (f, m)
-        return m
+            return self._preds[f.name]
+        if isinstance(f, Bin):
+            return connective(f.op).concrete(self, self.mask(f.lhs), self.mask(f.rhs))
+        if isinstance(f, Not):
+            return connective(f.op).concrete(self, self.mask(f.arg))
+        if isinstance(f, Const):
+            return connective(f.op).concrete(self)
+        raise UnknownSymbol(f"cannot evaluate {f!r}")
 
     def holds(self, s: Sequent) -> bool:
         """:func:`~abslog.proofengine.holds_concrete` on masks: no point is

@@ -11,8 +11,9 @@ a record up by name; none spells them out again.
 The concrete operations are written with the set operators ``&``, ``|``
 and ``~`` and the universe's ``full()`` and ``empty()``, so one definition
 serves both representations of a concrete set: a
-:class:`~abslog.concrete.ConcreteSet`, and the int point masks that the
-soundness replays are checked on (bit j stands for the j-th point).
+:class:`~abslog.concrete.ConcreteSet`, and the int point masks that a
+system's axioms are checked on for soundness (bit j stands for the j-th
+point).
 
 Abstract tables are nested index tuples of depth ``arity``: an int for a
 constant, one row for a unary connective, a matrix for a binary one.

@@ -133,7 +133,7 @@ def test_models_and_answers_equal_the_reference(name):
     for g, d in _masks(n, random.Random(f"model-engine-{name}")):
         assert model.derivable_masks(g, d) == ref.derivable_masks(g, d), (name, g, d)
     # every point's valuation is a model: the system is sound
-    assert verify_soundness(abs_, ps, max_predicates=n, replays=0).ok
+    assert verify_soundness(abs_, ps, max_predicates=n).ok
 
 
 @pytest.fixture
@@ -231,7 +231,7 @@ def test_intersection_closed_families_verify(case):
     abs_ = Abstraction("family", lat, gamma)
     ps = system(abs_)
     n = len(family)
-    assert verify_soundness(abs_, ps, max_predicates=n, replays=20).ok
+    assert verify_soundness(abs_, ps, max_predicates=n).ok
     assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
     assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok
 

@@ -308,7 +308,7 @@ def test_noninjective_lindenbaum_recorded():
 def test_soundness_builtins(builtins):
     for abs_ in builtins.values():
         ps = system(abs_)
-        res = verify_soundness(abs_, ps, replays=120)
+        res = verify_soundness(abs_, ps)
         assert res.ok, (abs_.name, render_sequent(res.counterexample))
         # every model of the system, and every point's valuation, checked
         assert res.generators_checked == len(engine_for(ps).models)
@@ -330,7 +330,7 @@ def test_corrupted_system_caught(parity, parity_ps):
     bad_axiom = Rule(KIND_OPERATION, "corrupt", parse_sequent("top(x) |- bot(x)"))
     corrupted = ProofSystem(parity_ps.signature, parity_ps.rules + (bad_axiom,),
                             parity_ps.source, parity_ps.abstraction)
-    res = verify_soundness(parity, corrupted, replays=0)
+    res = verify_soundness(parity, corrupted)
     assert not res.ok
     assert res.counterexample is not None
     assert not holds_concrete(parity, res.counterexample)

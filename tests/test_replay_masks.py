@@ -1,16 +1,14 @@
-"""The soundness replays are checked on point masks, through the registry.
+"""A system's axioms are checked on point masks, through the registry.
 
-The mask check must equal the naive ``holds_concrete`` on seeded replays,
-true and false verdicts both; every registry operation must compute the
-same set on ``ConcreteSet`` members and on masks; ``verify_soundness`` on a
-sound system builds no ``ConcreteSet`` and catches a wrong concrete operation
-in a replay; the replays' picker draws what ``random.Random.choice`` draws;
-and the replay draw stream is pinned by digests, so neither the masks nor the
-picker leave it changed.
+The mask check must equal the naive ``holds_concrete`` on every axiom and on
+each axiom with a random succedent, true and false verdicts both; every
+registry operation must compute the same set on ``ConcreteSet`` members and
+on masks; ``verify_soundness`` on a sound system builds no ``ConcreteSet``,
+checks every axiom, the last one included, and catches a wrong concrete
+operation at the first axiom that it breaks.
 """
 
 import dataclasses
-import hashlib
 import random
 from itertools import combinations, product
 
@@ -19,20 +17,18 @@ import pytest
 from abslog import connectives
 from abslog.concrete import ConcreteSet, ConcreteUniverse, PointMasks
 from abslog.connectives import CONNECTIVES
-from abslog.proofengine import (
-    engine_for,
-    holds_concrete,
-    replay_conclusions,
-    verify_soundness,
-)
-from abslog.replay import picker
+from abslog.logicgen import KIND_OPERATION, ProofSystem, Rule
+from abslog.proofengine import engine_for, holds_concrete, verify_soundness
 from abslog.syntax import Const, Pred, Sequent, render_sequent
 
 from conftest import BUILTIN_NAMES, load_builtin
 from test_model_engine import _abstraction, system
 
 SCALING = ("chain-20", "octagon-c2", "octagon-c3", "boolean-3", "parity-x-parity")
-REPLAYS = 2000
+
+
+def axioms(ps):
+    return [r.axiom for r in ps.rules if r.axiom is not None]
 
 
 def point_masks(abs_) -> PointMasks:
@@ -51,10 +47,10 @@ def test_mask_check_equals_holds_concrete(name):
     conns = ps.signature.connectives
     atoms = [Pred(p) for p in ps.signature.predicates]
     atoms += [Const(c) for c in ("tt", "ff") if c in conns]
-    rng = random.Random(f"replay-masks-{name}")
+    rng = random.Random(f"axiom-masks-{name}")
     verdicts = set()
-    for s in replay_conclusions(ps, REPLAYS, rng.randrange(1 << 31)):
-        # the conclusion, then the same antecedent against one random atom
+    for s in axioms(ps):
+        # the axiom, then the same antecedent against one random atom
         for t in (s, Sequent(s.ante, (rng.choice(atoms),))):
             expected = holds_concrete(abs_, t)
             assert masks.holds(t) == expected, (name, render_sequent(t))
@@ -109,71 +105,44 @@ def test_soundness_builds_no_concrete_set(monkeypatch):
 
     monkeypatch.setattr(ConcreteSet, "__post_init__", counting)
     res = verify_soundness(abs_, ps)
-    assert res.ok and res.replays_checked == 500
+    assert res.ok and res.replays_checked == len(axioms(ps))
     assert built == []
 
 
 def test_every_replay_is_checked(builtins):
     for name, abs_ in builtins.items():
-        res = verify_soundness(abs_, system(abs_), replays=137, rng_seed=3)
-        assert res.ok and res.replays_checked == 137, name
+        ps = system(abs_)
+        res = verify_soundness(abs_, ps, rng_seed=3)
+        assert res.ok and res.replays_checked == len(axioms(ps)), name
 
 
-# the replay conclusions on the builtins at the default seed, pinned so that a
-# change to the check cannot change what is drawn
-REPLAY_DIGEST = "31a82c55804f9a1d"
-
-
-def test_replay_draw_stream_is_pinned(builtins):
-    h = hashlib.sha256()
-    for name in BUILTIN_NAMES:
-        for s in replay_conclusions(system(builtins[name]), 500, 20240811):
-            h.update(render_sequent(s).encode() + b"\n")
-    assert h.hexdigest()[:16] == REPLAY_DIGEST
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_false_last_axiom_is_caught(name):
+    # the corrupted system keeps the sound system's engine, so every point's
+    # valuation passes and only the axiom pass, run to its end, sees the fault
+    abs_ = load_builtin(name)
+    ps = system(abs_)
+    last = max(i for i, r in enumerate(ps.rules) if r.axiom is not None)
+    lat = abs_.lattice
+    false = Sequent((Pred(lat.top),), (Pred(lat.bottom),))  # top |- bottom
+    rules = list(ps.rules)
+    rules[last] = Rule(KIND_OPERATION, "false", false)
+    corrupted = ProofSystem(ps.signature, tuple(rules), ps.source, abs_)
+    corrupted._engine = engine_for(ps)
+    res = verify_soundness(abs_, corrupted)
+    assert (res.ok, res.counterexample) == (False, false), name
+    assert res.cells_checked == len(abs_.universe), name
+    assert res.replays_checked == len(axioms(ps)), name
 
 
 def test_a_replay_catches_a_wrong_concrete_operation(monkeypatch):
-    # the point check reads gamma alone, so with "and" read as union only a
-    # replay whose conclusion holds a conjunction can find the fault
+    # the point check reads gamma alone, so with "and" read as union only an
+    # axiom that holds a conjunction can show the fault
     abs_ = load_builtin("interval")
     ps = system(abs_)
     engine_for(ps)
     wrong = dataclasses.replace(CONNECTIVES["and"], concrete=lambda u, x, y: x | y)
     monkeypatch.setitem(connectives.CONNECTIVES, "and", wrong)
-    res = verify_soundness(abs_, ps, rng_seed=7)
-    assert (res.ok, res.cells_checked, res.replays_checked) == (False, 3, 4)
-    assert render_sequent(res.counterexample) == "[1..1](x) & [-1..0](x) |- bot(x)"
-
-
-# the replay conclusions on the scaling families at two seeds, pinned as
-# REPLAY_DIGEST is, over larger signatures and octagon axioms
-SCALING_REPLAY_DIGEST = "e3667502bea7d3dd"
-
-
-def test_replay_draw_stream_is_pinned_on_the_scaling_families():
-    h = hashlib.sha256()
-    for name in SCALING:
-        ps = system(_abstraction(name))
-        for seed in (1, 20240811):
-            for s in replay_conclusions(ps, 500, seed):
-                h.update(render_sequent(s).encode() + b"\n")
-    assert h.hexdigest()[:16] == SCALING_REPLAY_DIGEST
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 20240811])
-def test_picker_draws_what_choice_draws(seed):
-    # lengths 1-70 take in the powers of two, where choice draws again most
-    # often; random() calls in between must stay in step as well
-    by_choice, by_picker = random.Random(seed), random.Random(seed)
-    pick = picker(by_picker)
-    for _ in range(3):
-        for n in range(1, 71):
-            seq = tuple(f"item{i}" for i in range(n))
-            assert pick(seq) == by_choice.choice(seq), n
-            if n % 3 == 0:
-                assert by_picker.random() == by_choice.random(), n
-    assert by_picker.getstate() == by_choice.getstate()
-    with pytest.raises(IndexError):
-        pick(())
-    with pytest.raises(IndexError):
-        by_choice.choice(())
+    res = verify_soundness(abs_, ps)
+    assert (res.ok, res.cells_checked, res.replays_checked) == (False, 3, 3)
+    assert render_sequent(res.counterexample) == "bot(x) & [-1..-1](x) |- bot(x)"

@@ -22,7 +22,7 @@ from itertools import product as iproduct
 
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import CarrierTooLarge, InvalidConcretization
-from .lattice import FiniteLattice
+from .lattice import build_lattice, hasse_edges
 
 ELEMENT_SEP = "*"
 MAX_PRODUCT_CARRIER = 4096   # largest product lattice built
@@ -129,23 +129,15 @@ def product(components) -> ProductAbstraction:
         raise CarrierTooLarge(f"tuple universe {points} exceeds {MAX_PRODUCT_POINTS}")
     uni = ConcreteUniverse.window(lo, hi, dim=len(components))
 
+    # the componentwise order is generated by its covers: one component
+    # steps up one cover while the others stay put
     lattices = [c.lattice for c in components]
     tuples = list(iproduct(*(l.elements for l in lattices)))
+    covers = [(ELEMENT_SEP.join(t), ELEMENT_SEP.join((*t[:k], b, *t[k + 1:])))
+              for k, l in enumerate(lattices) for a, b in hasse_edges(l)
+              for t in tuples if t[k] == a]
     names = [ELEMENT_SEP.join(t) for t in tuples]
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-
-    def cw_leq(s, t):
-        return all(l.leq(a, b) for l, a, b in zip(lattices, s, t))
-
-    leq = [[cw_leq(s, t) for t in tuples] for s in tuples]
-    meet_idx = [[index[tuple(l.meet(a, b) for l, a, b in zip(lattices, s, t))]
-                 for t in tuples] for s in tuples]
-    join_idx = [[index[tuple(l.join(a, b) for l, a, b in zip(lattices, s, t))]
-                 for t in tuples] for s in tuples]
-    top = ELEMENT_SEP.join(l.top for l in lattices)
-    bottom = ELEMENT_SEP.join(l.bottom for l in lattices)
-    lattice = FiniteLattice(names, leq, meet_idx, join_idx, top, bottom)
+    lattice = build_lattice(names, covers)
 
     table = {}
     for t, nm in zip(tuples, names):

@@ -18,6 +18,9 @@ point).
 Abstract tables are nested index tuples of depth ``arity``: an int for a
 constant, one row for a unary connective, a matrix for a binary one.
 :meth:`FiniteLattice.table` builds a table on first use and caches it.
+The Heyting and co-Heyting tables are read off the lattice's order
+bitmasks and join-irreducibles by :meth:`FiniteLattice.residual_table`;
+the formula is in the :mod:`abslog.lattice` docstring.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import NotDistributive, UnknownSymbol
+from .errors import UnknownSymbol
 
 # rule schemas: rule name -> (premise displays, conclusion display); `G`/`D`
 # are context metavariables, `?phi`/`?psi` formula metavariables
@@ -65,48 +68,6 @@ def _negation(lat):
     return tuple(lat.index[neg.table[e]] for e in lat.elements)
 
 
-def _residual(n, leq, meet, join, start):
-    """t[a][b] = the join of every c with meet(a, c) <= b.
-
-    In a finite distributive lattice that join is itself such a c, and
-    ``start``, the least element of the given order, always is one."""
-    rows = []
-    for a in range(n):
-        ma = meet[a]
-        row = []
-        for b in range(n):
-            best = start
-            for c in range(n):
-                if leq[ma[c]][b]:
-                    best = join[best][c]
-            row.append(best)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _distributive(lat) -> None:
-    if not lat.is_distributive():
-        raise NotDistributive("lattice not distributive")
-
-
-def _heyting(lat):
-    """Relative pseudo-complement: the greatest c with a /\\ c <= b."""
-    _distributive(lat)
-    return _residual(len(lat), lat._leq, lat._meet, lat._join,
-                     lat.index[lat.bottom])
-
-
-def _co_heyting(lat):
-    """Dual relative pseudo-complement: the least c with a <= b \\/ c.
-
-    That is the relative pseudo-complement of b and a in the dual order,
-    hence the transposed table of the dual residual."""
-    _distributive(lat)
-    dual_leq = tuple(zip(*lat._leq))
-    return tuple(zip(*_residual(len(lat), dual_leq, lat._join, lat._meet,
-                                lat.index[lat.top])))
-
-
 _CONNECTIVES = (
     Connective(
         "tt", 0, "tt", "tt", ATOM_PREC, "full",
@@ -140,13 +101,13 @@ _CONNECTIVES = (
                    "intro.not.def.r": ((), "?phi -> ff |- ~?phi")}),
     Connective(
         "impl", 2, "->", r"\rightarrow ", 0, "implication",
-        lambda u, x, y: (u.full() & ~x) | y, _heyting,
+        lambda u, x, y: (u.full() & ~x) | y, lambda lat: lat.residual_table(co=False),
         {"intro.impl.l": (("G |- D, ?phi", "G', ?psi |- D'"),
                           "G, G', ?phi -> ?psi |- D, D'"),
          "intro.impl.r": (("G, ?phi |- ?psi",), "G |- D, ?phi -> ?psi")}),
     Connective(
         "coimpl", 2, "<-", r"\leftarrow ", 0, "coimplication",
-        lambda u, x, y: x & ~y, _co_heyting,
+        lambda u, x, y: x & ~y, lambda lat: lat.residual_table(co=True),
         {"intro.coimpl.l": (("?phi |- D, ?psi",), "?phi <- ?psi |- D"),
          "intro.coimpl.r": (("G |- D, ?phi", "G', ?psi |- D'"),
                             "G, G' |- D, D', ?phi <- ?psi")}),

@@ -1,27 +1,50 @@
-"""Finite lattices with fully materialized meet/join tables.
+"""Finite lattices, with the order kept as down-set and up-set bitmasks.
 
-Carriers are small (desk scale), so the order, meet and join tables are
-computed eagerly at construction and validated: the order must be a
-partial order, every pair of elements must have a unique glb and lub, and
-a top and bottom must exist.  The other connectives' tables are built on
-first use from the registry in :mod:`abslog.connectives` and cached.
-Every operation is pure and the caches only ever gain the same values.
+Carriers are small (desk scale).  The order is stored once, as two int
+masks per element: bit m of ``_down[k]`` is set iff m <= k, and bit m of
+``_up[k]`` iff k <= m.  The meet and join tables are computed eagerly at
+construction and validated: the order must be a partial order, every pair
+of elements must have a unique glb and lub, and a top and bottom must
+exist.  The other connectives' tables are built on first use from the
+registry in :mod:`abslog.connectives` and cached.  Every operation is
+pure and the caches only ever gain the same values.
+
+Every other fact is read off the masks and the join-irreducibles J,
+computed once (Davey & Priestley, *Introduction to Lattices and Order*,
+ch. 8 and 10).  a != bottom is join-irreducible iff its strict down-set
+``_down[a] & ~(1 << a)`` is some element's down-set; meet-irreducibility
+is the dual.  Write jd[a] = ``_down[a]`` & J, which determines a.  The
+lattice is distributive iff every j in J is join-prime, that is
+jd[a \\/ b] == jd[a] | jd[b] for all a, b; then, with S = jd[a] & ~jd[b],
+
+    J(a -> b) = J minus the up-closure of S in J,
+    J(a <- b) = the down-closure of S in J,
+
+each of which is jd of exactly one element (Birkhoff).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .connectives import connective
 from .errors import (
     CarrierTooLarge,
     NotALattice,
     NotAPartialOrder,
+    NotDistributive,
     UnknownElement,
 )
 
 INVOLUTION_LIMIT = 12  # largest carrier whose involutions are enumerated
+
+
+def bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -38,18 +61,23 @@ class FiniteLattice:
     The carrier keeps declaration order (used for deterministic iteration
     and rendering).  ``unary_ops`` holds user-declared operation tables;
     a table named ``negation`` is the one the logic pipeline treats as the
-    abstract negation candidate.
+    abstract negation candidate.  Built by :func:`build_lattice`.
     """
 
-    def __init__(self, elements, leq, meet_idx, join_idx, top, bottom,
-                 unary_ops=None):
+    def __init__(self, elements, down, up, meet_idx, join_idx, unary_ops=None):
         self.elements: tuple[str, ...] = tuple(elements)
         self.index: dict[str, int] = {e: i for i, e in enumerate(self.elements)}
-        self._leq: tuple[tuple[bool, ...], ...] = tuple(tuple(row) for row in leq)
+        self._down: tuple[int, ...] = tuple(down)
+        self._up: tuple[int, ...] = tuple(up)
         self._meet: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in meet_idx)
         self._join: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in join_idx)
-        self.top: str = top
-        self.bottom: str = bottom
+        full = (1 << len(self.elements)) - 1
+        self.top: str = self.elements[self._down.index(full)]
+        self.bottom: str = self.elements[self._up.index(full)]
+        downs, ups = set(self._down), set(self._up)
+        self._ji = sum(1 << a for a, d in enumerate(self._down) if d & ~(1 << a) in downs)
+        self._mi = sum(1 << a for a, u in enumerate(self._up) if u & ~(1 << a) in ups)
+        self._jd = tuple(d & self._ji for d in self._down)
         self.unary_ops: dict[str, UnaryOpTable] = dict(unary_ops or {})
         self._distributive: bool | None = None
         self._tables: dict[str, object] = {}
@@ -77,7 +105,7 @@ class FiniteLattice:
             raise UnknownElement(f"unknown element {name!r}") from None
 
     def leq(self, a: str, b: str) -> bool:
-        return self._leq[self._i(a)][self._i(b)]
+        return bool(self._up[self._i(a)] >> self._i(b) & 1)
 
     def meet(self, a: str, b: str) -> str:
         return self.elements[self._meet[self._i(a)][self._i(b)]]
@@ -86,13 +114,33 @@ class FiniteLattice:
         return self.elements[self._join[self._i(a)][self._i(b)]]
 
     def is_distributive(self) -> bool:
-        """Exhaustive check of a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)."""
+        """Every join-irreducible is join-prime: jd[a \\/ b] == jd[a] | jd[b]."""
         if self._distributive is None:
-            meet, join = self._meet, self._join
-            self._distributive = all(
-                meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-                for a, b, c in iproduct(range(len(self)), repeat=3))
+            jd = self._jd
+            self._distributive = all(jd[j] == ja | jb for ja, row in zip(jd, self._join)
+                                     for jb, j in zip(jd, row))
         return self._distributive
+
+    def residual_table(self, co: bool):
+        """The Heyting table (a -> b, the greatest c with a /\\ c <= b) or,
+        with ``co``, the co-Heyting table (a <- b, the least c with
+        a <= b \\/ c), read off J as in the module docstring.  Raises
+        :class:`NotDistributive` where neither exists."""
+        if not self.is_distributive():
+            raise NotDistributive("lattice not distributive")
+        ji, jd = self._ji, self._jd
+        by_jd = {d: k for k, d in enumerate(jd)}
+        closure = jd if co else [u & ji for u in self._up]
+        rows = []
+        for da in jd:
+            row = []
+            for db in jd:
+                s = 0
+                for k in bits(da & ~db):
+                    s |= closure[k]
+                row.append(by_jd[s if co else ji ^ s])
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def table(self, name: str):
         """Index table of a connective's abstract operation, built on first
@@ -105,12 +153,8 @@ class FiniteLattice:
 
     def order_pairs(self) -> list[tuple[str, str]]:
         """All pairs (a, b) with a <= b, in declaration order."""
-        out = []
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if self._leq[i][j]:
-                    out.append((a, b))
-        return out
+        e = self.elements
+        return [(e[i], e[j]) for i, u in enumerate(self._up) for j in bits(u)]
 
 
 def build_lattice(elements, order_pairs, unary_ops=None) -> FiniteLattice:
@@ -128,37 +172,37 @@ def build_lattice(elements, order_pairs, unary_ops=None) -> FiniteLattice:
         raise NotALattice(f"duplicate element name {dup!r}")
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        leq[i][i] = True
+    up = [1 << i for i in range(n)]
     for a, b in order_pairs:
         if a not in index:
             raise UnknownElement(f"unknown element {a!r} in order pair")
         if b not in index:
             raise UnknownElement(f"unknown element {b!r} in order pair")
-        leq[index[a]][index[b]] = True
+        up[index[a]] |= 1 << index[b]
 
-    # Warshall closure over the declared pairs.
+    # Warshall closure on the up-set rows: what is above k is above
+    # everything below k.
     for k in range(n):
-        lk = leq[k]
+        uk = up[k]
         for i in range(n):
-            if leq[i][k]:
-                li = leq[i]
-                for j in range(n):
-                    if lk[j]:
-                        li[j] = True
+            if up[i] >> k & 1:
+                up[i] |= uk
+    down = [0] * n
+    for i, u in enumerate(up):
+        for j in bits(u):
+            down[j] |= 1 << i
 
+    # a cycle through i and some j < i was already reported on row j, so
+    # the lowest bit names i's lowest partner
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(
-                    f"antisymmetry violated on ({elements[i]!r}, {elements[j]!r})")
+        cycle = up[i] & down[i] & ~(1 << i)
+        if cycle:
+            j = next(bits(cycle))
+            raise NotAPartialOrder(
+                f"antisymmetry violated on ({elements[i]!r}, {elements[j]!r})")
 
-    # down[k] is the bitmask of the elements below k, up[k] of those above.
     # The glb of i and j is the element whose down-set is down[i] & down[j]
     # (antisymmetry makes down-sets distinct); the lub is the dual.
-    down = [sum(1 << m for m in range(n) if leq[m][k]) for k in range(n)]
-    up = [sum(1 << m for m in range(n) if leq[k][m]) for k in range(n)]
     by_down = {d: k for k, d in enumerate(down)}
     by_up = {u: k for k, u in enumerate(up)}
     meet_idx = [[0] * n for _ in range(n)]
@@ -178,15 +222,7 @@ def build_lattice(elements, order_pairs, unary_ops=None) -> FiniteLattice:
             meet_idx[i][j] = meet_idx[j][i] = glb
             join_idx[i][j] = join_idx[j][i] = lub
 
-    bot = 0
-    top = 0
-    for i in range(1, n):
-        bot = meet_idx[bot][i]
-        top = join_idx[top][i]
-
-    return FiniteLattice(elements, leq, meet_idx, join_idx,
-                         elements[top], elements[bot],
-                         unary_ops=unary_ops)
+    return FiniteLattice(elements, down, up, meet_idx, join_idx, unary_ops=unary_ops)
 
 
 def heyting_implication(lattice: FiniteLattice, a: str, b: str) -> str:
@@ -200,46 +236,21 @@ def co_implication(lattice: FiniteLattice, a: str, b: str) -> str:
 
 
 def is_meet_irreducible(lattice: FiniteLattice, a: str) -> bool:
-    """True iff a != top and no pair strictly above a meets to a."""
-    ai = lattice._i(a)
-    if a == lattice.top:
-        return False
-    n = len(lattice)
-    above = [b for b in range(n) if lattice._leq[ai][b] and b != ai]
-    for x in above:
-        for y in above:
-            if x < y and lattice._meet[x][y] == ai:
-                return False
-    return True
+    """True iff a != top and a is the meet of no two elements strictly above it."""
+    return bool(lattice._mi >> lattice._i(a) & 1)
 
 
 def is_join_irreducible(lattice: FiniteLattice, a: str) -> bool:
-    """True iff a != bottom and no pair strictly below a joins to a."""
-    ai = lattice._i(a)
-    if a == lattice.bottom:
-        return False
-    n = len(lattice)
-    below = [b for b in range(n) if lattice._leq[b][ai] and b != ai]
-    for x in below:
-        for y in below:
-            if x < y and lattice._join[x][y] == ai:
-                return False
-    return True
+    """True iff a != bottom and a is the join of no two elements strictly below it."""
+    return bool(lattice._ji >> lattice._i(a) & 1)
 
 
 def hasse_edges(lattice: FiniteLattice) -> list[tuple[str, str]]:
-    """Covering pairs (transitive reduction of the strict order)."""
-    n = len(lattice)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not lattice._leq[i][j]:
-                continue
-            if any(lattice._leq[i][k] and lattice._leq[k][j]
-                   for k in range(n) if k not in (i, j)):
-                continue
-            out.append((lattice.elements[i], lattice.elements[j]))
-    return out
+    """Covering pairs (transitive reduction of the strict order): i is
+    covered by j iff i and j are all of the interval [i, j]."""
+    e, down = lattice.elements, lattice._down
+    return [(e[i], e[j]) for i, u in enumerate(lattice._up) for j in bits(u)
+            if (u & down[j]).bit_count() == 2]
 
 
 def find_order_reversing_involutions(lattice: FiniteLattice) -> list[UnaryOpTable]:
@@ -253,7 +264,7 @@ def find_order_reversing_involutions(lattice: FiniteLattice) -> list[UnaryOpTabl
     if n > INVOLUTION_LIMIT:
         raise CarrierTooLarge(
             f"involution enumeration capped at {INVOLUTION_LIMIT} elements, got {n}")
-    lq = lattice._leq
+    up = lattice._up
     found: list[tuple[int, ...]] = []
     assign: list[int | None] = [None] * n
 
@@ -264,7 +275,8 @@ def find_order_reversing_involutions(lattice: FiniteLattice) -> list[UnaryOpTabl
             y = assign[j]
             if y is None or j == i:
                 continue
-            if lq[i][j] != lq[y][x] or lq[j][i] != lq[x][y]:
+            if (up[i] >> j & 1 != up[y] >> x & 1
+                    or up[j] >> i & 1 != up[x] >> y & 1):
                 return False
         return True
 

@@ -80,6 +80,7 @@ from itertools import product as iproduct
 from .concrete import Abstraction, PointMasks, check_order_embedding
 from .connectives import CONNECTIVES, connective, lookup
 from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
+from .lattice import bits
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
 from .syntax import Bin, Const, Formula, Not, Pred, Sequent
 
@@ -160,13 +161,6 @@ def holds_concrete(abs_: Abstraction, s: Sequent) -> bool:
 
 
 # --- the engines ---------------------------------------------------------------
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _check_bound(n: int, max_predicates: int) -> None:
@@ -264,8 +258,8 @@ class _Engine:
         return self.derivable_masks(*self.masks(s))
 
     def mask_sequent(self, g: int, d: int) -> Sequent:
-        return Sequent(tuple(Pred(self.preds[i]) for i in _bits(g)),
-                       tuple(Pred(self.preds[i]) for i in _bits(d)))
+        return Sequent(tuple(Pred(self.preds[i]) for i in bits(g)),
+                       tuple(Pred(self.preds[i]) for i in bits(d)))
 
 
 class DerivabilityEngine(_Engine):
@@ -327,9 +321,9 @@ class DerivabilityEngine(_Engine):
             return
         self.members.add(key)
         self.gen_list.append(key)
-        for b in _bits(g):
+        for b in bits(g):
             self.by_ante[b].append(key)
-        for b in _bits(d):
+        for b in bits(d):
             self.by_succ[b].append(key)
         self.queue.append(key)
 
@@ -346,11 +340,11 @@ class DerivabilityEngine(_Engine):
         by_ante, by_succ = self.by_ante, self.by_succ
 
         # cut, with this sequent as either premise
-        for b in _bits(d):
+        for b in bits(d):
             bb = 1 << b
             for g2, d2 in by_ante[b]:
                 add(g | (g2 & ~bb), (d & ~bb) | d2)
-        for b in _bits(g):
+        for b in bits(g):
             bb = 1 << b
             for g1, d1 in by_succ[b]:
                 add(g1 | (g & ~bb), (d1 & ~bb) | d)
@@ -363,7 +357,7 @@ class DerivabilityEngine(_Engine):
                     pair = bi | (1 << j)
                     if pair & g:
                         add((g & ~pair) | (1 << meet[i][j]), d)
-            for a in _bits(d):
+            for a in bits(d):
                 da = d & ~(1 << a)
                 row = meet[a]
                 for j in range(n):
@@ -380,7 +374,7 @@ class DerivabilityEngine(_Engine):
                     pair = bi | (1 << j)
                     if pair & d:
                         add(g, (d & ~pair) | (1 << join[i][j]))
-            for a in _bits(g):
+            for a in bits(g):
                 ga = g & ~(1 << a)
                 row = join[a]
                 for j in range(n):
@@ -391,7 +385,7 @@ class DerivabilityEngine(_Engine):
 
         if self.f_impl:
             hey = self.hey
-            for a in _bits(d):
+            for a in bits(d):
                 da = d & ~(1 << a)
                 row = hey[a]
                 for b in range(n):
@@ -399,7 +393,7 @@ class DerivabilityEngine(_Engine):
                     h = 1 << row[b]
                     for g2, d2 in by_ante[b]:
                         add(g | (g2 & ~bb) | h, da | d2)
-            for b in _bits(g):
+            for b in bits(g):
                 gb = g & ~(1 << b)
                 for a in range(n):
                     ba = 1 << a
@@ -408,12 +402,12 @@ class DerivabilityEngine(_Engine):
                         add(g1 | gb | h, (d1 & ~ba) | d)
             if d and d & (d - 1) == 0:  # exactly one succedent
                 b = d.bit_length() - 1
-                for a in _bits(g):
+                for a in bits(g):
                     add(g & ~(1 << a), 1 << hey[a][b])
 
         if self.f_coimpl:
             coi = self.coi
-            for a in _bits(d):
+            for a in bits(d):
                 da = d & ~(1 << a)
                 row = coi[a]
                 for b in range(n):
@@ -421,7 +415,7 @@ class DerivabilityEngine(_Engine):
                     c = 1 << row[b]
                     for g2, d2 in by_ante[b]:
                         add(g | (g2 & ~bb), da | d2 | c)
-            for b in _bits(g):
+            for b in bits(g):
                 gb = g & ~(1 << b)
                 for a in range(n):
                     ba = 1 << a
@@ -430,7 +424,7 @@ class DerivabilityEngine(_Engine):
                         add(g1 | gb, (d1 & ~ba) | d | c)
             if g == 0 or g & (g - 1) == 0:  # at most one antecedent
                 heads = (g.bit_length() - 1,) if g else range(n)
-                for b in _bits(d):
+                for b in bits(d):
                     rest = d & ~(1 << b)
                     # with no context left, any one predicate is weakened in
                     for r in (rest,) if rest else (1 << x for x in range(n)):
@@ -573,7 +567,7 @@ class ModelEngine(_Engine):
             cols = [0] * n
             for j, v in enumerate(models):
                 bit = 1 << j
-                for p in _bits(v):
+                for p in bits(v):
                     cols[p] |= bit
             live = (1 << len(models)) - 1
             outs = [live & ~c for c in cols]  # the models without each predicate
@@ -598,7 +592,7 @@ class ModelEngine(_Engine):
         n = self.n
         if self.f_impl:
             above = live  # the models W that contain v
-            for p in _bits(v):
+            for p in bits(v):
                 above &= cols[p]
             for a, row in enumerate(self.hey):
                 s = above & cols[a]
@@ -609,7 +603,7 @@ class ModelEngine(_Engine):
         full = (1 << n) - 1
         if self.f_coimpl and v != full:
             below = live  # the models W contained in v
-            for p in _bits(full & ~v):
+            for p in bits(full & ~v):
                 below &= outs[p]
             for a, row in enumerate(self.coi):
                 s = below & cols[a]
@@ -626,9 +620,9 @@ class ModelEngine(_Engine):
         """No model holds all of ``g`` and none of ``d``."""
         s = self.live
         cols = self.cols
-        for p in _bits(g):
+        for p in bits(g):
             s &= cols[p]
-        for p in _bits(d):
+        for p in bits(d):
             s &= ~cols[p]
         return not s
 
@@ -636,10 +630,10 @@ class ModelEngine(_Engine):
         """A derivable sequent that the valuation ``v``, no model, refutes:
         ``v |- (every other predicate)``, shrunk greedily."""
         g, d = v, ((1 << self.n) - 1) & ~v
-        for p in _bits(v):
+        for p in bits(v):
             if self.derivable_masks(g & ~(1 << p), d):
                 g &= ~(1 << p)
-        for p in _bits(d):
+        for p in bits(d):
             if self.derivable_masks(g, d & ~(1 << p)):
                 d &= ~(1 << p)
         return self.mask_sequent(g, d)

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from abslog import specfile
 
@@ -10,6 +11,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 BUILTIN_NAMES = ("parity", "sign", "interval", "diamond", "threechain", "m3",
                  "octagon-c1")
+
+ATOMS = 5  # largest set an intersection-closed family is drawn over
 
 
 def load_builtin(name: str):
@@ -49,3 +52,20 @@ def interval():
 @pytest.fixture(scope="session")
 def builtins():
     return {name: load_builtin(name) for name in BUILTIN_NAMES}
+
+
+@st.composite
+def intersection_closed(draw):
+    """A family of subsets of at most ATOMS atoms, closed under
+    intersection and holding the full set: a lattice whose gamma, the
+    inclusion, preserves meets and is an order embedding.  Such families
+    give distributive lattices and non-distributive ones (M3, N5)."""
+    k = draw(st.integers(1, ATOMS))
+    full = (1 << k) - 1
+    family = {full} | draw(st.sets(st.integers(0, full), max_size=10))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    return k, sorted(family)

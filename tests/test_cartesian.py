@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from abslog import concrete
+from abslog import cartesian, concrete
 from abslog.cartesian import (
     MAX_PRODUCT_POINTS,
     Rectangle,
@@ -166,6 +166,42 @@ def test_product_order_componentwise():
                 (c0.meet(a0, b0), c0.meet(a1, b1)))
 
 
+def small_chain(lo=-4, hi=4):
+    text = f"""
+ELEMENTS
+none some all
+ORDER
+none < some
+some < all
+UNIVERSE
+window {lo} {hi}
+GAMMA
+none = {{}}
+some = evens
+all = all
+"""
+    return specfile.load(text, "chain3")
+
+
+@pytest.mark.parametrize("components", [
+    lambda: [small_parity(), small_parity()],
+    lambda: [small_parity(), small_chain(), small_parity()],
+], ids=["parity-x-parity", "parity-x-chain3-x-parity"])
+def test_product_lattice_is_the_built_componentwise_order(components):
+    # the product lattice is what build_lattice makes of every comparable
+    # pair of the componentwise order
+    pa = product(components())
+    lat = pa.abstraction.lattice
+    parts = [c.lattice for c in pa.components]
+    tuples = list(iproduct(*(p.elements for p in parts)))
+    pairs = [("*".join(s), "*".join(t)) for s in tuples for t in tuples
+             if all(p.leq(a, b) for p, a, b in zip(parts, s, t))]
+    built = build_lattice(["*".join(t) for t in tuples], pairs)
+    assert lat.elements == built.elements
+    assert (lat._down, lat._meet, lat._join) == (built._down, built._meet, built._join)
+    assert (lat.top, lat.bottom) == (built.top, built.bottom)
+
+
 def test_single_component_product():
     one = product([small_parity()])
     assert len(one.abstraction.lattice.elements) == 4
@@ -251,7 +287,12 @@ def test_product_rejects_mismatched_windows():
         product([small_parity(-4, 4), small_parity(0, 4, "p04")])
 
 
-def test_product_carrier_cap():
+def test_product_carrier_cap(monkeypatch):
+    def no_order(*args, **kwargs):
+        raise AssertionError("the product order was built")
+
+    monkeypatch.setattr(cartesian, "hasse_edges", no_order)
+    monkeypatch.setattr(cartesian, "build_lattice", no_order)
     with pytest.raises(CarrierTooLarge):
         product([small_parity()] * 7)  # 4^7 = 16384 > 4096
 

@@ -1,7 +1,14 @@
-"""Lattice construction, order algebra and (bi-)Heyting operations."""
+"""Lattice construction, order algebra and (bi-)Heyting operations.
+
+The lattice facts read off the order masks and the join-irreducibles are
+checked against the cubic definitions below, which read only ``leq``,
+``meet`` and ``join``.
+"""
+
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from abslog.cartesian import product
@@ -22,7 +29,7 @@ from abslog.lattice import (
     is_meet_irreducible,
 )
 from abslog.octagon import OctLattice, to_finite_lattice
-from conftest import load_builtin
+from conftest import BUILTIN_NAMES, intersection_closed, load_builtin
 
 DIAMOND_EDGES = [("bot", "Even"), ("bot", "Odd"), ("Even", "top"), ("Odd", "top")]
 
@@ -112,6 +119,30 @@ def test_antisymmetry_violation_named():
     with pytest.raises(NotAPartialOrder) as exc:
         build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
     assert "antisymmetry" in str(exc.value)
+
+
+def test_antisymmetry_violation_names_the_lowest_partner():
+    # a < b < c < a is one cycle; the first element's lowest partner is named
+    with pytest.raises(NotAPartialOrder) as exc:
+        build_lattice(["a", "b", "c", "d"],
+                      [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")])
+    assert str(exc.value) == "antisymmetry violated on ('a', 'b')"
+
+
+@pytest.mark.parametrize("elements, pairs, message", [
+    ([], [], "empty carrier"),
+    (["a", "b", "a"], [], "duplicate element name 'a'"),
+    (["a", "b", "c"], [("b", "a"), ("c", "a")],
+     "('b', 'c') has no unique greatest lower bound"),
+    (["a", "b", "c"], [("a", "b"), ("a", "c")],
+     "('b', 'c') has no unique least upper bound"),
+    (["bot", "a", "b", "top"], [],
+     "('bot', 'a') has no unique greatest lower bound"),
+], ids=["empty", "duplicate", "no-glb", "no-lub", "antichain"])
+def test_not_a_lattice_messages(elements, pairs, message):
+    with pytest.raises(NotALattice) as exc:
+        build_lattice(elements, pairs)
+    assert str(exc.value) == message
 
 
 def test_unknown_element_in_pairs():
@@ -269,3 +300,107 @@ def test_chains_are_distributive(k):
     chain = build_lattice(elems, list(zip(elems, elems[1:])))
     assert chain.is_distributive()
     assert chain.bottom == "c0" and chain.top == f"c{k - 1}"
+
+
+# --- the naive oracle --------------------------------------------------------
+
+
+def naive_distributive(lat):
+    e = lat.elements
+    return all(lat.meet(a, lat.join(b, c)) == lat.join(lat.meet(a, b), lat.meet(a, c))
+               for a in e for b in e for c in e)
+
+
+def naive_heyting(lat, a, b):
+    """The greatest c with a /\\ c <= b: the join of the candidates, which
+    must itself be one."""
+    cands = [c for c in lat.elements if lat.leq(lat.meet(a, c), b)]
+    best = reduce(lat.join, cands)
+    assert best in cands
+    return best
+
+
+def naive_co_heyting(lat, a, b):
+    """The least c with a <= b \\/ c: the meet of the candidates, which
+    must itself be one."""
+    cands = [c for c in lat.elements if lat.leq(a, lat.join(b, c))]
+    best = reduce(lat.meet, cands)
+    assert best in cands
+    return best
+
+
+def naive_join_irreducible(lat, a):
+    """a is not the bottom, and no two elements strictly below a join to a."""
+    below = [x for x in lat.elements if lat.leq(x, a) and x != a]
+    return bool(below) and all(lat.join(x, y) != a for x in below for y in below)
+
+
+def naive_meet_irreducible(lat, a):
+    above = [x for x in lat.elements if lat.leq(a, x) and x != a]
+    return bool(above) and all(lat.meet(x, y) != a for x in above for y in above)
+
+
+def naive_hasse(lat):
+    e = lat.elements
+    return [(a, b) for a in e for b in e if a != b and lat.leq(a, b)
+            and not any(lat.leq(a, c) and lat.leq(c, b) for c in e if c not in (a, b))]
+
+
+def assert_facts_equal_the_oracle(lat):
+    e = lat.elements
+    assert [is_join_irreducible(lat, a) for a in e] == \
+        [naive_join_irreducible(lat, a) for a in e]
+    assert [is_meet_irreducible(lat, a) for a in e] == \
+        [naive_meet_irreducible(lat, a) for a in e]
+    assert hasse_edges(lat) == naive_hasse(lat)
+    assert lat.is_distributive() == naive_distributive(lat)
+    if lat.is_distributive():
+        for a in e:
+            for b in e:
+                assert heyting_implication(lat, a, b) == naive_heyting(lat, a, b)
+                assert co_implication(lat, a, b) == naive_co_heyting(lat, a, b)
+    else:
+        for name in ("impl", "coimpl"):
+            with pytest.raises(NotDistributive):
+                lat.table(name)
+
+
+def _family_lattice(case):
+    """The intersection-closed family ordered by inclusion."""
+    _, family = case
+    return build_lattice([f"s{m}" for m in family],
+                         [(f"s{a}", f"s{b}") for a in family for b in family
+                          if a != b and a & b == a])
+
+
+N5_EDGES = [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda name=name: load_builtin(name).lattice for name in BUILTIN_NAMES],
+    lambda: _chain(20),
+    lambda: _boolean(3),
+    *[lambda c=c: to_finite_lattice(OctLattice.build(c)) for c in (1, 2, 3, 4)],
+    lambda: product([load_builtin("parity")] * 2).abstraction.lattice,
+    lambda: build_lattice(["one"], []),
+    lambda: _chain(2),
+    lambda: build_lattice(["bot", "p", "q", "r", "top"],
+                          [("bot", x) for x in "pqr"] + [(x, "top") for x in "pqr"]),
+    lambda: build_lattice(["bot", "a", "b", "c", "top"], N5_EDGES),
+], ids=[*BUILTIN_NAMES, "chain-20", "boolean-3", "octagon-c1", "octagon-c2",
+        "octagon-c3", "octagon-c4", "parity-x-parity", "one", "two", "M3", "N5"])
+def test_lattice_facts_equal_the_naive_oracle(make):
+    assert_facts_equal_the_oracle(make())
+
+
+@settings(max_examples=100, deadline=None)
+@given(intersection_closed())
+def test_family_lattice_facts_equal_the_naive_oracle(case):
+    assert_facts_equal_the_oracle(_family_lattice(case))
+
+
+@pytest.mark.parametrize("distributive", [True, False])
+def test_families_reach_both_kinds_of_lattice(distributive):
+    case = find(intersection_closed(),
+               lambda case: naive_distributive(_family_lattice(case)) == distributive)
+    assert _family_lattice(case).is_distributive() == distributive

@@ -14,7 +14,6 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from abslog import cartesian, octagon, specfile
 from abslog.concrete import (
@@ -45,7 +44,7 @@ from abslog.proofengine import (
 )
 from abslog.syntax import Pred, Sequent, parse_sequent
 
-from conftest import BUILTIN_NAMES, REPO, load_builtin
+from conftest import BUILTIN_NAMES, REPO, intersection_closed, load_builtin
 
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
@@ -196,25 +195,6 @@ def test_coimpl_l_weakens_a_context_in():
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("chain-12",))
 def test_models_equal_the_reference_on_minimized_systems(name):
     same_models(minimize_proof_system(system(_abstraction(name)), derivable))
-
-
-ATOMS = 5
-
-
-@st.composite
-def intersection_closed(draw):
-    """A family of subsets of at most ATOMS atoms, closed under
-    intersection and holding the full set: a lattice whose gamma, the
-    inclusion, preserves meets and is an order embedding."""
-    k = draw(st.integers(1, ATOMS))
-    full = (1 << k) - 1
-    family = {full} | draw(st.sets(st.integers(0, full), max_size=10))
-    while True:
-        closed = family | {a & b for a in family for b in family}
-        if closed == family:
-            break
-        family = closed
-    return k, sorted(family)
 
 
 @settings(max_examples=50, deadline=None)

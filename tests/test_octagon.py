@@ -80,8 +80,8 @@ def test_finite_lattice_order_is_oct_leq(window_c):
     # the emitted spec, read back through the covering-edge path, agrees
     loaded = specfile.load(specfile.emit(export_abstraction(lat, 4 * window_c))).lattice
     assert loaded.elements == finite.elements
-    assert (loaded._leq, loaded._meet, loaded._join) == (
-        finite._leq, finite._meet, finite._join)
+    assert (loaded._down, loaded._up, loaded._meet, loaded._join) == (
+        finite._down, finite._up, finite._meet, finite._join)
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3])

@@ -24,7 +24,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .lattice import FiniteLattice
-from .syntax import Bin, Const, Formula, Not, Pred, Sequent
+from .syntax import Formula, Pred, Sequent
 
 # largest window built, in points and in coordinates per point; the
 # products of ``cartesian`` have their own, smaller MAX_PRODUCT_POINTS
@@ -203,13 +203,7 @@ class PointMasks:
     def mask(self, f: Formula) -> int:
         if isinstance(f, Pred):
             return self._preds[f.name]
-        if isinstance(f, Bin):
-            return connective(f.op).concrete(self, self.mask(f.lhs), self.mask(f.rhs))
-        if isinstance(f, Not):
-            return connective(f.op).concrete(self, self.mask(f.arg))
-        if isinstance(f, Const):
-            return connective(f.op).concrete(self)
-        raise UnknownSymbol(f"cannot evaluate {f!r}")
+        return connective(f.op).concrete(self, *map(self.mask, f.args))
 
     def holds(self, s: Sequent) -> bool:
         """:func:`~abslog.proofengine.holds_concrete` on masks: no point is

@@ -16,7 +16,7 @@ from .concrete import Abstraction, PreservationReport
 from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
 from .errors import AbslogError, MinimizationFailed, UnknownFormat
 from .lattice import hasse_edges
-from .syntax import NAME_RE, Pred, Sequent, compound, parse_sequent, render_sequent
+from .syntax import NAME_RE, Compound, Pred, Sequent, parse_sequent, render_sequent
 
 KIND_STRUCTURAL = "structural"
 KIND_INTRODUCTION = "introduction"
@@ -148,7 +148,7 @@ def generate_proof_system(abs_: Abstraction, report: PreservationReport) -> Proo
         table = lat.table(c.name)
         for args in iproduct(range(len(lat)), repeat=c.arity):
             names = [lat.elements[i] for i in args]
-            op = compound(c.name, *map(Pred, names))
+            op = Compound(c.name, tuple(map(Pred, names)))
             value = Pred(lat.elements[lookup(table, args)])
             tag = ".".join(["op", c.name, *names])
             rules.append(Rule(KIND_OPERATION, f"{tag}.l", Sequent((op,), (value,))))
@@ -224,12 +224,12 @@ def _sig_lines(ps: ProofSystem) -> list[str]:
     ]
 
 
-def _rule_text(r: Rule, var: str) -> tuple[tuple[str, ...], str]:
+def _rule_text(r: Rule, var: str, latex: bool = False) -> tuple[tuple[str, ...], str]:
     """A rule's premises and conclusion as text: a schema's from
     ``STOCK_SCHEMAS``, an axiom's rendered over the variables ``var``."""
     if r.axiom is None:
         return STOCK_SCHEMAS[r.name]
-    return (), render_sequent(r.axiom, var)
+    return (), render_sequent(r.axiom, var, latex)
 
 
 def _render_text(ps: ProofSystem) -> str:
@@ -245,6 +245,7 @@ def _render_text(ps: ProofSystem) -> str:
 
 
 def _render_latex(ps: ProofSystem) -> str:
+    # schemas name no predicates, so their symbols are replaced as text
     def tex(s: str) -> str:
         s = s.replace("|-", r"\vdash ")
         for c in CONNECTIVES.values():
@@ -253,10 +254,12 @@ def _render_latex(ps: ProofSystem) -> str:
 
     lines = [f"% proof system for {ps.source}"]
     for r in ps.sorted_rules():
-        prem, concl = _rule_text(r, ps.signature.var)
-        above = r" \quad ".join(tex(p) for p in prem)
+        prem, concl = _rule_text(r, ps.signature.var, latex=True)
+        if r.axiom is None:
+            prem, concl = map(tex, prem), tex(concl)
+        above = r" \quad ".join(prem)
         lines.append(f"% {r.kind}: {r.name}")
-        lines.append(rf"\[ \frac{{{above}}}{{{tex(concl)}}} \]")
+        lines.append(rf"\[ \frac{{{above}}}{{{concl}}} \]")
     return "\n".join(lines) + "\n"
 
 

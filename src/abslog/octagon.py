@@ -31,7 +31,7 @@ from .lattice import (
     is_join_irreducible,
     is_meet_irreducible,
 )
-from .syntax import Const, Pred, Sequent
+from .syntax import Compound, Pred, Sequent
 
 # slope order fixed for deterministic carriers and names
 SLOPES: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -189,7 +189,7 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
     uni = grid_universe(grid_n)
     table = {name: uni.subset(grid_gamma(lat, name, uni)) for name in lat.carrier}
     gamma = ConcretizationMap(finite, uni, table)
-    ff = (Const("ff"),)
+    ff = (Compound("ff"),)
     axioms = tuple((f"axiom.{i:03d}", Sequent((Pred(p.name), Pred(q.name)), ff))
                    for i, (p, q) in enumerate(infeasible_pairs(lat)))
     return Abstraction(f"octagon-c{lat.window_c}", finite, gamma, extra_axioms=axioms)

@@ -6,13 +6,15 @@ connectives' symbols and precedences come from :mod:`abslog.connectives`,
 and the arrows (precedence 0) associate to the right.  Sequents read
 ``Gamma |- Delta`` with comma-separated, meta-conjunctive antecedents and
 meta-disjunctive (nonempty) succedents.
+
+A formula is a :class:`Pred` or a :class:`Compound`: a registry connective
+applied to as many formulas as its arity, and refused when built otherwise.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .connectives import ATOM_PREC, CONNECTIVES, connective
 from .errors import ParseError, UnknownSymbol
@@ -30,70 +32,54 @@ class Pred:
 
 
 @dataclass(frozen=True)
-class Const:
-    op: str  # a constant connective's name
+class Compound:
+    """A registry connective applied to as many formulas as its arity."""
 
-    def __str__(self):
-        return self.op
+    op: str
+    args: tuple["Formula", ...] = ()
 
-
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
-    op: ClassVar[str] = "not"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # a binary connective's name
-    lhs: "Formula"
-    rhs: "Formula"
+    def __post_init__(self):
+        arity = connective(self.op).arity
+        if len(self.args) != arity:
+            raise UnknownSymbol(f"connective {self.op!r} takes {arity} "
+                                f"arguments, not {len(self.args)}")
 
 
-Formula = Pred | Const | Not | Bin
+Const = Compound  # a constant is a compound without arguments: ``Const("ff")``
 
-
-def compound(op: str, *args: Formula) -> Formula:
-    """The formula applying connective ``op`` to ``args``."""
-    if not args:
-        return Const(op)
-    if len(args) == 1:
-        return Not(*args)
-    return Bin(op, *args)
+Formula = Pred | Compound
 
 
 def _prec(f: Formula) -> int:
-    # called on children already rendered, so their connectives are known
-    if isinstance(f, (Bin, Not, Const)):
-        return CONNECTIVES[f.op].prec
-    return ATOM_PREC
+    return CONNECTIVES[f.op].prec if isinstance(f, Compound) else ATOM_PREC
 
 
-def render_formula(f: Formula, var: str = "x") -> str:
-    """Deterministic text with minimal parentheses (round-trips via parse)."""
+def render_formula(f: Formula, var: str = "x", latex: bool = False) -> str:
+    """Deterministic text with minimal parentheses (round-trips via parse);
+    ``latex`` writes each connective's LaTeX symbol in place of its text one."""
     if isinstance(f, Pred):
         return f"{f.name}({var})"
-    if isinstance(f, Const):
-        return connective(f.op).symbol
-    if isinstance(f, Not):
-        c = connective(f.op)
-        inner = render_formula(f.arg, var)
-        if _prec(f.arg) < c.prec:
-            inner = f"({inner})"
-        return f"{c.symbol}{inner}"
-    if not isinstance(f, Bin):
+    if not isinstance(f, Compound):
         raise UnknownSymbol(f"cannot render {f!r}")
-    c = connective(f.op)
+    c = CONNECTIVES[f.op]
+    symbol = c.latex if latex else c.symbol
+    if not f.args:
+        return symbol
     p = c.prec
+    if len(f.args) == 1:
+        (arg,) = f.args
+        inner = render_formula(arg, var, latex)
+        return f"{symbol}({inner})" if _prec(arg) < p else f"{symbol}{inner}"
     # the arrows (precedence 0) parse right-associatively, the others left;
     # a child at the same precedence needs parentheses on the other side
-    lhs = render_formula(f.lhs, var)
-    if _prec(f.lhs) < p or (p == 0 and _prec(f.lhs) == 0):
-        lhs = f"({lhs})"
-    rhs = render_formula(f.rhs, var)
-    if _prec(f.rhs) < p or (p > 0 and _prec(f.rhs) == p):
-        rhs = f"({rhs})"
-    return f"{lhs} {c.symbol} {rhs}"
+    lhs, rhs = f.args
+    left = render_formula(lhs, var, latex)
+    if _prec(lhs) < p or (p == 0 and _prec(lhs) == 0):
+        left = f"({left})"
+    right = render_formula(rhs, var, latex)
+    if _prec(rhs) < p or (p > 0 and _prec(rhs) == p):
+        right = f"({right})"
+    return f"{left} {symbol} {right}"
 
 
 @dataclass(frozen=True)
@@ -108,10 +94,11 @@ class Sequent:
             raise ParseError("a sequent needs at least one succedent")
 
 
-def render_sequent(s: Sequent, var: str = "x") -> str:
-    left = ", ".join(render_formula(f, var) for f in s.ante)
-    right = ", ".join(render_formula(f, var) for f in s.succ)
-    return f"{left} |- {right}" if left else f"|- {right}"
+def render_sequent(s: Sequent, var: str = "x", latex: bool = False) -> str:
+    left = ", ".join(render_formula(f, var, latex) for f in s.ante)
+    right = ", ".join(render_formula(f, var, latex) for f in s.succ)
+    turnstile = r"\vdash " if latex else "|-"
+    return f"{left} {turnstile} {right}" if left else f"{turnstile} {right}"
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -193,7 +180,8 @@ class _Parser:
             if c is None or c.arity != 2 or c.prec < prec:
                 return lhs
             self.i += 1
-            lhs = Bin(c.name, lhs, self.formula(c.prec if c.prec == 0 else c.prec + 1))
+            rhs = self.formula(c.prec if c.prec == 0 else c.prec + 1)
+            lhs = Compound(c.name, (lhs, rhs))
 
     def formulas(self) -> tuple[Formula, ...]:
         """A nonempty comma-separated list of formulas."""
@@ -208,13 +196,13 @@ class _Parser:
         if kind == "pred":
             return Pred(value[0])
         if kind == "const":
-            return Const(value)
+            return Compound(value)
         if kind == "(":
             f = self.formula()
             self.expect(")")
             return f
         if kind in _OPERATORS and _OPERATORS[kind].arity == 1:
-            return Not(self.unary())
+            return Compound(_OPERATORS[kind].name, (self.unary(),))
         raise ParseError("expected a formula", self.line, pos + 1)
 
 
@@ -256,8 +244,6 @@ def formula_predicates(f: Formula):
     """Yield the predicate names a formula uses, left to right."""
     if isinstance(f, Pred):
         yield f.name
-    elif isinstance(f, Not):
-        yield from formula_predicates(f.arg)
-    elif isinstance(f, Bin):
-        yield from formula_predicates(f.lhs)
-        yield from formula_predicates(f.rhs)
+    else:
+        for arg in f.args:
+            yield from formula_predicates(arg)

@@ -6,8 +6,7 @@ import pytest
 from abslog.cartesian import product
 from abslog.connectives import CONNECTIVES
 from abslog.errors import NotDistributive, UnknownSymbol
-from abslog.proofengine import eval_abstract, eval_concrete
-from abslog.syntax import Bin, Pred, render_formula
+from abslog.syntax import Compound, Pred
 
 from conftest import REPO
 
@@ -31,13 +30,18 @@ def test_missing_operations_raise_typed_errors(m3, sign):
         sign.lattice.table("not")
 
 
-def test_unknown_connective_is_a_typed_error(parity):
+def test_unknown_connective_is_a_typed_error():
     # a hand-built node outside the registry; the parser never makes one
-    xor = Bin("xor", Pred("Even"), Pred("Odd"))
-    for use in (lambda f: eval_abstract(parity, f),
-                lambda f: eval_concrete(parity, f), render_formula):
-        with pytest.raises(UnknownSymbol):
-            use(xor)
+    with pytest.raises(UnknownSymbol):
+        Compound("xor", (Pred("Even"), Pred("Odd")))
+
+
+def test_a_compound_takes_its_connectives_arity():
+    for c in CONNECTIVES.values():
+        Compound(c.name, (Pred("Even"),) * c.arity)
+        for n in {0, 1, 2} - {c.arity}:
+            with pytest.raises(UnknownSymbol):
+                Compound(c.name, (Pred("Even"),) * n)
 
 
 def registry_table() -> list[str]:

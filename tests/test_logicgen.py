@@ -241,6 +241,17 @@ def test_machine_format_refuses_a_name_the_grammar_cannot_read(element):
     assert repr(element) in str(exc.value)
 
 
+@pytest.mark.parametrize("element", ["a->b", "a<-b", "a?phi", "a?psi"])
+def test_latex_writes_predicate_names_verbatim(element):
+    # connective symbols and metavariables inside a name are the name's
+    text = f"ELEMENTS\nbot {element} top\nORDER\nbot < {element}\n{element} < top\n" \
+           f"UNIVERSE\natoms p\nGAMMA\nbot = {{}}\n{element} = {{p}}\ntop = all\n"
+    ps = system(specfile.load(text, "names"))
+    assert parse_machine(render(ps, "machine")) == ps
+    tex = render(ps, "latex")
+    assert rf"{element}(x) \wedge  top(x) \vdash  {element}(x)" in tex
+
+
 def test_var_line_after_the_rules(builtins):
     ps = system(builtins["octagon-c1"])
     lines = render(ps, "machine").splitlines()

@@ -11,6 +11,7 @@ from abslog.concrete import (
     ConcretizationMap,
     preservation_report,
 )
+from abslog.connectives import CONNECTIVES, connective
 from abslog.errors import AbslogError, CarrierTooLarge, UnknownSymbol
 from abslog.lattice import UnaryOpTable, build_lattice
 from abslog.logicgen import (
@@ -35,7 +36,14 @@ from abslog.proofengine import (
     verify_isomorphism,
     verify_soundness,
 )
-from abslog.syntax import Pred, Sequent, parse_formula, parse_sequent, render_sequent
+from abslog.syntax import (
+    Compound,
+    Pred,
+    Sequent,
+    parse_formula,
+    parse_sequent,
+    render_sequent,
+)
 
 from abslog import specfile
 from pathlib import Path
@@ -91,22 +99,14 @@ def test_normalize_eval_agreement_sampled(builtins):
         ps = system(abs_)
         conns = ps.signature.connectives
         pool = [Pred(p) for p in ps.signature.predicates]
-        from abslog.syntax import Bin, Const, Not
-        if "tt" in conns:
-            pool.append(Const("tt"))
-        if "ff" in conns:
-            pool.append(Const("ff"))
+        ops = [c for c in CONNECTIVES if c in conns]
 
         def rand_formula(depth):
-            if depth == 0 or rng.random() < 0.3:
+            if depth == 0 or not ops or rng.random() < 0.3:
                 return rng.choice(pool)
-            ops = [c for c in ("and", "or", "impl", "coimpl") if c in conns]
-            if "not" in conns and (not ops or rng.random() < 0.3):
-                return Not(rand_formula(depth - 1))
-            if not ops:
-                return rng.choice(pool)
-            return Bin(rng.choice(ops), rand_formula(depth - 1),
-                       rand_formula(depth - 1))
+            op = rng.choice(ops)
+            return Compound(op, tuple(rand_formula(depth - 1)
+                                      for _ in range(connective(op).arity)))
 
         for _ in range(300):
             f = rand_formula(3)

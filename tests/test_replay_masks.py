@@ -19,7 +19,7 @@ from abslog.concrete import ConcreteSet, ConcreteUniverse, PointMasks
 from abslog.connectives import CONNECTIVES
 from abslog.logicgen import KIND_OPERATION, ProofSystem, Rule
 from abslog.proofengine import engine_for, holds_concrete, verify_soundness
-from abslog.syntax import Const, Pred, Sequent, render_sequent
+from abslog.syntax import Compound, Pred, Sequent, render_sequent
 
 from conftest import BUILTIN_NAMES, load_builtin
 from test_model_engine import _abstraction, system
@@ -46,7 +46,7 @@ def test_mask_check_equals_holds_concrete(name):
     masks = point_masks(abs_)
     conns = ps.signature.connectives
     atoms = [Pred(p) for p in ps.signature.predicates]
-    atoms += [Const(c) for c in ("tt", "ff") if c in conns]
+    atoms += [Compound(c) for c in ("tt", "ff") if c in conns]
     rng = random.Random(f"axiom-masks-{name}")
     verdicts = set()
     for s in axioms(ps):

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abslog.connectives import CONNECTIVES, connective
 from abslog.errors import ParseError, UnknownSymbol
 from abslog.syntax import (
-    Bin,
-    Const,
-    Not,
+    Compound,
     Pred,
     Sequent,
     parse_formula,
@@ -20,8 +19,8 @@ from abslog.syntax import (
 
 def test_parse_atoms():
     assert parse_formula("Even(x)") == Pred("Even")
-    assert parse_formula("tt") == Const("tt")
-    assert parse_formula("~Odd(x)") == Not(Pred("Odd"))
+    assert parse_formula("tt") == Compound("tt")
+    assert parse_formula("~Odd(x)") == Compound("not", (Pred("Odd"),))
 
 
 def test_render_rejects_a_non_formula():
@@ -34,32 +33,33 @@ def test_octagon_style_names():
     assert f == Pred("p:+x+y>=1")
     s = parse_sequent("p:+x+y>=1(x,y), p:-x-y>=0(x,y) |- ff")
     assert s.ante == (Pred("p:+x+y>=1"), Pred("p:-x-y>=0"))
-    assert s.succ == (Const("ff"),)
+    assert s.succ == (Compound("ff"),)
 
 
 def test_precedence():
     f = parse_formula("a(x) & b(x) | c(x) -> d(x)")
-    assert f == Bin("impl", Bin("or", Bin("and", Pred("a"), Pred("b")), Pred("c")),
-                    Pred("d"))
+    ab = Compound("and", (Pred("a"), Pred("b")))
+    assert f == Compound("impl", (Compound("or", (ab, Pred("c"))), Pred("d")))
     g = parse_formula("~a(x) & b(x)")
-    assert g == Bin("and", Not(Pred("a")), Pred("b"))
+    assert g == Compound("and", (Compound("not", (Pred("a"),)), Pred("b")))
 
 
 def test_arrows_right_associative():
     f = parse_formula("a(x) -> b(x) -> c(x)")
-    assert f == Bin("impl", Pred("a"), Bin("impl", Pred("b"), Pred("c")))
+    bc = Compound("impl", (Pred("b"), Pred("c")))
+    assert f == Compound("impl", (Pred("a"), bc))
     g = parse_formula("a(x) <- b(x) -> c(x)")
-    assert g == Bin("coimpl", Pred("a"), Bin("impl", Pred("b"), Pred("c")))
+    assert g == Compound("coimpl", (Pred("a"), bc))
 
 
 def test_parens():
     f = parse_formula("(a(x) | b(x)) & c(x)")
-    assert f == Bin("and", Bin("or", Pred("a"), Pred("b")), Pred("c"))
+    assert f == Compound("and", (Compound("or", (Pred("a"), Pred("b"))), Pred("c")))
 
 
 def test_sequent_shapes():
     s = parse_sequent("|- tt")
-    assert s.ante == () and s.succ == (Const("tt"),)
+    assert s.ante == () and s.succ == (Compound("tt"),)
     s = parse_sequent("a(x), b(x) |- c(x), d(x)")
     assert len(s.ante) == 2 and len(s.succ) == 2
 
@@ -125,15 +125,13 @@ names = st.sampled_from(["Even", "Odd", "bot", "top", "p:+x+y>=1", "[-1..0]"])
 
 @st.composite
 def formulas(draw, depth=3):
+    """A predicate, or any registry connective applied to as many formulas
+    as its arity."""
     if depth == 0 or draw(st.booleans()):
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            return Pred(draw(names))
-        return Const(draw(st.sampled_from(["tt", "ff"])))
-    op = draw(st.sampled_from(["and", "or", "impl", "coimpl", "not"]))
-    if op == "not":
-        return Not(draw(formulas(depth=depth - 1)))
-    return Bin(op, draw(formulas(depth=depth - 1)), draw(formulas(depth=depth - 1)))
+        return Pred(draw(names))
+    op = draw(st.sampled_from(list(CONNECTIVES)))
+    return Compound(op, tuple(draw(formulas(depth=depth - 1))
+                              for _ in range(connective(op).arity)))
 
 
 @given(formulas())

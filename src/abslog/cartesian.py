@@ -6,22 +6,30 @@
 adjunction, meet preservation and injectivity-off-empty-axes live here
 alongside the product construction itself.
 
-The exhaustive meet and Galois checks call ``iota`` once per rectangle and
-keep each image as an int mask over the target's points (bit i for the
-i-th point), so comparing two images, or a region with an image, is one
-int operation per pair.  What they check is still called per pair or per
-region: ``Rectangle.meet`` for every pair, in order, and
-``rectangle_closure`` for every region.
+The meet and Galois checks, exhaustive and sampled alike, call ``iota``
+once per distinct rectangle and keep each image as an int mask over the
+target's points (bit i for the i-th point), so comparing two images, or a
+region with an image, is one int operation per pair.  What they check is
+still called per pair or per region: ``Rectangle.meet`` for every pair, in
+order, ``rectangle_closure`` for every region, and
+``Rectangle.componentwise_leq`` for every sampled pair.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from itertools import product as iproduct
 
-from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
-from .errors import CarrierTooLarge, InvalidConcretization
+from .concrete import (
+    Abstraction,
+    ConcreteSet,
+    ConcreteUniverse,
+    ConcretizationMap,
+    _new,
+)
+from .errors import AbslogError, CarrierTooLarge, InvalidConcretization
 from .lattice import build_lattice, hasse_edges
 
 ELEMENT_SEP = "*"
@@ -46,7 +54,11 @@ class Rectangle:
         return all(map(ConcreteSet.issubset, self.axes, other.axes))
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        return Rectangle(tuple(map(ConcreteSet.__and__, self.axes, other.axes)))
+        # built as ConcreteSet._derive builds a set: the frozen __init__
+        # writes the field through object.__setattr__, a tenth of a meet
+        out = _new(Rectangle)
+        out.__dict__["axes"] = tuple(map(ConcreteSet.__and__, self.axes, other.axes))
+        return out
 
 
 def tuple_universe(axis_universes) -> ConcreteUniverse:
@@ -93,11 +105,16 @@ def rectangle_closure(r: ConcreteSet) -> Rectangle:
     if uni.kind != "window":
         raise InvalidConcretization("rectangle closure needs a window universe")
     dim = uni.params[2]
+    out = _new(Rectangle)  # built as Rectangle.meet builds its result
     if dim == 1:
-        return Rectangle((r,))
-    axis = uni.axis()
-    return Rectangle(tuple(
-        axis.subset([p[k] for p in r.members]) for k in range(dim)))
+        out.__dict__["axes"] = (r,)
+        return out
+    # a coordinate of a point of r is a point of the axis window, so each
+    # projection is derived from the full axis set, unchecked
+    full = uni.axis().full()
+    columns = list(zip(*r.members)) or [()] * dim  # an empty region: empty axes
+    out.__dict__["axes"] = tuple([full._derive(frozenset(c)) for c in columns])
+    return out
 
 
 @dataclass
@@ -164,16 +181,63 @@ def _all_rectangles(axis_universes):
         yield Rectangle(combo)
 
 
-def _random_rectangle(axes, rng: random.Random) -> Rectangle:
-    """A rectangle whose axes each hold a point with probability 1/2."""
-    return Rectangle(tuple([u.subset([p for p in u.points if rng.random() < 0.5])
-                            for u in axes]))
-
-
 def _masker(u: ConcreteUniverse):
     """The map from a set on ``u`` to its int mask, bit i for the i-th point."""
     bit = {p: 1 << i for i, p in enumerate(u.points)}.__getitem__
     return lambda s: sum(map(bit, s.members))
+
+
+def _imager(target: ConcreteUniverse):
+    """The map from a rectangle to the mask of its iota image.  iota runs
+    once per distinct rectangle, by axis member sets, and the map keeps one
+    int per rectangle it has seen, for as long as it lives."""
+    mask = _masker(target)
+    images: dict[tuple, int] = {}
+
+    def image(rect: Rectangle) -> int:
+        key = tuple([a.members for a in rect.axes])
+        m = images.get(key)
+        if m is None:
+            m = images[key] = mask(iota(rect, target))
+        return m
+
+    return image
+
+
+def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
+    """The random draw of a sampled check, and its rectangle draw: each axis
+    point is in with probability 1/2, drawn point by point and axis by axis.
+    The draws of a rectangle make one mask, axis k in bits k*n to k*n+n-1
+    for n axis points.  A rectangle is built once per distinct mask, and an
+    axis set once per distinct axis mask, each kept for as long as the draw
+    lives; the list of every axis subset, which grows as 2^n, is not
+    built."""
+    if sample < 1:
+        raise AbslogError(f"a sampled check needs at least 1 sample, got {sample}")
+    random_ = random.Random(rng_seed).random
+    axis = target.axis()
+    pts, dim = axis.points, target.params[2]
+    n = len(pts)
+    bits = [1 << i for i in range(n * dim)]
+    sets: dict[int, ConcreteSet] = {}
+    rects: dict[int, Rectangle] = {}
+
+    def axis_set(m: int) -> ConcreteSet:
+        s = sets.get(m)
+        if s is None:
+            s = sets[m] = axis.subset(compress(pts, [m >> i & 1 for i in range(n)]))
+        return s
+
+    def draw() -> Rectangle:
+        m = sum(compress(bits, [random_() < 0.5 for _ in bits]))
+        x = rects.get(m)
+        if x is None:
+            x = rects[m] = _new(Rectangle)  # built as Rectangle.meet builds one
+            x.__dict__["axes"] = tuple([axis_set(m >> k * n & (1 << n) - 1)
+                                        for k in range(dim)])
+        return x
+
+    return random_, draw
 
 
 @dataclass
@@ -189,13 +253,14 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     """rectangle_closure(R) <= X iff R included in iota(X), exhaustively on
     small axes or sampled for larger spaces.
 
-    The exhaustive branch keeps iota(X) as a point mask, computed once per
-    rectangle X, and calls rectangle_closure(R) once per region R.  It reads
-    componentwise_leq once per distinct closure and rectangle, then compares
-    each pair's order bit with R's mask included in iota(X)'s."""
+    Both branches keep iota(X) as a point mask, computed once per distinct
+    rectangle X, and call rectangle_closure(R) once per region R.  The
+    exhaustive branch reads componentwise_leq once per distinct closure and
+    rectangle, then compares each pair's order bit with R's mask included in
+    iota(X)'s.  The sampled branch calls componentwise_leq once per sample;
+    until it returns it holds at most one rectangle and one mask per
+    distinct rectangle drawn.  ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    axes = [target.axis()] * len(axis_windows)
-    rng = random.Random(rng_seed)
     checked = 0
     if sample is None:
         if len(target) > 12:
@@ -203,7 +268,7 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
                                   "pass sample=")
         mask = _masker(target)
         regions = _subsets(target)
-        rects = list(_all_rectangles(axes))
+        rects = list(_all_rectangles([target.axis()] * len(axis_windows)))
         images = [mask(iota(x, target)) for x in rects]
         rows: dict[tuple, list[bool]] = {}  # closure members -> order row
         for r in regions:
@@ -218,11 +283,17 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
                 if leq != (rm & ix == rm):
                     return CheckResult(False, checked, (r, x))
         return CheckResult(True, checked)
+    random_, draw = _sampler(target, sample, rng_seed)
+    image = _imager(target)
+    pts, full = target.points, target.full()
+    bits = [1 << i for i in range(len(pts))]
     for _ in range(sample):
-        r = target.subset([p for p in target.points if rng.random() < 0.4])
-        x = _random_rectangle(axes, rng)
+        drawn = [random_() < 0.4 for _ in pts]
+        r = full._derive(frozenset(compress(pts, drawn)))
+        rm = sum(compress(bits, drawn))
+        x = draw()
         checked += 1
-        if rectangle_closure(r).componentwise_leq(x) != r.issubset(iota(x, target)):
+        if rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm):
             return CheckResult(False, checked, (r, x))
     return CheckResult(True, checked)
 
@@ -233,14 +304,17 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
     """iota(X meet Y) = iota(X) & iota(Y); exhaustive for two small axes,
     sampled otherwise.
 
-    The exhaustive branch computes iota once per rectangle and keeps the
+    Both branches compute iota once per distinct rectangle and keep the
     images as point masks, by axis member sets.  Each pair still takes its
-    meet, whose mask is looked up and compared with the masks' and; a meet
-    that is none of the rectangles is mapped by iota."""
+    meet, whose mask is looked up and compared with the masks' and.  In the
+    exhaustive branch a meet that is none of the rectangles is mapped by
+    iota.  Until it returns, the sampled branch holds at most one rectangle
+    per distinct rectangle drawn and one mask per distinct rectangle drawn
+    or met.  ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    axes = [target.axis()] * len(axis_windows)
     checked = 0
     if sample is None:
+        axes = [target.axis()] * len(axis_windows)
         points = sum(len(u) for u in axes)
         if points > MAX_MEET_AXIS_POINTS or len(axes) != 2:
             raise CarrierTooLarge(
@@ -250,26 +324,28 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
         mask = _masker(target)
         rects = list(_all_rectangles(axes))
         images = {x.members: mask(iota(x, target)) for x in rects}
+        get = images.get
         pairs = [(y, images[y.members]) for y in rects]
         for x, ix in pairs:
+            meet = x.meet
             for y, iy in pairs:
                 checked += 1
-                meet = x.meet(y)
-                # meet.members, written out: the property call costs a
-                # tenth of the loop
-                lhs = images.get(tuple([a.members for a in meet.axes]))
+                m = meet(y)
+                # m.members, written out: the property call costs a tenth
+                # of the loop
+                lhs = get(tuple([a.members for a in m.axes]))
                 if lhs is None:  # a meet that is none of the rectangles
-                    lhs = mask(iota(meet, target))
+                    lhs = mask(iota(m, target))
                 if lhs != ix & iy:
                     return CheckResult(False, checked, (x, y))
         return CheckResult(True, checked)
-    rng = random.Random(rng_seed)
+    _, draw = _sampler(target, sample, rng_seed)
+    image = _imager(target)
     for _ in range(sample):
-        x = _random_rectangle(axes, rng)
-        y = _random_rectangle(axes, rng)
+        x = draw()
+        y = draw()
         checked += 1
-        lhs = iota(x.meet(y), target)
-        if lhs.members != (iota(x, target) & iota(y, target)).members:
+        if image(x.meet(y)) != image(x) & image(y):
             return CheckResult(False, checked, (x, y))
     return CheckResult(True, checked)
 

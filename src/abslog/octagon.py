@@ -19,7 +19,7 @@ and over the grid alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
 from .errors import GridGuardViolated, InvalidNegation, UnknownElement, WindowOverflow
@@ -129,15 +129,24 @@ def grid_universe(grid_n: int) -> ConcreteUniverse:
 def grid_gamma(lat: OctLattice, element: OctPredicate | str,
                grid: ConcreteUniverse) -> frozenset:
     """The points of a grid universe where an element holds; a predicate
-    holds where sx*x + sy*y >= c."""
-    pts = grid.point_set
+    holds where sx*x + sy*y >= c, which in each column x is one y-range."""
     if element == "top":
-        return pts
+        return grid.point_set
     if element == "bot":
         return frozenset()
     p = lat.by_name(element) if isinstance(element, str) else element
     sx, sy, c = p.sx, p.sy, p.c
-    return frozenset([(x, y) for (x, y) in pts if sx * x + sy * y >= c])
+    lo, hi, _ = grid.params
+    pts = grid.points  # column by column: (x, y) is at (x - lo) * width + y - lo
+    width = hi - lo + 1
+    columns = []
+    for x in range(lo, hi + 1):
+        t = c - sx * x  # the column's points with sy*y >= t
+        y0, y1 = (max(t, lo), hi) if sy > 0 else (lo, min(-t, hi))
+        if y0 <= y1:
+            start = (x - lo) * width - lo
+            columns.append(pts[start + y0:start + y1 + 1])
+    return frozenset(chain.from_iterable(columns))
 
 
 def infeasible_pairs(lat: OctLattice) -> list[tuple[OctPredicate, OctPredicate]]:

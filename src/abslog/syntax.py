@@ -8,7 +8,9 @@ and the arrows (precedence 0) associate to the right.  Sequents read
 meta-disjunctive (nonempty) succedents.
 
 A formula is a :class:`Pred` or a :class:`Compound`: a registry connective
-applied to as many formulas as its arity, and refused when built otherwise.
+applied to as many formulas as its arity, and refused when built otherwise
+(an unknown connective, another argument count, or an argument that is not
+a formula).
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class Compound:
         if len(self.args) != arity:
             raise UnknownSymbol(f"connective {self.op!r} takes {arity} "
                                 f"arguments, not {len(self.args)}")
+        for arg in self.args:
+            if not isinstance(arg, (Pred, Compound)):
+                raise UnknownSymbol(f"connective {self.op!r} takes formulas, "
+                                    f"not {arg!r}")
 
 
 Const = Compound  # a constant is a compound without arguments: ``Const("ff")``

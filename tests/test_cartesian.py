@@ -64,7 +64,9 @@ def test_rectangle_closure_projections():
     r = target.subset([(0, 0), (1, 1)])
     clo = rectangle_closure(r)
     assert clo.axes[0].members == {0, 1} and clo.axes[1].members == {0, 1}
-    assert rectangle_closure(target.empty()).axes[0].members == frozenset()
+    for dim in (2, 3):
+        empty = ConcreteUniverse.window(0, 1, dim=dim).empty()
+        assert [a.members for a in rectangle_closure(empty).axes] == [frozenset()] * dim
 
 
 def test_closure_idempotent_on_rectangles():

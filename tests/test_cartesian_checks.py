@@ -1,6 +1,7 @@
 """The Cartesian checks catch planted faults, compute each rectangle's
-image once, call what they check once per pair or region, and refuse
-exactly the windows their message names.
+image once, call what they check once per pair or region, refuse exactly
+the windows their message names and a sample count below 1, and the
+sampled checks draw the samples they always drew.
 
 A planted fault makes ``iota``, ``Rectangle.meet`` or
 ``rectangle_closure`` wrong on the rectangles whose first axis is {1, 2},
@@ -10,6 +11,8 @@ evaluated ``iota`` once per pair and compared frozensets, and, for the
 order fault, ``componentwise_leq`` once per pair; a check that only reuses
 images and order rows must reach the same ``ok``, ``checked`` and witness.
 """
+
+import hashlib
 
 import pytest
 
@@ -21,7 +24,7 @@ from abslog.cartesian import (
     check_iota_preserves_meets,
 )
 from abslog.concrete import ConcreteSet
-from abslog.errors import CarrierTooLarge, InvalidConcretization
+from abslog.errors import AbslogError, CarrierTooLarge, InvalidConcretization
 
 FAULTY_AXIS = frozenset({1, 2})
 
@@ -124,13 +127,13 @@ def test_planted_fault_verdict(monkeypatch, fault, check):
 
 
 def _count(monkeypatch, owner, name: str) -> list:
-    """Record the first argument of every call to ``owner.name``."""
+    """Record the arguments of every call to ``owner.name``."""
     calls = []
     wrapped = getattr(owner, name)
 
-    def counting(first, *rest):
-        calls.append(first)
-        return wrapped(first, *rest)
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -161,7 +164,7 @@ def test_galois_check_closes_every_region(monkeypatch):
     calls = _count(monkeypatch, cartesian, "rectangle_closure")
     res = check_galois(((0, 2), (0, 2)))
     assert res.ok and len(calls) == 512
-    assert len({r.members for r in calls}) == 512
+    assert len({r.members for (r,) in calls}) == 512
 
 
 def test_galois_check_runs_with_its_defaults():
@@ -182,7 +185,7 @@ def test_meet_missing_from_the_table_is_mapped(monkeypatch):
     monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
     with pytest.raises(InvalidConcretization, match="not in the universe"):
         check_iota_preserves_meets(((0, 1), (0, 1)))
-    assert len(calls) == 16 + 1 and len(calls[-1].axes) == 3
+    assert len(calls) == 16 + 1 and len(calls[-1][0].axes) == 3
 
 
 def test_meet_check_accepts_a_window_within_the_bound():
@@ -207,3 +210,56 @@ def test_meet_check_axes_share_one_window():
     # product universe
     with pytest.raises(InvalidConcretization, match="axis windows differ"):
         check_iota_preserves_meets(((0, 6), (0, 2)))
+
+
+SAMPLED = ((0, 2),) * 3  # the 3-D window of the sampled checks above
+
+
+@pytest.mark.parametrize("check", [check_iota_preserves_meets, check_galois])
+def test_sampled_check_maps_each_rectangle_once(monkeypatch, check):
+    calls = _count(monkeypatch, cartesian, "iota")
+    res = check(SAMPLED, sample=2000)
+    assert res.ok and res.checked == 2000
+    mapped = [x.members for x, _ in calls]
+    # 8 ** 3 rectangles exist on the window; each is mapped at most once
+    assert len(mapped) == len(set(mapped)) <= 8 ** 3
+
+
+@pytest.mark.parametrize("check, owner, name", [
+    (check_iota_preserves_meets, Rectangle, "meet"),
+    (check_galois, cartesian, "rectangle_closure"),
+    (check_galois, Rectangle, "componentwise_leq"),
+])
+def test_sampled_check_calls_what_it_checks_once_per_sample(
+        monkeypatch, check, owner, name):
+    calls = _count(monkeypatch, owner, name)
+    res = check(SAMPLED, sample=2000)
+    assert res.ok and len(calls) == res.checked == 2000
+
+
+@pytest.mark.parametrize("check", [check_iota_preserves_meets, check_galois])
+@pytest.mark.parametrize("sample", [0, -1])
+def test_sampled_check_refuses_a_count_below_one(check, sample):
+    # a passing verdict that checked nothing would read as a pass
+    with pytest.raises(AbslogError, match=f"at least 1 sample, got {sample}"):
+        check(SAMPLED, sample=sample)
+
+
+# sha256 of the sorted members of every sampled (x, y) of the meet check and
+# every (r, x) of the Galois check on ((0, 2),) * 3 at sample=2000 and the
+# default rng_seed 20240811; recorded with the checks that drew each axis
+# point by point into a fresh set
+SAMPLES_DIGEST = "8f07be53b22853215114917cd6e50cde54575d490e5c5e2dcc08e2f667738797"
+
+
+def test_sampled_checks_draw_the_pinned_samples(monkeypatch):
+    meets = _count(monkeypatch, Rectangle, "meet")
+    closures = _count(monkeypatch, cartesian, "rectangle_closure")
+    leqs = _count(monkeypatch, Rectangle, "componentwise_leq")
+    assert check_iota_preserves_meets(SAMPLED, sample=2000).ok
+    assert check_galois(SAMPLED, sample=2000).ok
+    assert len(meets) == len(closures) == len(leqs) == 2000
+    drawn = [_plain(pair) for pair in meets]
+    drawn += [(_plain(r), _plain(x)) for (r,), (_, x) in zip(closures, leqs)]
+    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
+    assert digest == SAMPLES_DIGEST

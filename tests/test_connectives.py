@@ -44,6 +44,19 @@ def test_a_compound_takes_its_connectives_arity():
                 Compound(c.name, (Pred("Even"),) * n)
 
 
+@pytest.mark.parametrize("op, args", [
+    ("not", ("Even",)),
+    ("and", (Pred("Even"), "Odd")),
+    ("or", (None, Pred("Odd"))),
+    ("impl", (Pred("Even"), ("not", Pred("Odd")))),
+])
+def test_a_compound_takes_formulas(op, args):
+    # a bare name would build and then fail in eval_abstract with an
+    # AttributeError on its missing .op
+    with pytest.raises(UnknownSymbol, match="takes formulas"):
+        Compound(op, args)
+
+
 def registry_table() -> list[str]:
     rows = ["| connective | arity | symbol | precedence | concrete op | introduction rules |",
             "|---|---|---|---|---|---|"]

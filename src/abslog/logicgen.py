@@ -16,7 +16,7 @@ from .concrete import Abstraction, PreservationReport
 from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
 from .errors import AbslogError, MinimizationFailed, UnknownFormat
 from .lattice import hasse_edges
-from .syntax import NAME_RE, Compound, Pred, Sequent, parse_sequent, render_sequent
+from .syntax import NAME_RE, Compound, Pred, Sequent, render_sequent, sequent_reader
 
 KIND_STRUCTURAL = "structural"
 KIND_INTRODUCTION = "introduction"
@@ -104,7 +104,12 @@ class ProofSystem:
         kept, dropped = [], []
         for r in self.rules:
             (dropped if r.name in names else kept).append(r)
-        trial = ProofSystem(self.signature, tuple(kept), self.source, self.abstraction)
+        return self._derive(tuple(kept), dropped)
+
+    def _derive(self, rules: tuple[Rule, ...], dropped) -> "ProofSystem":
+        """This system with ``rules``, which are its own rules less
+        ``dropped``, in any order; the engine goes as in ``without``."""
+        trial = ProofSystem(self.signature, rules, self.source, self.abstraction)
         if self._engine is not None and all(r.axiom is not None for r in dropped):
             trial._engine = self._engine.without([r.axiom for r in dropped])
         return trial
@@ -170,7 +175,8 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
     drop to the Hasse covering edges directly; the remaining operation
     axioms are removed greedily in name order whenever they stay derivable
     without themselves.  Every removed axiom is re-checked against the
-    final system, which re-establishes closure equality.
+    final system, which re-establishes closure equality.  The result keeps
+    the rules of ``ps`` that are left, in their order.
     """
     if ps.abstraction is None:
         raise AbslogError("minimization needs the source abstraction")
@@ -189,13 +195,24 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
                                   "predicate on each side")
     current = ps.without(set(removed))
 
-    candidates = sorted((r for r in current.rules if r.kind == KIND_OPERATION),
-                        key=lambda r: r.name)
-    for r in candidates:
-        trial = current.without({r.name})
+    # the candidates go last, in name order, so that each trial drops one
+    # index of the rule tuple: a slice, not a pass over every rule
+    order = [r for r in current.rules if r.kind != KIND_OPERATION]
+    at = len(order)
+    order += sorted((r for r in current.rules if r.kind == KIND_OPERATION),
+                    key=lambda r: r.name)
+    current = current._derive(tuple(order), ())
+    while at < len(current.rules):
+        rules = current.rules
+        r = rules[at]
+        trial = current._derive(rules[:at] + rules[at + 1:], (r,))
         if oracle(trial, r.axiom):
             removed[r.name] = r.axiom
             current = trial
+        else:
+            at += 1
+    current = current._derive(
+        tuple(r for r in ps.rules if r.name not in removed), ())
 
     for name, seq in sorted(removed.items()):
         if not oracle(current, seq):
@@ -294,6 +311,7 @@ def parse_machine(text: str) -> ProofSystem:
     connectives: frozenset[str] = frozenset()
     var_names: tuple[str, ...] = ("x",)
     rules: list[Rule] = []
+    read_sequent = sequent_reader()
     for ln in lines[1:]:
         if not ln.strip():
             continue
@@ -313,7 +331,7 @@ def parse_machine(text: str) -> ProofSystem:
                 raise UnknownFormat(f"malformed rule line {ln!r}")
             kind, name = parts
             if seq_text:
-                rules.append(Rule(kind, name, parse_sequent(seq_text)))
+                rules.append(Rule(kind, name, read_sequent(seq_text)))
             elif name in STOCK_SCHEMAS:
                 rules.append(_stock_rule(name))
             else:

@@ -1,8 +1,9 @@
 """Abstraction spec files: a line-oriented textual format.
 
 Sections are ``ELEMENTS / ORDER / OPS / UNIVERSE / GAMMA / AXIOMS`` with
-``#`` comments; ``ORDER`` lines are Hasse (covering) edges; ``GAMMA``
-entries use the shorthands ``{}``, ``all``, ``evens``, ``odds``,
+``#`` comments; an element name must be a predicate name of the formula
+grammar (``syntax.NAME_RE``); ``ORDER`` lines are Hasse (covering) edges;
+``GAMMA`` entries use the shorthands ``{}``, ``all``, ``evens``, ``odds``,
 ``range(lo,hi)``, ``union(...)`` or explicit point lists in braces.  The
 optional ``AXIOMS`` section holds extra axiom sequents, one per line
 (the octagon export stores its pairwise infeasibility axioms there).
@@ -17,7 +18,7 @@ from pathlib import Path
 from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
 from .lattice import FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
-from .syntax import formula_predicates, parse_sequent, render_sequent
+from .syntax import NAME_RE, formula_predicates, parse_sequent, render_sequent
 
 SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
 
@@ -51,6 +52,9 @@ def load(text: str, name: str = "spec") -> Abstraction:
             for e in line.split():
                 if e in elements:
                     raise SpecError(f"duplicate element {e!r}", ln_no)
+                if not NAME_RE.fullmatch(e):
+                    raise SpecError(f"element name {e!r} is not a predicate name "
+                                    "of the formula grammar", ln_no)
                 elements.append(e)
         elif section == "ORDER":
             if " < " not in line:
@@ -238,14 +242,15 @@ def emit(abs_: Abstraction) -> str:
     cannot read back.
     """
     lat = abs_.lattice
-    # ``load`` splits ELEMENTS and OPS lines on whitespace, drops what follows
-    # ``#``, reads an OPS line that starts with ``unary`` as a new operation,
-    # and a lone element's ELEMENTS line can be a section name
+    # ``load`` reads an element name only as a predicate name of the formula
+    # grammar, drops what follows ``#``, reads an OPS line that starts with
+    # ``unary`` as a new operation, and a lone element's ELEMENTS line can be
+    # a section name
     keywords = ("unary",) if lat.unary_ops else ()
     if len(lat) == 1:
         keywords += SECTIONS
     for e in lat.elements:
-        if "#" in e or e.split() != [e] or e in keywords:
+        if "#" in e or not NAME_RE.fullmatch(e) or e in keywords:
             raise SpecError(f"element name {e!r} cannot be written to a spec file")
     if abs_.universe.kind == "atoms":
         for atom in abs_.universe.params:

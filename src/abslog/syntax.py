@@ -11,6 +11,12 @@ A formula is a :class:`Pred` or a :class:`Compound`: a registry connective
 applied to as many formulas as its arity, and refused when built otherwise
 (an unknown connective, another argument count, or an argument that is not
 a formula).
+
+``sequent_reader`` reads many sequents and parses each distinct side text
+once.  It splits a sequent at its first ``|-``, which valid text holds only
+as the turnstile (its docstring gives the argument), and reparses the whole
+text with ``parse_sequent`` when a side does not parse, so errors are
+unchanged.
 """
 
 from __future__ import annotations
@@ -56,16 +62,12 @@ Const = Compound  # a constant is a compound without arguments: ``Const("ff")``
 Formula = Pred | Compound
 
 
-def _prec(f: Formula) -> int:
-    return CONNECTIVES[f.op].prec if isinstance(f, Compound) else ATOM_PREC
-
-
 def render_formula(f: Formula, var: str = "x", latex: bool = False) -> str:
     """Deterministic text with minimal parentheses (round-trips via parse);
     ``latex`` writes each connective's LaTeX symbol in place of its text one."""
-    if isinstance(f, Pred):
+    if f.__class__ is Pred:
         return f"{f.name}({var})"
-    if not isinstance(f, Compound):
+    if f.__class__ is not Compound:
         raise UnknownSymbol(f"cannot render {f!r}")
     c = CONNECTIVES[f.op]
     symbol = c.latex if latex else c.symbol
@@ -75,15 +77,18 @@ def render_formula(f: Formula, var: str = "x", latex: bool = False) -> str:
     if len(f.args) == 1:
         (arg,) = f.args
         inner = render_formula(arg, var, latex)
-        return f"{symbol}({inner})" if _prec(arg) < p else f"{symbol}{inner}"
+        q = CONNECTIVES[arg.op].prec if arg.__class__ is Compound else ATOM_PREC
+        return f"{symbol}({inner})" if q < p else f"{symbol}{inner}"
     # the arrows (precedence 0) parse right-associatively, the others left;
     # a child at the same precedence needs parentheses on the other side
     lhs, rhs = f.args
     left = render_formula(lhs, var, latex)
-    if _prec(lhs) < p or (p == 0 and _prec(lhs) == 0):
+    q = CONNECTIVES[lhs.op].prec if lhs.__class__ is Compound else ATOM_PREC
+    if q < p or (p == 0 and q == 0):
         left = f"({left})"
     right = render_formula(rhs, var, latex)
-    if _prec(rhs) < p or (p > 0 and _prec(rhs) == p):
+    q = CONNECTIVES[rhs.op].prec if rhs.__class__ is Compound else ATOM_PREC
+    if q < p or (p > 0 and q == p):
         right = f"({right})"
     return f"{left} {symbol} {right}"
 
@@ -101,8 +106,8 @@ class Sequent:
 
 
 def render_sequent(s: Sequent, var: str = "x", latex: bool = False) -> str:
-    left = ", ".join(render_formula(f, var, latex) for f in s.ante)
-    right = ", ".join(render_formula(f, var, latex) for f in s.succ)
+    left = ", ".join([render_formula(f, var, latex) for f in s.ante])
+    right = ", ".join([render_formula(f, var, latex) for f in s.succ])
     turnstile = r"\vdash " if latex else "|-"
     return f"{left} {turnstile} {right}" if left else f"{turnstile} {right}"
 
@@ -244,6 +249,55 @@ def parse_sequent(text: str, line: int | None = None,
     succ = p.formulas()
     p.done("sequent")
     return Sequent(ante, succ)
+
+
+def sequent_reader():
+    """A ``parse_sequent`` without line or argument checks that parses each
+    distinct side text once, for reading many sequents that repeat their
+    sides (as an operation axiom's ``.l`` and ``.r`` sequents do).
+
+    ``read(text)`` splits the text at the first ``|-``, strips each side and
+    parses it with ``_Parser.formulas()``, keeping one entry per distinct
+    side text for the reader's life; an empty antecedent is ``()``.  If
+    there is no ``|-``, or a side or the sequent does not parse, it parses
+    the whole text with ``parse_sequent``, so every error keeps its message
+    and column.
+
+    The split agrees with ``parse_sequent`` on text whose sides both parse.
+    Only the tokens ``|`` and ``|-`` hold a ``|``: a name excludes it, an
+    argument list admits only ``[A-Za-z0-9_,\\s]`` and a constant is
+    ``tt`` or ``ff``.  So each ``|-`` in the text starts a token, and since
+    fixed tokens are tried longest first and none is longer than two
+    characters, that token is the turnstile.  No token reaches across it; a
+    match reads no text before its start, and the one lookahead (no name
+    character after a constant) reads a space or ``|`` where the side alone
+    ends.  Stripping removes only what the scanner skips.  So the whole text
+    scans to the left side's tokens, the turnstile, then the right side's
+    tokens, and the parser stops a formula list at ``|-`` exactly as at the
+    end of input: it reads both sides as they read alone.
+    """
+    sides: dict[str, tuple[Formula, ...]] = {"": ()}
+
+    def side(text: str) -> tuple[Formula, ...]:
+        formulas = sides.get(text)
+        if formulas is None:
+            p = _Parser(text)
+            formulas = p.formulas()
+            p.done("sequent")
+            sides[text] = formulas
+        return formulas
+
+    def read(text: str) -> Sequent:
+        left, turnstile, right = text.partition("|-")
+        if turnstile:
+            try:
+                # an empty succedent is refused by ``Sequent``, then reparsed
+                return Sequent(side(left.strip()), side(right.strip()))
+            except ParseError:
+                pass
+        return parse_sequent(text)
+
+    return read
 
 
 def formula_predicates(f: Formula):

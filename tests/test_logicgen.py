@@ -2,10 +2,15 @@
 
 import pytest
 
-from abslog import logicgen, specfile
-from abslog.concrete import preservation_report
-from abslog.errors import AbslogError, MinimizationFailed, UnknownFormat
-from abslog.lattice import hasse_edges
+from abslog import logicgen, specfile, syntax
+from abslog.concrete import (
+    Abstraction,
+    ConcreteUniverse,
+    ConcretizationMap,
+    preservation_report,
+)
+from abslog.errors import AbslogError, MinimizationFailed, SpecError, UnknownFormat
+from abslog.lattice import build_lattice, hasse_edges
 from abslog.logicgen import (
     KIND_INTRODUCTION,
     KIND_OPERATION,
@@ -214,6 +219,23 @@ def test_generation_and_parsing_render_no_sequent(builtins, monkeypatch):
         parse_machine(machines[name])
 
 
+def test_parse_machine_parses_each_distinct_side_once(parity, monkeypatch):
+    # parity's 149 axioms have 298 sides, which hold 74 distinct texts
+    ps = system(parity)
+    text = render(ps, "machine")
+    parsed = []
+
+    class Counted(syntax._Parser):
+        def __init__(self, text, line=None):
+            parsed.append(text)
+            super().__init__(text, line)
+
+    monkeypatch.setattr(syntax, "_Parser", Counted)
+    assert parse_machine(text) == ps
+    assert sum(r.axiom is not None for r in ps.rules) == 149
+    assert len(parsed) == len(set(parsed)) == 74
+
+
 @pytest.mark.parametrize("source", ["octagon-c1", "export-c2"])
 def test_generation_parses_no_axiom_text(builtins, monkeypatch, source):
     abs_ = (builtins["octagon-c1"] if source == "octagon-c1"
@@ -222,18 +244,21 @@ def test_generation_parses_no_axiom_text(builtins, monkeypatch, source):
     def refuse(*args, **kwargs):
         raise AssertionError("a sequent was parsed")
 
-    monkeypatch.setattr(logicgen, "parse_sequent", refuse)
+    monkeypatch.setattr(syntax, "_Parser", refuse)
     axioms = [r.axiom for r in system(abs_).rules if r.name.startswith("axiom.")]
     assert axioms == [s for _, s in abs_.extra_axioms] != []
 
 
 @pytest.mark.parametrize("element", ["0", "a&b"])
 def test_machine_format_refuses_a_name_the_grammar_cannot_read(element):
-    # the spec format reads the name back, the formula grammar does not
-    text = f"ELEMENTS\nbot {element} top\nORDER\nbot < {element}\n{element} < top\n" \
-           f"UNIVERSE\natoms p\nGAMMA\nbot = {{}}\n{element} = {{p}}\ntop = all\n"
-    abs_ = specfile.load(text, "odd")
-    assert specfile.emit(abs_).splitlines()[2] == f"bot {element} top"
+    # neither the spec format nor the formula grammar reads the name, so the
+    # abstraction is built in code
+    uni = ConcreteUniverse.atoms(["p"])
+    lat = build_lattice(["bot", element, "top"], [("bot", element), (element, "top")])
+    abs_ = Abstraction("odd", lat, ConcretizationMap(lat, uni, {
+        "bot": uni.empty(), element: uni.full(), "top": uni.full()}))
+    with pytest.raises(SpecError):
+        specfile.emit(abs_)
     ps = system(abs_)
     render(ps, "text")
     with pytest.raises(UnknownFormat) as exc:

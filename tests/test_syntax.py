@@ -14,6 +14,7 @@ from abslog.syntax import (
     parse_sequent,
     render_formula,
     render_sequent,
+    sequent_reader,
 )
 
 
@@ -143,3 +144,53 @@ def test_formula_roundtrip(f):
 def test_sequent_roundtrip(ante, succ):
     s = Sequent(tuple(ante), tuple(succ))
     assert parse_sequent(render_sequent(s)) == s
+
+
+def parsed(parse, text):
+    """The sequent ``parse`` reads from ``text``, or its error's message,
+    line and column."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+SPACES = ["", " ", "  ", "\t", "\n", "\u00a0", "\x1c"]
+
+
+@st.composite
+def sequent_texts(draw):
+    """A rendered sequent, or one corruption of it: a character deleted or
+    inserted, a second ``|-``, the turnstile as ``||-`` or ``|->``, an empty
+    side, or other whitespace."""
+    ante = draw(st.lists(formulas(), max_size=3))
+    succ = draw(st.lists(formulas(), min_size=1, max_size=3))
+    text = render_sequent(Sequent(tuple(ante), tuple(succ)))
+    left, _, right = text.partition("|-")
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["none", "delete", "insert", "turnstile", "||-",
+                                 "|->", "no left", "no right", "spaces"]))
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from("|-()<>,&~tfx0 ")) + text[at:]
+    if edit == "turnstile":
+        return text[:at] + "|-" + text[at:]
+    if edit in ("||-", "|->"):
+        return left + edit + right
+    if edit == "no left":
+        return "|-" + right
+    if edit == "no right":
+        return left + "|-"
+    if edit == "spaces":
+        pad = st.sampled_from(SPACES)
+        return draw(pad) + "".join(draw(pad) if c == " " else c for c in text) + draw(pad)
+    return text
+
+
+@given(st.lists(sequent_texts(), min_size=1, max_size=4))
+def test_sequent_reader_reads_as_parse_sequent(texts):
+    read = sequent_reader()
+    # twice each: the second read of a text takes its sides from the reader
+    for text in texts + texts:
+        assert parsed(read, text) == parsed(parse_sequent, text)

@@ -182,18 +182,21 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
         raise AbslogError("minimization needs the source abstraction")
     lat = ps.abstraction.lattice
     covers = set(hasse_edges(lat))
-    removed: dict[str, Sequent] = {}
+    # the removed rules by identity, not by name or value: a generated name
+    # can stand for two rules, and a rule read twice is two equal objects
+    removed: dict[int, Rule] = {}
     for r in ps.rules:
         if r.kind != KIND_ORDER:
             continue
         match r.axiom:
             case Sequent((Pred(a),), (Pred(b),)):
                 if a == b or (a, b) not in covers:
-                    removed[r.name] = r.axiom
+                    removed[id(r)] = r
             case _:
                 raise AbslogError(f"order axiom {r.name!r} is not one "
                                   "predicate on each side")
-    current = ps.without(set(removed))
+    current = ps._derive(tuple(r for r in ps.rules if id(r) not in removed),
+                         removed.values())
 
     # the candidates go last, in name order, so that each trial drops one
     # index of the rule tuple: a slice, not a pass over every rule
@@ -207,17 +210,16 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
         r = rules[at]
         trial = current._derive(rules[:at] + rules[at + 1:], (r,))
         if oracle(trial, r.axiom):
-            removed[r.name] = r.axiom
+            removed[id(r)] = r
             current = trial
         else:
             at += 1
-    current = current._derive(
-        tuple(r for r in ps.rules if r.name not in removed), ())
+    current = current._derive(tuple(r for r in ps.rules if id(r) not in removed), ())
 
-    for name, seq in sorted(removed.items()):
-        if not oracle(current, seq):
+    for r in sorted(removed.values(), key=lambda r: r.name):
+        if not oracle(current, r.axiom):
             raise MinimizationFailed(
-                f"minimization broke the closure: {name} no longer derivable")
+                f"minimization broke the closure: {r.name} no longer derivable")
     return current
 
 
@@ -312,6 +314,7 @@ def parse_machine(text: str) -> ProofSystem:
     var_names: tuple[str, ...] = ("x",)
     rules: list[Rule] = []
     read_sequent = sequent_reader()
+    kinds = {KIND_STRUCTURAL, KIND_INTRODUCTION, KIND_OPERATION, KIND_ORDER}
     for ln in lines[1:]:
         if not ln.strip():
             continue
@@ -322,6 +325,8 @@ def parse_machine(text: str) -> ProofSystem:
             predicates = tuple(rest.split())
         elif head == "connectives":
             connectives = frozenset(rest.split())
+            if not connectives <= CONNECTIVES.keys():
+                raise UnknownFormat(f"unknown connective in line {ln!r}")
         elif head == "var":
             var_names = tuple(v.strip() for v in rest.split(","))
         elif head == "rule":
@@ -330,12 +335,16 @@ def parse_machine(text: str) -> ProofSystem:
             if len(parts) != 2:
                 raise UnknownFormat(f"malformed rule line {ln!r}")
             kind, name = parts
+            if kind not in kinds:
+                raise UnknownFormat(f"unknown rule kind in line {ln!r}")
             if seq_text:
                 rules.append(Rule(kind, name, read_sequent(seq_text)))
-            elif name in STOCK_SCHEMAS:
-                rules.append(_stock_rule(name))
-            else:
+            elif name not in STOCK_SCHEMAS:
                 raise UnknownFormat(f"unknown rule schema {name!r}")
+            elif (rule := _stock_rule(name)).kind != kind:
+                raise UnknownFormat(f"rule schema of another kind in line {ln!r}")
+            else:
+                rules.append(rule)
         else:
             raise UnknownFormat(f"unknown machine-format line {ln!r}")
     sig = Signature(predicates, connectives, var_names)

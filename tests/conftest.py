@@ -4,6 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from abslog import specfile
+from abslog.concrete import Abstraction, ConcreteUniverse, ConcretizationMap
+from abslog.lattice import build_lattice
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -69,3 +71,17 @@ def intersection_closed(draw):
             break
         family = closed
     return k, sorted(family)
+
+
+def family_abstraction(case):
+    """The abstraction of an ``intersection_closed`` draw: the family ordered
+    by inclusion, each member its own image over the atoms."""
+    k, family = case
+    name = {m: f"s{m:0{k}b}" for m in family}
+    lat = build_lattice([name[m] for m in family],
+                        [(name[a], name[b]) for a in family for b in family
+                         if a != b and a & b == a])
+    uni = ConcreteUniverse.atoms([f"a{i}" for i in range(k)])
+    gamma = ConcretizationMap(lat, uni, {
+        name[m]: uni.subset(f"a{i}" for i in range(k) if m >> i & 1) for m in family})
+    return Abstraction("family", lat, gamma)

@@ -16,6 +16,8 @@ from abslog.logicgen import (
     KIND_OPERATION,
     KIND_ORDER,
     KIND_STRUCTURAL,
+    ProofSystem,
+    Rule,
     generate_proof_system,
     generate_signature,
     minimize_proof_system,
@@ -23,7 +25,7 @@ from abslog.logicgen import (
     render,
 )
 from abslog.octagon import OctLattice, export_abstraction
-from abslog.proofengine import derivable
+from abslog.proofengine import derivable, verify_completeness
 from abslog.syntax import parse_sequent
 
 
@@ -174,6 +176,38 @@ def test_minimize_refuses_a_malformed_order_axiom(parity, axiom):
         minimize_proof_system(ps, ORACLE)
 
 
+NAMESAKES = """ELEMENTS
+bot refl x y top
+ORDER
+bot < refl
+refl < x
+refl < y
+x < top
+y < top
+UNIVERSE
+window 0 4
+GAMMA
+bot = {}
+refl = {0}
+x = {0 1 3}
+y = {0 2 3}
+top = all
+"""
+
+
+def test_minimize_keeps_a_rule_whose_name_a_dropped_rule_shares():
+    # ord.refl.x names both the reflexive axiom x |- x and the order pair
+    # refl |- x; dropping the first must keep the second
+    abs_ = specfile.load(NAMESAKES, "namesakes")
+    ps = system(abs_)
+    names = [r.name for r in ps.rules]
+    assert names.count("ord.refl.x") == 2
+    mini = minimize_proof_system(ps, ORACLE)
+    assert sorted(r.name for r in mini.rules if r.kind == KIND_ORDER) == [
+        "ord.bot.refl", "ord.refl.x", "ord.refl.y", "ord.x.top", "ord.y.top"]
+    assert verify_completeness(abs_, mini).status == "complete"
+
+
 def test_minimize_keeps_infeasibility_frontier(builtins):
     oct_ = builtins["octagon-c1"]
     mini = minimize_proof_system(system(oct_), ORACLE)
@@ -182,6 +216,20 @@ def test_minimize_keeps_infeasibility_frontier(builtins):
     assert kept == ["axiom.000", "axiom.001", "axiom.003", "axiom.004"]
     for r in (r for r in system(oct_).rules if r.name.startswith("axiom.")):
         assert derivable(mini, r.axiom)
+
+
+def test_minimize_keeps_one_copy_of_a_needed_axiom_held_twice(builtins):
+    # as when a machine file holds its line twice: the first copy goes,
+    # since the second still derives it; the second stays, and the first is
+    # re-checked against it
+    oct_ = builtins["octagon-c1"]
+    ps = system(oct_)
+    r = next(r for r in ps.rules if r.name == "axiom.000")
+    twice = ProofSystem(ps.signature, ps.rules + (Rule(r.kind, r.name, r.axiom),),
+                        ps.source, oct_)
+    mini = minimize_proof_system(twice, ORACLE)
+    assert [r.name for r in mini.rules].count("axiom.000") == 1
+    assert mini == minimize_proof_system(ps, ORACLE)
 
 
 def test_render_text_deterministic(parity):
@@ -291,10 +339,23 @@ def test_var_line_after_the_rules(builtins):
     ("rule", "'rule'"),
     ("rule structural", "'rule structural'"),
     ("rule introduction intro.bogus", "'intro.bogus'"),
+    # render writes the four rule kinds only, each stock schema under its own
+    ("rule banana intro.and.l", "'rule banana intro.and.l'"),
+    ("rule banana ord.bad | bot(x) |- top(x)", "'rule banana ord.bad"),
+    ("rule introduction cut", "'rule introduction cut'"),
+    ("rule structural intro.and.l", "'rule structural intro.and.l'"),
 ])
 def test_malformed_rule_line(parity, line, named):
     text = render(system(parity), "machine") + line + "\n"
     with pytest.raises(UnknownFormat, match=named):
+        parse_machine(text)
+
+
+def test_machine_format_refuses_an_unknown_connective(parity):
+    # render writes only registry connectives, so ``foo`` would read back
+    # and then vanish from the next render
+    text = render(system(parity), "machine") + "connectives and foo\n"
+    with pytest.raises(UnknownFormat, match="'connectives and foo'"):
         parse_machine(text)
 
 

@@ -44,7 +44,13 @@ from abslog.proofengine import (
 )
 from abslog.syntax import Pred, Sequent, parse_sequent
 
-from conftest import BUILTIN_NAMES, REPO, intersection_closed, load_builtin
+from conftest import (
+    BUILTIN_NAMES,
+    REPO,
+    family_abstraction,
+    intersection_closed,
+    load_builtin,
+)
 
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
@@ -200,17 +206,9 @@ def test_models_equal_the_reference_on_minimized_systems(name):
 @settings(max_examples=50, deadline=None)
 @given(intersection_closed())
 def test_intersection_closed_families_verify(case):
-    k, family = case
-    name = {m: f"s{m:0{k}b}" for m in family}
-    lat = build_lattice([name[m] for m in family],
-                        [(name[a], name[b]) for a in family for b in family
-                         if a != b and a & b == a])
-    uni = ConcreteUniverse.atoms([f"a{i}" for i in range(k)])
-    gamma = ConcretizationMap(lat, uni, {
-        name[m]: uni.subset(f"a{i}" for i in range(k) if m >> i & 1) for m in family})
-    abs_ = Abstraction("family", lat, gamma)
+    abs_ = family_abstraction(case)
     ps = system(abs_)
-    n = len(family)
+    n = len(abs_.lattice.elements)
     assert verify_soundness(abs_, ps, max_predicates=n).ok
     assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
     assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok

@@ -49,6 +49,7 @@ from abslog import specfile
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
+SPECS = DATA.parent.parent / "specs"
 
 
 def system(abs_):
@@ -355,6 +356,20 @@ def test_completeness_biconditional(parity, parity_ps):
             inc = parity.gamma(a).issubset(parity.gamma(b))
             der = eng.derivable(Sequent((Pred(a),), (Pred(b),)))
             assert inc == der
+
+
+def test_completeness_reads_gamma_by_name(interval):
+    # the engine's bits follow the system's predicates; an abstraction that
+    # lists the same carrier in reverse must still read complete
+    ps = system(interval)
+    text = (SPECS / "interval.spec").read_text()
+    elements = " ".join(interval.lattice.elements)
+    reversed_ = specfile.load(
+        text.replace(elements, " ".join(reversed(interval.lattice.elements))),
+        "interval")
+    assert reversed_.lattice.elements == interval.lattice.elements[::-1]
+    res = verify_completeness(reversed_, ps)
+    assert (res.status, res.witness, res.pairs_checked) == ("complete", None, 49)
 
 
 def test_completeness_precondition_unmet():

@@ -40,9 +40,6 @@ from .proofengine import (
     build_lindenbaum,
     derivable,
     engine_for,
-    eval_abstract,
-    eval_concrete,
-    holds_concrete,
     normalize,
     verify_completeness,
     verify_isomorphism,

@@ -206,8 +206,8 @@ class PointMasks:
         return connective(f.op).concrete(self, *map(self.mask, f.args))
 
     def holds(self, s: Sequent) -> bool:
-        """:func:`~abslog.proofengine.holds_concrete` on masks: no point is
-        in every antecedent and in no succedent."""
+        """No point is in every antecedent and in no succedent; the tests
+        check it against ``holds_concrete`` in ``tests/concrete_oracle.py``."""
         inter = self._full
         for f in s.ante:
             inter &= self.mask(f)
@@ -352,7 +352,7 @@ def check_order_embedding(abs_: Abstraction) -> EmbeddingResult:
     gamma = abs_.gamma
     for a in lat.elements:
         for b in lat.elements:
-            if gamma(a).issubset(gamma(b)) and not lat.leq(a, b):
+            if not lat.leq(a, b) and gamma(a).issubset(gamma(b)):
                 return EmbeddingResult(False, (a, b))
     return EmbeddingResult(True)
 

@@ -131,13 +131,25 @@ class FiniteLattice:
         ji, jd = self._ji, self._jd
         by_jd = {d: k for k, d in enumerate(jd)}
         closure = jd if co else [u & ji for u in self._up]
+        # the closure of a set S of join-irreducibles, memoised on S: that of
+        # S without its lowest bit, OR that bit's closure (O(1) on a chain)
+        closed = {0: 0}
+
+        def close(s: int) -> int:
+            stack = []
+            while s not in closed:
+                stack.append(s)
+                s &= s - 1
+            c = closed[s]
+            for t in reversed(stack):
+                c = closed[t] = c | closure[(t & -t).bit_length() - 1]
+            return c
+
         rows = []
         for da in jd:
             row = []
             for db in jd:
-                s = 0
-                for k in bits(da & ~db):
-                    s |= closure[k]
+                s = close(da & ~db)
                 row.append(by_jd[s if co else ji ^ s])
             rows.append(tuple(row))
         return tuple(rows)

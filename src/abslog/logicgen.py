@@ -81,7 +81,7 @@ class ProofSystem:
     abstraction: Abstraction | None = field(default=None, repr=False, compare=False)
     # the system's one derivability engine, built on first use by
     # ``proofengine.engine_for``; a derived system that drops only axioms
-    # adding no clause inherits it (see ``without``), any other starts
+    # adding no clause inherits it (see ``_derive``), any other starts
     # without one, and assigning a field drops it
     _engine: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -96,19 +96,10 @@ class ProofSystem:
     def rule_names(self) -> frozenset[str]:
         return frozenset(r.name for r in self.rules)
 
-    def without(self, names: set[str]) -> "ProofSystem":
-        """The system without the rules ``names``.  When this system has an
-        engine and only axioms go, the new system gets the engine's
-        ``without`` of them: an engine of its own that shares the models, or
-        None when an axiom adds a clause."""
-        kept, dropped = [], []
-        for r in self.rules:
-            (dropped if r.name in names else kept).append(r)
-        return self._derive(tuple(kept), dropped)
-
     def _derive(self, rules: tuple[Rule, ...], dropped) -> "ProofSystem":
         """This system with ``rules``, which are its own rules less
-        ``dropped``, in any order; the engine goes as in ``without``."""
+        ``dropped``, in any order.  When only axioms go, the new system gets
+        ``ModelEngine.without`` of them from this system's engine, if any."""
         trial = ProofSystem(self.signature, rules, self.source, self.abstraction)
         if self._engine is not None and all(r.axiom is not None for r in dropped):
             trial._engine = self._engine.without([r.axiom for r in dropped])

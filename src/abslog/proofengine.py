@@ -58,8 +58,8 @@ builds each V_x also builds each predicate's mask (the transpose), the
 registry's concrete operations compute a compound's mask from its
 arguments' masks, and ``G |- D`` holds iff
 ``AND(ante masks) & ~OR(succ masks) == 0``.  Both checks are exact; nothing
-is sampled.  :func:`holds_concrete` stays as the reference the tests check
-the masks against.
+is sampled.  The tests check the masks against a naive evaluator over
+concrete sets, ``tests/concrete_oracle.py``.
 
 Each proof system has one engine, a :class:`ModelEngine` built on first use
 by :func:`engine_for` and kept on the system: :func:`derivable`,
@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .concrete import Abstraction, PointMasks, check_order_embedding
-from .connectives import CONNECTIVES, connective, lookup
+from .connectives import CONNECTIVES, lookup
 from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
 from .lattice import bits
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
@@ -95,13 +95,13 @@ MAX_MODELS = 100_000  # largest model set enumerated, partial or final
 
 def _denote(lat, f: Formula, conns) -> int:
     """Index of the element a formula denotes, through the abstract tables;
-    ``conns`` is the signature the connectives must belong to, or None."""
+    ``conns`` is the signature the connectives must belong to."""
     if isinstance(f, Pred):
         try:
             return lat.index[f.name]
         except KeyError:
             raise UnknownSymbol(f"unknown predicate {f.name!r}") from None
-    if conns is not None and f.op not in conns:
+    if f.op not in conns:
         raise UnknownSymbol(f"connective {f.op!r} is not in the signature")
     table = lat.table(f.op)  # ``lookup`` inlined: its index list doubled the time
     for arg in f.args:
@@ -120,37 +120,6 @@ def normalize(ps: ProofSystem, formula: Formula) -> str:
         raise AbslogError("normalization needs the source abstraction")
     lat = abs_.lattice
     return lat.elements[_denote(lat, formula, ps.signature.connectives)]
-
-
-def eval_abstract(abs_: Abstraction, formula: Formula) -> str:
-    """Homomorphic evaluation into the lattice (predicates to elements):
-    :func:`normalize` without the signature check."""
-    lat = abs_.lattice
-    return lat.elements[_denote(lat, formula, None)]
-
-
-def eval_concrete(abs_: Abstraction, formula: Formula):
-    """Evaluate in the concrete powerset (predicates through gamma)."""
-    gamma = abs_.gamma
-    uni = abs_.universe
-
-    def walk(f: Formula):
-        if isinstance(f, Pred):
-            return gamma(f.name)
-        return connective(f.op).concrete(uni, *map(walk, f.args))
-
-    return walk(formula)
-
-
-def holds_concrete(abs_: Abstraction, s: Sequent) -> bool:
-    """Intersection of antecedents included in union of succedents."""
-    inter = abs_.universe.full()
-    for f in s.ante:
-        inter &= eval_concrete(abs_, f)
-    union = abs_.universe.empty()
-    for f in s.succ:
-        union |= eval_concrete(abs_, f)
-    return inter.issubset(union)
 
 
 # --- the engines ---------------------------------------------------------------
@@ -702,11 +671,12 @@ def build_lindenbaum(ps: ProofSystem, abs_: Abstraction | None = None,
         raise AbslogError("the abstraction's carrier is not the system's predicates")
     def induce(c, table, chosen=()):
         if len(chosen) == c.arity:
-            img = {cls_of_idx[lookup(table, args)]
-                   for args in iproduct(*(classes[k] for k in chosen))}
-            if len(img) != 1:
-                raise AbslogError(f"{c.name} is not class-independent")
-            return img.pop()
+            members = iproduct(*[classes[k] for k in chosen])
+            img = cls_of_idx[lookup(table, next(members))]
+            for args in members:
+                if cls_of_idx[lookup(table, args)] != img:
+                    raise AbslogError(f"{c.name} is not class-independent")
+            return img
         return tuple(induce(c, table, chosen + (k,)) for k in range(m))
 
     ops = {c.name: induce(c, lat.table(c.name)) for c in CONNECTIVES.values()
@@ -860,12 +830,13 @@ def verify_completeness(abs_: Abstraction, ps: ProofSystem,
     if not emb.is_embedding:
         return CompletenessResult("precondition_unmet", emb.witness)
     engine = engine_for(ps, max_predicates)
-    gamma = abs_.gamma
+    leq = abs_.lattice.leq
     checked = 0
-    # engine bits are the system's predicates; gamma is read by name
+    # engine bits are the system's predicates; the order is read by name.
+    # gamma is an order embedding here, so gamma(a) <= gamma(b) iff a <= b
     for i, a in enumerate(engine.preds):
         for j, b in enumerate(engine.preds):
             checked += 1
-            if gamma(a).issubset(gamma(b)) and not engine.derivable_masks(1 << i, 1 << j):
+            if leq(a, b) and not engine.derivable_masks(1 << i, 1 << j):
                 return CompletenessResult("incomplete", (a, b), checked)
     return CompletenessResult("complete", None, checked)

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,20 @@ ATOMS = 5  # largest set an intersection-closed family is drawn over
 
 def load_builtin(name: str):
     return specfile.load_path(SPECS / f"{name}.spec")
+
+
+def drop_rules(ps, names):
+    """``ps`` without the rules called ``names``, derived as minimization
+    derives its trials (``ProofSystem._derive``), so that the engine is
+    inherited the same way.  Generated names can repeat (over elements
+    ``refl`` and ``x``, the axioms ``refl |- x`` and ``x |- x`` are both
+    ``ord.refl.x``), so a name that stands for two rules is refused."""
+    count = Counter(r.name for r in ps.rules)
+    twice = sorted(name for name in names if count[name] > 1)
+    if twice:
+        raise ValueError(f"names standing for more than one rule: {twice}")
+    kept = tuple(r for r in ps.rules if r.name not in names)
+    return ps._derive(kept, [r for r in ps.rules if r.name in names])
 
 
 @pytest.fixture(scope="session")

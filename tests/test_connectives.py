@@ -51,7 +51,7 @@ def test_a_compound_takes_its_connectives_arity():
     ("impl", (Pred("Even"), ("not", Pred("Odd")))),
 ])
 def test_a_compound_takes_formulas(op, args):
-    # a bare name would build and then fail in eval_abstract with an
+    # a bare name would build and then fail in normalize with an
     # AttributeError on its missing .op
     with pytest.raises(UnknownSymbol, match="takes formulas"):
         Compound(op, args)

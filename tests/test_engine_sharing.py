@@ -40,7 +40,7 @@ from abslog.proofengine import (
 )
 from abslog.syntax import parse_sequent
 
-from conftest import BUILTIN_NAMES, REPO, load_builtin
+from conftest import BUILTIN_NAMES, REPO, drop_rules, load_builtin
 
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
@@ -124,17 +124,43 @@ def test_a_derived_system_inherits_only_an_unchanged_m0(monkeypatch, parity):
     engine = engine_for(ps)
     builds = count_builds(monkeypatch)
     # ``a |- a`` adds no clause: the engine is inherited as a new object
-    trial = ps.without({"ord.refl.Even"})
+    trial = drop_rules(ps, {"ord.refl.Even"})
     assert engine_for(trial) is not engine
     assert engine_for(trial).models is engine.models
     assert builds == []
     # a removed schema rule builds afresh, with the full validation
     with pytest.raises(AbslogError, match="structural rules missing"):
-        derivable(ps.without({"cut"}), parse_sequent("Even(x) |- top(x)"))
+        derivable(drop_rules(ps, {"cut"}), parse_sequent("Even(x) |- top(x)"))
     # a Hasse order axiom adds a clause: its removal builds a fresh engine
-    trial = ps.without({"ord.Even.top"})
+    trial = drop_rules(ps, {"ord.Even.top"})
     assert engine_for(trial) is not engine
     assert builds == [sum(r.axiom is not None for r in trial.rules)]
+
+
+def test_dropping_a_name_that_stands_for_two_rules_is_refused():
+    # ``refl |- x`` and ``x |- x`` are both named ``ord.refl.x``
+    abs_ = specfile.load("""
+ELEMENTS
+bot refl x y top
+ORDER
+bot < refl
+refl < x
+x < top
+bot < y
+y < top
+UNIVERSE
+atoms u v w
+GAMMA
+bot = {}
+refl = {u}
+x = {u v}
+y = {w}
+top = all
+""", "refl")
+    ps = system(abs_)
+    assert sum(r.name == "ord.refl.x" for r in ps.rules) == 2
+    with pytest.raises(ValueError, match="ord.refl.x"):
+        drop_rules(ps, {"ord.refl.x"})
 
 
 def test_smaller_bound_refused_after_larger():
@@ -153,7 +179,7 @@ def test_one_engine_per_system(parity):
     ps = system(parity)
     engine = engine_for(ps)
     assert engine_for(ps) is engine
-    trial = ps.without({ps.rules[-1].name})
+    trial = drop_rules(ps, {ps.rules[-1].name})
     assert engine_for(trial) is not engine
     assert engine_for(trial) is engine_for(trial)
     back = parse_machine(render(ps, "machine"))

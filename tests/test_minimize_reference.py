@@ -24,7 +24,7 @@ from abslog.logicgen import (
 from abslog.proofengine import derivable
 from abslog.syntax import Compound
 
-from conftest import BUILTIN_NAMES, REPO, load_builtin
+from conftest import BUILTIN_NAMES, REPO, drop_rules, load_builtin
 
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
@@ -41,10 +41,10 @@ def naive_minimize(ps, oracle):
             (a,), (b,) = r.axiom.ante, r.axiom.succ
             if a == b or (a.name, b.name) not in covers:
                 removed[r.name] = r.axiom
-    current = ps.without(set(removed))
+    current = drop_rules(ps, set(removed))
     for r in sorted((r for r in current.rules if r.kind == KIND_OPERATION),
                     key=lambda r: r.name):
-        trial = current.without({r.name})
+        trial = drop_rules(current, {r.name})
         if oracle(trial, r.axiom):
             removed[r.name] = r.axiom
             current = trial

@@ -18,9 +18,10 @@ from abslog import connectives
 from abslog.concrete import ConcreteSet, ConcreteUniverse, PointMasks
 from abslog.connectives import CONNECTIVES
 from abslog.logicgen import KIND_OPERATION, ProofSystem, Rule
-from abslog.proofengine import engine_for, holds_concrete, verify_soundness
+from abslog.proofengine import engine_for, verify_soundness
 from abslog.syntax import Compound, Pred, Sequent, render_sequent
 
+from concrete_oracle import holds_concrete
 from conftest import BUILTIN_NAMES, load_builtin
 from test_model_engine import _abstraction, system
 

@@ -7,9 +7,10 @@ adjunction, meet preservation and injectivity-off-empty-axes live here
 alongside the product construction itself.
 
 The meet and Galois checks, exhaustive and sampled alike, call ``iota``
-once per distinct rectangle and keep each image as an int mask over the
-target's points (bit i for the i-th point), so comparing two images, or a
-region with an image, is one int operation per pair.  What they check is
+once per distinct rectangle and keep each image as the target's point mask
+(:meth:`ConcreteUniverse.mask`), so comparing two images, or a region with
+an image, is one int operation per pair; the embedding criterion compares
+the masks that the composite gamma keeps.  What they check is
 still called per pair or per region: ``Rectangle.meet`` for every pair, in
 order, ``rectangle_closure`` for every region, and
 ``Rectangle.componentwise_leq`` for every sampled pair.
@@ -181,24 +182,17 @@ def _all_rectangles(axis_universes):
         yield Rectangle(combo)
 
 
-def _masker(u: ConcreteUniverse):
-    """The map from a set on ``u`` to its int mask, bit i for the i-th point."""
-    bit = {p: 1 << i for i, p in enumerate(u.points)}.__getitem__
-    return lambda s: sum(map(bit, s.members))
-
-
 def _imager(target: ConcreteUniverse):
     """The map from a rectangle to the mask of its iota image.  iota runs
     once per distinct rectangle, by axis member sets, and the map keeps one
     int per rectangle it has seen, for as long as it lives."""
-    mask = _masker(target)
     images: dict[tuple, int] = {}
 
     def image(rect: Rectangle) -> int:
         key = tuple([a.members for a in rect.axes])
         m = images.get(key)
         if m is None:
-            m = images[key] = mask(iota(rect, target))
+            m = images[key] = target.mask(iota(rect, target))
         return m
 
     return image
@@ -266,7 +260,7 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
         if len(target) > 12:
             raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
                                   "pass sample=")
-        mask = _masker(target)
+        mask = target.mask
         regions = _subsets(target)
         rects = list(_all_rectangles([target.axis()] * len(axis_windows)))
         images = [mask(iota(x, target)) for x in rects]
@@ -286,11 +280,9 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     random_, draw = _sampler(target, sample, rng_seed)
     image = _imager(target)
     pts, full = target.points, target.full()
-    bits = [1 << i for i in range(len(pts))]
     for _ in range(sample):
-        drawn = [random_() < 0.4 for _ in pts]
-        r = full._derive(frozenset(compress(pts, drawn)))
-        rm = sum(compress(bits, drawn))
+        r = full._derive(frozenset(compress(pts, [random_() < 0.4 for _ in pts])))
+        rm = target.mask(r)
         x = draw()
         checked += 1
         if rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm):
@@ -321,7 +313,7 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                 f"exhaustive meet check needs two axes with at most "
                 f"{MAX_MEET_AXIS_POINTS} points in all, got {len(axes)} axes "
                 f"with {points} points; pass sample=")
-        mask = _masker(target)
+        mask = target.mask
         rects = list(_all_rectangles(axes))
         images = {x.members: mask(iota(x, target)) for x in rects}
         get = images.get
@@ -381,6 +373,7 @@ def product_embedding_criterion(pa: ProductAbstraction) -> CheckResult:
     witness rather than an embedding failure."""
     abs_ = pa.abstraction
     lat = abs_.lattice
+    gamma = abs_.gamma.masks
     guarded = []
     for name in lat.elements:
         rect = pa.gamma_prime(name)
@@ -391,7 +384,7 @@ def product_embedding_criterion(pa: ProductAbstraction) -> CheckResult:
             if not (guarded[i] and guarded[j]):
                 continue
             checked += 1
-            if abs_.gamma(a).issubset(abs_.gamma(b)) != lat.leq(a, b):
+            if (not gamma[a] & ~gamma[b]) != lat.leq(a, b):
                 return CheckResult(False, checked, (a, b))
     collapsed = [lat.elements[i] for i in range(len(lat.elements))
                  if not guarded[i]]

@@ -3,11 +3,11 @@
 A universe is a finite ordered set of points: opaque atoms or integer
 points drawn from a bounded window.  A 1-D window has int points; only
 windows with dim >= 2 have integer-tuple points.  Concrete sets are plain
-frozensets over those points; the connective-preservation analysis,
-order-embedding check and left-adjoint construction all reduce to
-exhaustive set comparisons at this scale.  :class:`PointMasks` holds
-concrete sets as int masks instead, for the soundness check of a system's
-axioms, which evaluates many formulas over one universe.
+frozensets over those points.  The exhaustive checks compare them as int
+*point masks*, bit j for the j-th point, a format this module alone knows:
+:meth:`ConcreteUniverse.mask` is its one encoder, a concretization map
+keeps each image's mask in ``masks``, and :class:`PointMasks` applies the
+registry's concrete operations to masks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     UnknownElement,
     UnknownSymbol,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, bits, hasse_edges
 from .syntax import Formula, Pred, Sequent
 
 # largest window built, in points and in coordinates per point; the
@@ -43,6 +43,7 @@ class ConcreteUniverse:
         self.params = params      # tuple of atom names, or (lo, hi, dim)
         self._full: ConcreteSet | None = None
         self._axis: ConcreteUniverse | None = None
+        self._bits: dict | None = None
         if not self.points:
             raise InvalidConcretization("empty universe")
         if len(self.point_set) != len(self.points):
@@ -120,6 +121,13 @@ class ConcreteUniverse:
 
     def empty(self) -> "ConcreteSet":
         return ConcreteSet(self, frozenset())
+
+    def mask(self, s: "ConcreteSet") -> int:
+        """A set's point mask, bit j for the j-th point; the map from point
+        to bit is built on first use and then kept."""
+        if self._bits is None:
+            self._bits = {p: 1 << j for j, p in enumerate(self.points)}
+        return sum(map(self._bits.__getitem__, s.members))
 
     def subset(self, members) -> "ConcreteSet":
         return ConcreteSet(self, frozenset(members))
@@ -233,17 +241,25 @@ class ConcretizationMap:
         for e in self.table:
             if e not in source.index:
                 raise UnknownElement(f"gamma defined on unknown element {e!r}")
-        for a in source.elements:
-            for b in source.elements:
-                if source.leq(a, b) and not self.table[a].issubset(self.table[b]):
-                    raise InvalidConcretization(
-                        f"gamma is not monotone on ({a!r}, {b!r})")
+        # inclusion is transitive, so monotone on the covers is monotone
+        for a, b in hasse_edges(source):
+            if not self.table[a].issubset(self.table[b]):
+                raise InvalidConcretization(f"gamma is not monotone on ({a!r}, {b!r})")
+        self._masks: dict[str, int] | None = None
 
     def __call__(self, element: str) -> ConcreteSet:
         try:
             return self.table[element]
         except KeyError:
             raise UnknownElement(f"unknown element {element!r}") from None
+
+    @property
+    def masks(self) -> dict[str, int]:
+        """Element name to its image's point mask, built on first use and
+        then kept: nothing writes ``table`` after construction."""
+        if self._masks is None:
+            self._masks = {e: self.target.mask(s) for e, s in self.table.items()}
+        return self._masks
 
 
 @dataclass
@@ -306,24 +322,25 @@ class PreservationReport:
 
 def _status(abs_: Abstraction, c: Connective) -> PreservationStatus:
     """Compare gamma of the abstract operation with the concrete operation
-    on gamma of the arguments, for every argument tuple."""
+    on gamma of the arguments, on point masks, for every argument tuple."""
     conn = c.name
-    lat, gamma, uni = abs_.lattice, abs_.gamma, abs_.universe
+    lat, gamma, uni = abs_.lattice, abs_.gamma.masks, abs_.universe
+    masks = PointMasks(len(uni), gamma)
     try:
         table = lat.table(conn)
     except (NotDistributive, UnknownSymbol) as e:
         return PreservationStatus(conn, NOT_APPLICABLE, None, str(e))
     for args in iproduct(lat.elements, repeat=c.arity):
         image = lat.elements[lookup(table, map(lat.index.__getitem__, args))]
-        lhs = gamma(image).members
-        rhs = c.concrete(uni, *map(gamma, args)).members
+        lhs = gamma[image]
+        rhs = c.concrete(masks, *map(gamma.__getitem__, args))
         if lhs == rhs:
             continue
         if not args:  # a constant: the element it denotes is the witness
             what = "nonempty" if not rhs else "not the whole universe"
             return PreservationStatus(conn, NOT_PRESERVED, (image,),
                                       f"gamma({image}) is {what}")
-        pt = sorted(lhs ^ rhs, key=repr)[0]
+        pt = min((uni.points[j] for j in bits(lhs ^ rhs)), key=repr)
         named = " ".join(f"{v}={e}" for v, e in zip("ab", args))
         return PreservationStatus(conn, NOT_PRESERVED, args,
                                   f"witness {named}, first differing point {pt!r}")
@@ -349,10 +366,10 @@ def check_order_embedding(abs_: Abstraction) -> EmbeddingResult:
     gamma(a) included in gamma(b) but a not below b.
     """
     lat = abs_.lattice
-    gamma = abs_.gamma
+    gamma = abs_.gamma.masks
     for a in lat.elements:
         for b in lat.elements:
-            if not lat.leq(a, b) and gamma(a).issubset(gamma(b)):
+            if not gamma[a] & ~gamma[b] and not lat.leq(a, b):
                 return EmbeddingResult(False, (a, b))
     return EmbeddingResult(True)
 
@@ -374,28 +391,28 @@ def compute_left_adjoint(abs_: Abstraction) -> AdjointResult:
     least over-approximation is returned as witness.
     """
     lat = abs_.lattice
-    gamma = abs_.gamma
+    gamma = abs_.gamma.masks
     uni = abs_.universe
-    if gamma(lat.top).members != uni.point_set:
+    if gamma[lat.top] != PointMasks(len(uni), gamma).full():
         return AdjointResult(
             False, witness=uni.full(),
             reason=f"gamma({lat.top}) is not the whole universe, so the full "
                    "set has no over-approximation")
     for a in lat.elements:
         for b in lat.elements:
-            inter = gamma(a) & gamma(b)
-            if gamma(lat.meet(a, b)).members != inter.members:
+            if gamma[lat.meet(a, b)] != gamma[a] & gamma[b]:
                 return AdjointResult(
-                    False, witness=inter,
+                    False, witness=abs_.gamma(a) & abs_.gamma(b),
                     reason=f"gamma does not preserve meet({a}, {b}); that "
                            "intersection has no least over-approximation")
 
     def alpha(s: ConcreteSet) -> str:
         if s.universe != uni:
             raise InvalidConcretization("alpha queried outside the universe")
+        m = uni.mask(s)
         best = lat.top
         for e in lat.elements:
-            if s.issubset(gamma(e)):
+            if not m & ~gamma[e]:
                 best = lat.meet(best, e)
         return best
 

@@ -93,9 +93,6 @@ class ProofSystem:
     def sorted_rules(self) -> list[Rule]:
         return sorted(self.rules, key=lambda r: (r.kind, r.name))
 
-    def rule_names(self) -> frozenset[str]:
-        return frozenset(r.name for r in self.rules)
-
     def _derive(self, rules: tuple[Rule, ...], dropped) -> "ProofSystem":
         """This system with ``rules``, which are its own rules less
         ``dropped``, in any order.  When only axioms go, the new system gets

@@ -53,10 +53,11 @@ schemas, structural and introduction alike, are checked once for all
 systems by the tests (``tests/test_schema_soundness.py``, over every subset
 of a 2-point universe).  The axioms are particular to a system, so
 :func:`verify_soundness` checks each of them on *point masks*: bit j of a
-formula's mask stands for the j-th point of the universe.  The pass that
-builds each V_x also builds each predicate's mask (the transpose), the
-registry's concrete operations compute a compound's mask from its
-arguments' masks, and ``G |- D`` holds iff
+formula's mask stands for the j-th point of the universe.  Each
+predicate's mask is read from gamma's table, ``ConcretizationMap.masks``,
+and the valuations V_x are that table's transpose; the registry's
+concrete operations compute a compound's mask from its arguments' masks,
+and ``G |- D`` holds iff
 ``AND(ante masks) & ~OR(succ masks) == 0``.  Both checks are exact; nothing
 is sampled.  The tests check the masks against a naive evaluator over
 concrete sets, ``tests/concrete_oracle.py``.
@@ -782,24 +783,20 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     """
     engine = engine_for(ps, max_predicates)
     models = set(engine.models)
-    points = abs_.universe.points
-    position = {x: j for j, x in enumerate(points)}
-    valuation = [0] * len(points)
-    pred_masks = {}
+    gamma = abs_.gamma.masks
+    valuation = [0] * len(abs_.universe)
     for i, p in enumerate(engine.preds):
-        m = 0
-        for x in abs_.gamma(p).members:
-            j = position[x]
+        if p not in gamma:
+            abs_.gamma(p)  # raises UnknownElement
+        for j in bits(gamma[p]):
             valuation[j] |= 1 << i
-            m |= 1 << j
-        pred_masks[p] = m
     checked = 0
     for v in valuation:
         checked += 1
         if v not in models:
             return SoundnessResult(False, engine.refutation(v), len(models), checked)
 
-    masks = PointMasks(len(points), pred_masks)
+    masks = PointMasks(len(valuation), gamma)
     axioms = 0
     for r in ps.rules:
         if r.axiom is not None:

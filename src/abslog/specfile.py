@@ -229,12 +229,6 @@ def _split_top_level(s: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _render_point(p) -> str:
-    if isinstance(p, tuple):
-        return "(" + ",".join(str(x) for x in p) + ")"
-    return str(p)
-
-
 def emit(abs_: Abstraction) -> str:
     """Serialize an abstraction deterministically (explicit point lists).
 
@@ -274,9 +268,10 @@ def emit(abs_: Abstraction) -> str:
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")
     for e in lat.elements:
-        pts = abs_.gamma(e).sorted_points()
-        body = "{" + " ".join(_render_point(p) for p in pts) + "}" if pts else "{}"
-        lines.append(f"{e} = {body}")
+        # a tuple point's str differs from its spec text by ", " alone, which
+        # neither an int nor an atom name (no whitespace, see above) holds
+        body = " ".join(map(str, abs_.gamma(e).sorted_points())).replace(", ", ",")
+        lines.append(f"{e} = {{{body}}}")
     if abs_.extra_axioms:
         lines.append("AXIOMS")
         var = ",".join(abs_.universe.var_names)

@@ -22,7 +22,6 @@ from abslog.concrete import preservation_report
 from abslog.errors import AbslogError, CarrierTooLarge
 from abslog.logicgen import (
     KIND_OPERATION,
-    ProofSystem,
     Rule,
     generate_proof_system,
     minimize_proof_system,
@@ -30,7 +29,6 @@ from abslog.logicgen import (
     render,
 )
 from abslog.proofengine import (
-    DerivabilityEngine,
     ModelEngine,
     build_lindenbaum,
     derivable,
@@ -80,23 +78,6 @@ def test_verifiers_after_lindenbaum_run_no_step(monkeypatch, name):
     # the counter does count: a freshly generated system has no engine yet
     assert verify_completeness(abs_, system(abs_)).status == "complete"
     assert builds
-
-
-def test_engines_split_the_rules_without_rule_names(monkeypatch):
-    # each engine walks the rules once; a minimization builds one for each
-    # trial whose M0 differs from the system before it
-    abs_ = load_builtin("interval")
-    expected = minimize_proof_system(system(abs_), derivable)
-
-    def refuse(self):
-        raise RuntimeError("an engine rebuilt the rule names")
-
-    monkeypatch.setattr(ProofSystem, "rule_names", refuse)
-    for name in ("parity", "octagon-c1"):
-        ps = system(load_builtin(name))
-        ModelEngine(ps)
-        DerivabilityEngine(ps)
-    assert minimize_proof_system(system(abs_), derivable) == expected
 
 
 # engines a minimization builds: one for each trial that drops an axiom

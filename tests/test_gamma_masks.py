@@ -1,0 +1,98 @@
+"""Gamma keeps one point mask per element, and the exhaustive checks read it.
+
+``ConcretizationMap.masks`` must equal masks read off gamma point by point;
+the preservation report, the order-embedding check and the left adjoint
+build no ``ConcreteSet`` beyond a returned witness; ``verify_soundness``
+still refuses a predicate gamma does not know; and the map's monotonicity
+check, which reads only the covers, refuses a table exactly when some
+ordered pair is not included, naming one such pair.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abslog.concrete import (
+    ConcreteSet,
+    ConcretizationMap,
+    check_order_embedding,
+    compute_left_adjoint,
+    preservation_report,
+)
+from abslog.errors import InvalidConcretization, UnknownElement
+from abslog.proofengine import verify_soundness
+
+from conftest import BUILTIN_NAMES, family_abstraction, intersection_closed, load_builtin
+from test_model_engine import _abstraction, system
+from test_replay_masks import SCALING, naive_masks
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + SCALING)
+def test_masks_equal_the_naive_masks(name):
+    abs_ = _abstraction(name)
+    assert abs_.gamma.masks == naive_masks(abs_)
+    assert abs_.gamma.masks is abs_.gamma.masks
+
+
+def count_sets(monkeypatch) -> list:
+    """Every ConcreteSet built from here on: through ``__post_init__``, or
+    by a set operator, whose result skips it."""
+    built = []
+
+    def counted(method, record_result):
+        def wrapper(self, *args):
+            out = method(self, *args)
+            built.append(out if record_result else self)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ConcreteSet, "__post_init__",
+                        counted(ConcreteSet.__post_init__, False))
+    for op in ("__and__", "__or__", "__invert__"):
+        monkeypatch.setattr(ConcreteSet, op, counted(getattr(ConcreteSet, op), True))
+    return built
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_exhaustive_checks_build_no_concrete_set(monkeypatch, name):
+    abs_ = load_builtin(name)
+    images = [abs_.gamma(e) for e in abs_.lattice.elements]
+    built = count_sets(monkeypatch)
+    preservation_report(abs_)
+    check_order_embedding(abs_)
+    assert built == []
+    res = compute_left_adjoint(abs_)
+    if res.total:
+        for s in images:
+            res.alpha(s)
+        assert built == []
+    else:  # octagon-c1: a meet is not preserved, and its witness is the one set
+        assert built == [res.witness]
+
+
+def test_soundness_refuses_a_predicate_gamma_lacks(parity, sign):
+    with pytest.raises(UnknownElement, match="'Even'"):
+        verify_soundness(sign, system(parity))
+
+
+def failing_pairs(lat, table) -> set:
+    return {(a, b) for a in lat.elements for b in lat.elements
+            if lat.leq(a, b) and not table[a].members <= table[b].members}
+
+
+@settings(max_examples=100, deadline=None)
+@given(intersection_closed(), st.data())
+def test_gamma_refused_iff_some_pair_is_not_monotone(case, data):
+    # each image is the element's own set, which is monotone, or a random one
+    abs_ = family_abstraction(case)
+    lat, uni = abs_.lattice, abs_.universe
+    table = {e: data.draw(st.sampled_from([abs_.gamma(e)]) | st.builds(
+        uni.subset, st.sets(st.sampled_from(uni.points)))) for e in lat.elements}
+    failing = failing_pairs(lat, table)
+    if not failing:
+        ConcretizationMap(lat, uni, table)
+        return
+    with pytest.raises(InvalidConcretization) as refused:
+        ConcretizationMap(lat, uni, table)
+    assert str(refused.value) in {f"gamma is not monotone on ({a!r}, {b!r})"
+                                  for a, b in failing}

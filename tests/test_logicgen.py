@@ -48,7 +48,7 @@ def test_signature_matches_preserved_exactly(builtins):
 
 def test_structural_rules_present(threechain):
     ps = system(threechain)
-    names = ps.rule_names()
+    names = {r.name for r in ps.rules}
     for r in ("identity", "cut", "weaken.l", "weaken.r", "contract.l",
               "contract.r", "exchange.l", "exchange.r"):
         assert r in names
@@ -84,14 +84,14 @@ def test_operation_axioms_instantiate_tables(parity):
 
 
 def test_negation_via_implication_for_parity(parity):
-    names = system(parity).rule_names()
+    names = {r.name for r in system(parity).rules}
     assert "intro.not.def.l" in names and "intro.not.def.r" in names
     assert "intro.not.contraposition" not in names
 
 
 def test_primitive_negation_without_impl(builtins):
     oct_ = builtins["octagon-c1"]
-    names = system(oct_).rule_names()
+    names = {r.name for r in system(oct_).rules}
     assert "intro.not.contraposition" in names
     assert "intro.not.involution.l" in names
     assert "intro.not.def.l" not in names
@@ -121,7 +121,7 @@ def test_minimize_chain_order_axioms(threechain):
 def test_minimize_removes_table_axioms(parity):
     ps = system(parity)
     mini = minimize_proof_system(ps, ORACLE)
-    names = mini.rule_names()
+    names = {r.name for r in mini.rules}
     assert "op.and.Even.top.l" not in names
     # the removed axiom stays derivable
     assert derivable(mini, parse_sequent("Even(x) & top(x) |- Even(x)"))

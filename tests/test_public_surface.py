@@ -1,11 +1,13 @@
-"""Every name that ``abslog`` exports has a caller or a reason.
+"""Every name that ``abslog`` exports, and every public method, has a
+caller or a reason.
 
 An export counts as used when code under ``src/abslog/`` names it outside
 its own ``def`` or ``class`` line and outside ``__init__.py``, or when code
 under ``perfbench/`` names it.  Only NAME tokens count: a name mentioned in
 a docstring or a comment is not a use.  Any other export is an entry point
 kept for the user of the package, listed in ``ENTRY_POINTS`` with the
-reason it stays.
+reason it stays.  A public method or property of a package class counts as
+used the same way, and any other is listed in ``ENTRY_METHODS``.
 """
 
 import ast
@@ -24,6 +26,9 @@ ENTRY_POINTS = {
     "co_implication": "a <- b between two named elements",
     "parse_formula": "a formula from text, to pass to normalize",
 }
+
+# "Class.method": the reason it stays
+ENTRY_METHODS: dict[str, str] = {}
 
 
 def exports() -> list[str]:
@@ -46,14 +51,42 @@ def name_tokens(path: Path, skip_definitions: bool) -> list[str]:
     return names
 
 
-def test_every_export_has_a_caller_or_a_reason():
+def public_methods() -> list[tuple[str, str]]:
+    """(class, name) of every method and property of a package class whose
+    name does not start with an underscore."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [(node.name, f.name) for f in node.body
+                          if isinstance(f, ast.FunctionDef)
+                          and not f.name.startswith("_")]
+    return found
+
+
+def used_names() -> set[str]:
+    """The names code under src/abslog, outside ``__init__.py``, and under
+    perfbench uses."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             used.update(name_tokens(path, skip_definitions=True))
     for path in (ROOT / "perfbench").rglob("*.py"):
         used.update(name_tokens(path, skip_definitions=False))
+    return used
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    used = used_names()
     uncalled = [name for name in exports() if name not in used]
     assert sorted(uncalled) == sorted(ENTRY_POINTS), (
         "exports with no caller under src/abslog or perfbench must be listed "
         f"in ENTRY_POINTS, and only those: {sorted(uncalled)}")
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    used = used_names()
+    uncalled = [f"{cls}.{name}" for cls, name in public_methods() if name not in used]
+    assert sorted(uncalled) == sorted(ENTRY_METHODS), (
+        "public methods with no caller under src/abslog or perfbench must be "
+        f"listed in ENTRY_METHODS, and only those: {sorted(uncalled)}")

@@ -393,7 +393,7 @@ def compute_left_adjoint(abs_: Abstraction) -> AdjointResult:
     lat = abs_.lattice
     gamma = abs_.gamma.masks
     uni = abs_.universe
-    if gamma[lat.top] != PointMasks(len(uni), gamma).full():
+    if gamma[lat.top] != (1 << len(uni)) - 1:
         return AdjointResult(
             False, witness=uni.full(),
             reason=f"gamma({lat.top}) is not the whole universe, so the full "

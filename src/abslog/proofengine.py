@@ -82,7 +82,8 @@ from itertools import product as iproduct
 
 from .concrete import Abstraction, PointMasks, check_order_embedding
 from .connectives import CONNECTIVES, lookup
-from .errors import AbslogError, CarrierTooLarge, TooManyModels, UnknownSymbol
+from .errors import (AbslogError, CarrierTooLarge, TooManyModels, UnknownElement,
+                     UnknownSymbol)
 from .lattice import bits
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
 from .syntax import Formula, Pred, Sequent
@@ -787,7 +788,7 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     valuation = [0] * len(abs_.universe)
     for i, p in enumerate(engine.preds):
         if p not in gamma:
-            abs_.gamma(p)  # raises UnknownElement
+            raise UnknownElement(f"unknown element {p!r}")
         for j in bits(gamma[p]):
             valuation[j] |= 1 << i
     checked = 0

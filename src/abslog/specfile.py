@@ -268,9 +268,9 @@ def emit(abs_: Abstraction) -> str:
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")
     for e in lat.elements:
-        # a tuple point's str differs from its spec text by ", " alone, which
-        # neither an int nor an atom name (no whitespace, see above) holds
-        body = " ".join(map(str, abs_.gamma(e).sorted_points())).replace(", ", ",")
+        # per point: a tuple's str differs from its spec text by ", " alone,
+        # which no int or atom name (no whitespace, see above) holds
+        body = " ".join([str(p).replace(", ", ",") for p in abs_.gamma(e).sorted_points()])
         lines.append(f"{e} = {{{body}}}")
     if abs_.extra_axioms:
         lines.append("AXIOMS")

@@ -7,7 +7,10 @@ under ``perfbench/`` names it.  Only NAME tokens count: a name mentioned in
 a docstring or a comment is not a use.  Any other export is an entry point
 kept for the user of the package, listed in ``ENTRY_POINTS`` with the
 reason it stays.  A public method or property of a package class counts as
-used the same way, and any other is listed in ``ENTRY_METHODS``.
+used the same way, and any other is listed in ``ENTRY_METHODS``.  Method
+names are matched bare, across classes: a method that shares its name with
+another class's method (``mask``, ``full``, ``holds``) counts as called when
+either is, so the check misses an uncalled method whose name collides.
 """
 
 import ast

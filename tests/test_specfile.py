@@ -207,7 +207,7 @@ def test_emit_refuses_an_atom_name_load_cannot_read(atom):
 
 
 @pytest.mark.parametrize("atom", ["p", "p1", "x_2", "a.b", "-3", "(1,2)",
-                                  "{p", "p}", "p,q", "a}b", "x(1,2)"])
+                                  "{p", "p}", "p,q", "p,", "a}b", "x(1,2)"])
 def test_emit_roundtrips_readable_atom_names(atom):
     abs_ = _atoms_abstraction(atom)
     again = specfile.load(specfile.emit(abs_), "atoms")

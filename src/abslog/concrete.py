@@ -32,6 +32,11 @@ MAX_WINDOW_POINTS = 100_000
 
 _new = object.__new__  # a set operation's result, built without __init__
 
+# a universe below this many points keeps each point's bit as a machine-word
+# int; the bit table of a larger one would grow as the square of its size
+_TABLE_POINTS = 64
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # False/True bytes to binary digits
+
 
 class ConcreteUniverse:
     """Finite ordered point set (atoms, or an integer window of some dimension)."""
@@ -123,11 +128,17 @@ class ConcreteUniverse:
         return ConcreteSet(self, frozenset())
 
     def mask(self, s: "ConcreteSet") -> int:
-        """A set's point mask, bit j for the j-th point; the map from point
-        to bit is built on first use and then kept."""
-        if self._bits is None:
-            self._bits = {p: 1 << j for j, p in enumerate(self.points)}
-        return sum(map(self._bits.__getitem__, s.members))
+        """A set's point mask, bit j for the j-th point.  Below
+        ``_TABLE_POINTS`` points the map from point to bit is built on first
+        use and then kept; a larger universe writes the mask as one binary
+        digit per point, highest point first, in time and memory linear in
+        the points."""
+        if len(self.points) < _TABLE_POINTS:
+            if self._bits is None:
+                self._bits = {p: 1 << j for j, p in enumerate(self.points)}
+            return sum(map(self._bits.__getitem__, s.members))
+        inside = bytes(map(s.members.__contains__, reversed(self.points)))
+        return int(inside.translate(_DIGITS), 2)
 
     def subset(self, members) -> "ConcreteSet":
         return ConcreteSet(self, frozenset(members))

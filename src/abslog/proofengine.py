@@ -33,7 +33,8 @@ computes the model set M* and reads every answer off it:
    model that breaks one, and repeating until none does, reaches the
    greatest model set that meets all three: M*, the models of the least
    relation closed under the rules.
-3. Each predicate gets one bit column over M*, and ``G |- D`` holds iff
+3. Each predicate gets one bit column over M*, read off the models by one
+   bit-matrix transpose per pruning round, and ``G |- D`` holds iff
    ``AND(col[G]) & ~OR(col[D]) == 0``.  No derivable sequent has an empty
    succedent, so the full valuation is always a model and ``G |-`` never
    holds.  Two predicates are interderivable iff their columns are equal,
@@ -90,6 +91,18 @@ from .syntax import Formula, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
 MAX_MODELS = 100_000  # largest model set enumerated, partial or final
+
+
+def _transpose(rows, width: int) -> list[int]:
+    """The ``width`` bit columns of a nonempty bit matrix given by its rows,
+    each below ``1 << width``: bit j of column i is bit i of ``rows[j]``.
+    The rows are written once, last row first, as one string of ``width``
+    binary digits each, so column i is every ``width``-th digit, highest row
+    first: one slice and one ``int`` parse per column, where setting bits one
+    at a time would copy the growing column once per bit."""
+    spec = f"0{width}b"
+    digits = "".join([format(r, spec) for r in reversed(rows)])
+    return [int(digits[width - 1 - i::width], 2) for i in range(width)]
 
 
 # --- formula evaluation ------------------------------------------------------
@@ -528,11 +541,7 @@ class ModelEngine(_Engine):
         and repeat until none does; return M* and its bit columns."""
         n = self.n
         while True:
-            cols = [0] * n
-            for j, v in enumerate(models):
-                bit = 1 << j
-                for p in bits(v):
-                    cols[p] |= bit
+            cols = _transpose(models, n)
             live = (1 << len(models)) - 1
             outs = [live & ~c for c in cols]  # the models without each predicate
             bad = 0
@@ -785,12 +794,10 @@ def verify_soundness(abs_: Abstraction, ps: ProofSystem,
     engine = engine_for(ps, max_predicates)
     models = set(engine.models)
     gamma = abs_.gamma.masks
-    valuation = [0] * len(abs_.universe)
-    for i, p in enumerate(engine.preds):
+    for p in engine.preds:
         if p not in gamma:
             raise UnknownElement(f"unknown element {p!r}")
-        for j in bits(gamma[p]):
-            valuation[j] |= 1 << i
+    valuation = _transpose([gamma[p] for p in engine.preds], len(abs_.universe))
     checked = 0
     for v in valuation:
         checked += 1

@@ -113,11 +113,12 @@ def load(text: str, name: str = "spec") -> Abstraction:
     uni = _parse_universe(*universe_line)
 
     table: dict[str, ConcreteSet] = {}
+    points: dict[str, object] = {}  # point token text -> its point, for this call
     for ln_no, elt, expr in gamma_lines:
         if elt in table:
             raise SpecError(f"duplicate GAMMA entry for {elt!r}", ln_no)
         try:
-            table[elt] = _eval_set_expr(expr, uni)
+            table[elt] = _eval_set_expr(expr, uni, points)
         except AbslogError as e:
             raise SpecError(f"bad GAMMA entry for {elt!r}: {e}", ln_no) from e
     missing = [e for e in elements if e not in table]
@@ -178,7 +179,11 @@ def _parse_point(tok: str, uni: ConcreteUniverse):
     raise SpecError(f"point {tok} is outside the universe")
 
 
-def _eval_set_expr(expr: str, uni: ConcreteUniverse) -> ConcreteSet:
+def _eval_set_expr(expr: str, uni: ConcreteUniverse,
+                   points: dict[str, object]) -> ConcreteSet:
+    """A GAMMA set expression's set.  ``points`` maps each point token read
+    so far to its point, which is in the universe; a new token is parsed and
+    checked once and then added."""
     expr = expr.strip()
     if expr == "{}":
         return uni.empty()
@@ -200,15 +205,21 @@ def _eval_set_expr(expr: str, uni: ConcreteUniverse) -> ConcreteSet:
         parts = _split_top_level(inner)
         out = uni.empty()
         for part in parts:
-            out |= _eval_set_expr(part, uni)
+            out |= _eval_set_expr(part, uni, points)
         return out
     if expr.startswith("{") and expr.endswith("}"):
         toks = _TUPLE_RE.findall(expr[1:-1])
-        pts = [_parse_point(t, uni) for t in toks]
-        for p in pts:
+        # every new token is parsed before any is checked, so the first
+        # unparsable token wins over an earlier point outside the universe
+        new = {}
+        for t in toks:
+            if t not in points and t not in new:
+                new[t] = _parse_point(t, uni)
+        for p in new.values():
             if p not in uni.point_set:
                 raise SpecError(f"point {p!r} is outside the universe")
-        return uni.subset(pts)
+        points.update(new)
+        return uni.subset(map(points.__getitem__, toks))
     raise SpecError(f"cannot parse set expression {expr!r}")
 
 
@@ -267,10 +278,13 @@ def emit(abs_: Abstraction) -> str:
     lines.append("UNIVERSE")
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")
-    for e in lat.elements:
-        # per point: a tuple's str differs from its spec text by ", " alone,
-        # which no int or atom name (no whitespace, see above) holds
-        body = " ".join([str(p).replace(", ", ",") for p in abs_.gamma(e).sorted_points()])
+    # each point written once: a tuple's str differs from its spec text by
+    # ", " alone, which no int or atom name (no whitespace, see above) holds
+    images = [abs_.gamma(e) for e in lat.elements]
+    text = {p: str(p).replace(", ", ",")
+            for p in frozenset().union(*[s.members for s in images])}
+    for e, s in zip(lat.elements, images):
+        body = " ".join(map(text.__getitem__, s.sorted_points()))
         lines.append(f"{e} = {{{body}}}")
     if abs_.extra_axioms:
         lines.append("AXIOMS")

@@ -6,7 +6,9 @@ prunings and on minimized systems.  Both engines must give the same answer to
 every ``a |- b`` pair and to seeded random sequents, empty sides included.
 Generated intersection-closed families must come out sound, complete and
 isomorphic; Boolean 2^4 and chain 32, out of saturation's reach, verify end
-to end; and the model count stops at a typed error.
+to end, as does the octagon C = 6 export read back from its spec text, with
+the model count its construction gives; and the model count stops at a typed
+error.
 """
 
 import random
@@ -72,8 +74,8 @@ def _abstraction(name):
         return specfile.load(fam.chain_text(int(size)), name)
     if kind == "boolean":
         return specfile.load(fam.boolean_text(int(size)), name)
-    if name in ("octagon-c2", "octagon-c3"):
-        c = int(name[-1])
+    if kind == "octagon" and name != "octagon-c1":  # octagon-c1 is a builtin
+        c = int(size[1:])
         return octagon.export_abstraction(octagon.OctLattice.build(c), 4 * c)
     if name == "parity-x-parity":
         parity = load_builtin("parity")
@@ -226,6 +228,20 @@ def test_beyond_saturation_verifies_end_to_end(name):
     assert sound.generators_checked == len(engine_for(ps, n).models)
     assert sound.cells_checked == len(abs_.universe)
     assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
+
+
+def test_octagon_c6_verifies_through_its_spec_text():
+    c = 6
+    abs_ = specfile.load(specfile.emit(
+        octagon.export_abstraction(octagon.OctLattice.build(c), 4 * c)), "octagon-c6")
+    ps = system(abs_)
+    n = len(abs_.lattice.elements)
+    # bot's model, the full valuation, and the product of the two slope
+    # pairs' (C+1)(2C+1) models each
+    assert len(engine_for(ps, n).models) == (c + 1) ** 2 * (2 * c + 1) ** 2 + 1 == 8282
+    assert verify_soundness(abs_, ps, max_predicates=n).ok
+    assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
+    assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok
 
 
 def antichain(k):

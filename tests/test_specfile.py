@@ -14,6 +14,7 @@ from abslog.errors import (
     SpecError,
 )
 from abslog.lattice import UnaryOpTable, build_lattice
+from abslog.octagon import OctLattice, export_abstraction
 from abslog.syntax import parse_sequent
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -295,3 +296,47 @@ def test_window_over_the_point_bound_is_positioned():
         specfile.load(text)
     assert exc.value.line == 4
     assert isinstance(exc.value.__cause__, CarrierTooLarge)
+
+
+def _two_line_spec(first: str, second: str) -> str:
+    return ("ELEMENTS\nbot top\nORDER\nbot < top\nUNIVERSE\nwindow 0 1 dim 2\n"
+            f"GAMMA\nbot = {first}\ntop = {second}\n")
+
+
+# one point list per case, as the second GAMMA line after a first that reads
+# (0,0) and (1,1): the message the load raises at line 9.  An unparsable
+# token anywhere in a list wins over a point outside the window before it.
+LOAD_ERRORS = [
+    ("{(0,0) (2,3) (1,1)}", "point (2, 3) is outside the universe"),
+    ("{(0,0) (2,3) 7}", "point 7 is outside the universe"),
+    ("{7 (2,3) (0,0)}", "point 7 is outside the universe"),
+    ("{(0,0) (2,3) (0,x)}", "point (0,x) is outside the universe"),
+    ("union({(0,0)}, {(1,1) (0,1)}, {(2,3)})", "point (2, 3) is outside the universe"),
+    ("union({(0,0)}, {(2,3)}, {7})", "point (2, 3) is outside the universe"),
+    ("union({(0,0) (1,1)}, {7 (2,3)})", "point 7 is outside the universe"),
+]
+
+
+@pytest.mark.parametrize("points, message", LOAD_ERRORS)
+def test_point_list_errors_keep_their_precedence(points, message):
+    with pytest.raises(SpecError) as exc:
+        specfile.load(_two_line_spec("{(0,0) (1,1)}", points))
+    assert exc.value.line == 9
+    assert str(exc.value).startswith(f"bad GAMMA entry for 'top': {message}")
+
+
+def test_spaced_and_tight_tuples_are_one_point():
+    abs_ = specfile.load(_two_line_spec("{( 1 , 0 ) (1,0)}", "{(1,0) (0,0) (0, 0)}"))
+    assert abs_.gamma("bot").members == frozenset([(1, 0)])
+    assert abs_.gamma("top").members == frozenset([(1, 0), (0, 0)])
+
+
+def test_load_parses_each_distinct_point_token_once(monkeypatch):
+    text = specfile.emit(export_abstraction(OctLattice.build(3), 12))
+    calls = []
+    parse = specfile._parse_point
+    monkeypatch.setattr(specfile, "_parse_point",
+                        lambda tok, uni: calls.append(tok) or parse(tok, uni))
+    abs_ = specfile.load(text, "octagon-c3")
+    # 25 x 25 grid points, against 8125 point tokens in the GAMMA lines
+    assert len(calls) == len(set(calls)) == len(abs_.universe) == 625

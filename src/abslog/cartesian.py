@@ -170,11 +170,8 @@ def product(components) -> ProductAbstraction:
 
 
 def _subsets(u: ConcreteUniverse) -> list[ConcreteSet]:
-    """Every subset of a universe, in the order of the bitmasks over its
-    points."""
-    pts = u.points
-    return [u.subset([p for i, p in enumerate(pts) if mask >> i & 1])
-            for mask in range(1 << len(pts))]
+    """Every subset of a universe, in the order of its point masks."""
+    return [u.subset(u.points_of(mask)) for mask in range(1 << len(u))]
 
 
 def _all_rectangles(axis_universes):
@@ -201,17 +198,16 @@ def _imager(target: ConcreteUniverse):
 def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     """The random draw of a sampled check, and its rectangle draw: each axis
     point is in with probability 1/2, drawn point by point and axis by axis.
-    The draws of a rectangle make one mask, axis k in bits k*n to k*n+n-1
-    for n axis points.  A rectangle is built once per distinct mask, and an
-    axis set once per distinct axis mask, each kept for as long as the draw
-    lives; the list of every axis subset, which grows as 2^n, is not
-    built."""
+    The draws of a rectangle make one int, whose bits k*n to k*n+n-1 are
+    axis k's point mask for n axis points.  A rectangle is built once per
+    distinct int, and an axis set once per distinct axis mask, each kept for
+    as long as the draw lives; the list of every axis subset, which grows as
+    2^n, is not built."""
     if sample < 1:
         raise AbslogError(f"a sampled check needs at least 1 sample, got {sample}")
     random_ = random.Random(rng_seed).random
     axis = target.axis()
-    pts, dim = axis.points, target.params[2]
-    n = len(pts)
+    n, dim = len(axis), target.params[2]
     bits = [1 << i for i in range(n * dim)]
     sets: dict[int, ConcreteSet] = {}
     rects: dict[int, Rectangle] = {}
@@ -219,7 +215,7 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     def axis_set(m: int) -> ConcreteSet:
         s = sets.get(m)
         if s is None:
-            s = sets[m] = axis.subset(compress(pts, [m >> i & 1 for i in range(n)]))
+            s = sets[m] = axis.subset(axis.points_of(m))
         return s
 
     def draw() -> Rectangle:

@@ -5,14 +5,16 @@ points drawn from a bounded window.  A 1-D window has int points; only
 windows with dim >= 2 have integer-tuple points.  Concrete sets are plain
 frozensets over those points.  The exhaustive checks compare them as int
 *point masks*, bit j for the j-th point, a format this module alone knows:
-:meth:`ConcreteUniverse.mask` is its one encoder, a concretization map
-keeps each image's mask in ``masks``, and :class:`PointMasks` applies the
-registry's concrete operations to masks.
+:meth:`ConcreteUniverse.mask` encodes a set and :meth:`ConcreteUniverse.span`
+a run of consecutive points, :meth:`ConcreteUniverse.points_of` is the one
+decoder, a concretization map keeps each image's mask in ``masks``, and
+:class:`PointMasks` applies the registry's concrete operations to masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from itertools import product as iproduct
 
 from .connectives import CONNECTIVES, Connective, connective, lookup
@@ -23,7 +25,7 @@ from .errors import (
     UnknownElement,
     UnknownSymbol,
 )
-from .lattice import FiniteLattice, bits, hasse_edges
+from .lattice import FiniteLattice, hasse_edges
 from .syntax import Formula, Pred, Sequent
 
 # largest window built, in points and in coordinates per point; the
@@ -36,6 +38,7 @@ _new = object.__new__  # a set operation's result, built without __init__
 # int; the bit table of a larger one would grow as the square of its size
 _TABLE_POINTS = 64
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # False/True bytes to binary digits
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # and back
 
 
 class ConcreteUniverse:
@@ -140,6 +143,16 @@ class ConcreteUniverse:
         inside = bytes(map(s.members.__contains__, reversed(self.points)))
         return int(inside.translate(_DIGITS), 2)
 
+    def span(self, start: int, stop: int) -> int:
+        """The point mask of ``points[start:stop]``."""
+        return ((1 << (stop - start)) - 1) << start
+
+    def points_of(self, mask: int):
+        """The points of a mask, in universe order, selected by its binary
+        digits written lowest bit first."""
+        digits = format(mask, f"0{len(self.points)}b")[::-1]
+        return compress(self.points, digits.encode().translate(_FLAGS))
+
     def subset(self, members) -> "ConcreteSet":
         return ConcreteSet(self, frozenset(members))
 
@@ -196,11 +209,6 @@ class ConcreteSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def sorted_points(self) -> list:
-        """The members in point order; a universe's points all have one type
-        (names, ints or int tuples), so the points compare directly."""
-        return sorted(self.members)
 
 
 class PointMasks:
@@ -351,7 +359,7 @@ def _status(abs_: Abstraction, c: Connective) -> PreservationStatus:
             what = "nonempty" if not rhs else "not the whole universe"
             return PreservationStatus(conn, NOT_PRESERVED, (image,),
                                       f"gamma({image}) is {what}")
-        pt = min((uni.points[j] for j in bits(lhs ^ rhs)), key=repr)
+        pt = min(uni.points_of(lhs ^ rhs), key=repr)
         named = " ".join(f"{v}={e}" for v, e in zip("ab", args))
         return PreservationStatus(conn, NOT_PRESERVED, args,
                                   f"witness {named}, first differing point {pt!r}")

@@ -14,6 +14,13 @@ half-planes.  Two slopes that are neither equal nor opposite share one
 sign, and the grid point with that coordinate at +/-N and the other at 0
 satisfies both, since N >= C.  So the rule holds over the integer plane
 and over the grid alike.
+
+In each grid column an element holds on one run of consecutive points.
+:func:`grid_gamma` collects those runs into the frozenset the export
+keeps.  The conjunction witness encodes the same runs as point masks with
+:meth:`~abslog.concrete.ConcreteUniverse.span` and decodes a separating
+point with :meth:`~abslog.concrete.ConcreteUniverse.points_of`, so it
+compares ints and hashes no grid point.
 """
 
 from __future__ import annotations
@@ -126,27 +133,46 @@ def grid_universe(grid_n: int) -> ConcreteUniverse:
     return ConcreteUniverse.window(-grid_n, grid_n, dim=2)
 
 
-def grid_gamma(lat: OctLattice, element: OctPredicate | str,
-               grid: ConcreteUniverse) -> frozenset:
-    """The points of a grid universe where an element holds; a predicate
-    holds where sx*x + sy*y >= c, which in each column x is one y-range."""
+def _runs(lat: OctLattice, element: OctPredicate | str,
+          grid: ConcreteUniverse) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` index runs into ``grid.points`` where an element
+    holds, one per column at most: a predicate holds where
+    sx*x + sy*y >= c, which in each column x is one y-range."""
     if element == "top":
-        return grid.point_set
+        return [(0, len(grid))]
     if element == "bot":
-        return frozenset()
+        return []
     p = lat.by_name(element) if isinstance(element, str) else element
     sx, sy, c = p.sx, p.sy, p.c
     lo, hi, _ = grid.params
-    pts = grid.points  # column by column: (x, y) is at (x - lo) * width + y - lo
-    width = hi - lo + 1
-    columns = []
+    width = hi - lo + 1  # column by column: (x, y) is at (x - lo) * width + y - lo
+    runs = []
     for x in range(lo, hi + 1):
         t = c - sx * x  # the column's points with sy*y >= t
         y0, y1 = (max(t, lo), hi) if sy > 0 else (lo, min(-t, hi))
         if y0 <= y1:
             start = (x - lo) * width - lo
-            columns.append(pts[start + y0:start + y1 + 1])
-    return frozenset(chain.from_iterable(columns))
+            runs.append((start + y0, start + y1 + 1))
+    return runs
+
+
+def grid_gamma(lat: OctLattice, element: OctPredicate | str,
+               grid: ConcreteUniverse) -> frozenset:
+    """The points of a grid universe where an element holds."""
+    if element == "top":  # the universe's own set, not a copy of it
+        return grid.point_set
+    pts = grid.points
+    return frozenset(chain.from_iterable(
+        [pts[start:stop] for start, stop in _runs(lat, element, grid)]))
+
+
+def _grid_mask(lat: OctLattice, element: OctPredicate | str,
+               grid: ConcreteUniverse) -> int:
+    """The point mask of :func:`grid_gamma`, built run by run."""
+    mask = 0
+    for start, stop in _runs(lat, element, grid):
+        mask |= grid.span(start, stop)
+    return mask
 
 
 def infeasible_pairs(lat: OctLattice) -> list[tuple[OctPredicate, OctPredicate]]:
@@ -236,14 +262,14 @@ def conjunction_nonpreservation_witness(window_c: int) -> ConjunctionWitness:
     p, q = OctPredicate(1, 1, 0), OctPredicate(1, -1, 0)
     grid_n = 4 * window_c
     grid = grid_universe(grid_n)
-    target = grid_gamma(lat, p, grid) & grid_gamma(lat, q, grid)
+    target = _grid_mask(lat, p, grid) & _grid_mask(lat, q, grid)
     separations: dict[str, tuple[int, int]] = {}
     for name in lat.carrier:
-        image = grid_gamma(lat, name, grid)
-        diff = image ^ target
+        diff = _grid_mask(lat, name, grid) ^ target
         if not diff:
             return ConjunctionWitness(p, q, grid_n, {})
-        separations[name] = min(diff)
+        # a window's points are in lexicographic order, so the first is least
+        separations[name] = next(grid.points_of(diff))
     return ConjunctionWitness(p, q, grid_n, separations)
 
 

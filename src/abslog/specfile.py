@@ -279,12 +279,13 @@ def emit(abs_: Abstraction) -> str:
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")
     # each point written once: a tuple's str differs from its spec text by
-    # ", " alone, which no int or atom name (no whitespace, see above) holds
-    images = [abs_.gamma(e) for e in lat.elements]
-    text = {p: str(p).replace(", ", ",")
-            for p in frozenset().union(*[s.members for s in images])}
-    for e, s in zip(lat.elements, images):
-        body = " ".join(map(text.__getitem__, s.sorted_points()))
+    # ", " alone, which no int or atom name (no whitespace, see above) holds.
+    # Universe order is point order (``atoms`` sorts, a window ascends), so
+    # each image lists its points as its mask decodes them.
+    uni, masks = abs_.universe, abs_.gamma.masks
+    text = {p: str(p).replace(", ", ",") for p in uni.points}
+    for e in lat.elements:
+        body = " ".join(map(text.__getitem__, uni.points_of(masks[e])))
         lines.append(f"{e} = {{{body}}}")
     if abs_.extra_axioms:
         lines.append("AXIOMS")

@@ -8,7 +8,8 @@ check, which reads only the covers, refuses a table exactly when some
 ordered pair is not included, naming one such pair.  ``ConcreteUniverse.mask``
 itself equals the naive encoder on universes either side of its table
 bound, and one mask on a 40 000-point window takes memory linear in the
-points.
+points.  ``points_of`` decodes what ``mask`` encodes, in sorted order, and
+``span`` is the mask of a slice of the points.
 """
 
 import tracemalloc
@@ -128,3 +129,43 @@ def test_mask_memory_is_linear_in_the_points():
     assert peak < 5_000_000
     assert m.bit_count() == len(s)
     assert all((m >> j & 1) == (p in s.members) for j, p in enumerate(uni.points[:500]))
+
+
+# atoms named p0, p1, ... in shuffled order, whose sorted order is not
+# numeric (p10 < p2); 1-D windows; 2-D windows of up to 13^2 points.  Each
+# family reaches either side of the mask table bound of 64 points.
+universes = st.one_of(
+    st.integers(1, 140).flatmap(lambda n: st.permutations(
+        [f"p{i}" for i in range(n)])).map(ConcreteUniverse.atoms),
+    st.builds(lambda lo, n: ConcreteUniverse.window(lo, lo + n - 1),
+              st.integers(-50, 50), st.integers(1, 140)),
+    st.builds(lambda lo, n: ConcreteUniverse.window(lo, lo + n - 1, dim=2),
+              st.integers(-6, 6), st.integers(1, 13)),
+)
+
+
+@pytest.mark.parametrize("uni", [
+    ConcreteUniverse.atoms(["b", "p10", "a", "p2", "B"]),
+    ConcreteUniverse.window(-3, 4), ConcreteUniverse.window(-2, 2, dim=2),
+    ConcreteUniverse.window(-1, 1, dim=3)], ids=str)
+def test_universe_order_is_sorted_order(uni):
+    # emit writes each GAMMA image's points in universe order, which must
+    # stay the sorted order it wrote when it sorted them
+    assert list(uni.points) == sorted(uni.points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(universes, st.data())
+def test_points_of_decodes_mask_in_sorted_order(uni, data):
+    s = uni.subset(data.draw(st.sets(st.sampled_from(uni.points))))
+    assert list(uni.points_of(uni.mask(s))) == sorted(s.members)
+    assert list(uni.points_of(0)) == []
+    assert list(uni.points_of(uni.mask(uni.full()))) == list(uni.points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(universes, st.data())
+def test_span_is_the_mask_of_a_slice(uni, data):
+    start = data.draw(st.integers(0, len(uni)))
+    stop = data.draw(st.integers(start, len(uni)))
+    assert uni.span(start, stop) == uni.mask(uni.subset(uni.points[start:stop]))

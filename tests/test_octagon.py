@@ -10,6 +10,7 @@ from abslog.errors import UnknownElement
 from abslog.octagon import (
     OctLattice,
     OctPredicate,
+    _grid_mask,
     conjunction_nonpreservation_witness,
     degenerate_model_check,
     disjoint,
@@ -71,6 +72,15 @@ def test_grid_gamma_is_the_inequality_filter(window_c):
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3, 4])
+def test_grid_mask_is_the_mask_of_grid_gamma(window_c):
+    lat = OctLattice.build(window_c)
+    grid = grid_universe(4 * window_c)
+    for name in lat.carrier:
+        image = grid.subset(grid_gamma(lat, name, grid))
+        assert _grid_mask(lat, name, grid) == grid.mask(image), name
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3, 4])
 def test_finite_lattice_order_is_oct_leq(window_c):
     # the order is built by closing oct_leq, so oct_leq must be transitive
     lat = OctLattice.build(window_c)
@@ -94,6 +104,40 @@ def test_conjunction_witness_is_complete(window_c):
     witness = conjunction_nonpreservation_witness(window_c)
     assert witness.complete
     assert set(witness.separations) == set(OctLattice.build(window_c).carrier)
+
+
+def brute_holds(lat: OctLattice, name: str, x: int, y: int) -> bool:
+    """The oracle's membership test for any carrier element."""
+    return name == "top" or (name != "bot" and holds(lat.by_name(name), x, y))
+
+
+def in_target(x: int, y: int) -> bool:
+    """The oracle's gamma(x+y >= 0) & gamma(x-y >= 0)."""
+    return x + y >= 0 and x - y >= 0
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3, 4])
+def test_conjunction_witness_is_the_least_separating_point(window_c):
+    witness = conjunction_nonpreservation_witness(window_c)
+    assert (witness.p, witness.q) == (OctPredicate(1, 1, 0), OctPredicate(1, -1, 0))
+    n = witness.grid_n
+    assert n == 4 * window_c
+    points = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
+    lat = OctLattice.build(window_c)
+    expected = {}
+    for name in lat.carrier:
+        diff = [pt for pt in points if brute_holds(lat, name, *pt) != in_target(*pt)]
+        expected[name] = min(diff)
+    assert witness.separations == expected
+
+
+def test_conjunction_witness_c10_separates_every_element():
+    witness = conjunction_nonpreservation_witness(10)
+    lat = OctLattice.build(10)
+    assert witness.complete and set(witness.separations) == set(lat.carrier)
+    for name, (x, y) in witness.separations.items():
+        assert max(abs(x), abs(y)) <= witness.grid_n
+        assert brute_holds(lat, name, x, y) != in_target(x, y), name
 
 
 def test_degenerate_model():

@@ -9,8 +9,9 @@ alongside the product construction itself.
 The meet and Galois checks, exhaustive and sampled alike, call ``iota``
 once per distinct rectangle and keep each image as the target's point mask
 (:meth:`ConcreteUniverse.mask`), so comparing two images, or a region with
-an image, is one int operation per pair; the embedding criterion compares
-the masks that the composite gamma keeps.  What they check is
+an image, is one int operation per pair.  ``product`` encodes each composite
+image straight from the decoded component images, and the embedding
+criterion reads the composite and component masks.  What they check is
 still called per pair or per region: ``Rectangle.meet`` for every pair, in
 order, ``rectangle_closure`` for every region, and
 ``Rectangle.componentwise_leq`` for every sampled pair.
@@ -85,15 +86,16 @@ def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
     return windows.pop()
 
 
-def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:
-    """Cartesian product of the axes, as a set of tuples.
+def _product_points(axes):
+    """The points of the Cartesian product of some axis point collections.
+    A one-axis product lives on the axis window itself, whose points are
+    ints, so its points are the axis points."""
+    return axes[0] if len(axes) == 1 else iproduct(*axes)
 
-    A one-axis rectangle lives on the axis window itself, whose points are
-    ints, so its image is the axis set."""
-    if len(rect.axes) == 1:
-        return ConcreteSet(target, rect.axes[0].members)
-    members = frozenset(iproduct(*[a.members for a in rect.axes]))
-    return ConcreteSet(target, members)
+
+def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:
+    """Cartesian product of the axes, as a set of tuples."""
+    return ConcreteSet(target, frozenset(_product_points(rect.members)))
 
 
 def rectangle_closure(r: ConcreteSet) -> Rectangle:
@@ -123,12 +125,6 @@ class ProductAbstraction:
     components: tuple[Abstraction, ...]
     abstraction: Abstraction  # composite, over the tuple universe
 
-    def gamma_prime(self, element: str) -> Rectangle:
-        """Componentwise concretization of a product element."""
-        parts = element.split(ELEMENT_SEP)
-        return Rectangle(tuple(c.gamma(p)
-                               for c, p in zip(self.components, parts)))
-
 
 def product(components) -> ProductAbstraction:
     """Componentwise product lattice with composite gamma = iota after gamma'."""
@@ -157,11 +153,13 @@ def product(components) -> ProductAbstraction:
     names = [ELEMENT_SEP.join(t) for t in tuples]
     lattice = build_lattice(names, covers)
 
-    table = {}
-    for t, nm in zip(tuples, names):
-        rect = Rectangle(tuple(c.gamma(p) for c, p in zip(components, t)))
-        table[nm] = iota(rect, uni)
-    gamma = ConcretizationMap(lattice, uni, table)
+    # each component image decoded once; each composite image is the mask
+    # of iota's points, built with no set of them
+    images = [{e: tuple(c.universe.points_of(m)) for e, m in c.gamma.masks.items()}
+              for c in components]
+    masks = {nm: uni.mask(_product_points([img[e] for img, e in zip(images, t)]))
+             for t, nm in zip(tuples, names)}
+    gamma = ConcretizationMap(lattice, uni, masks)
     abs_ = Abstraction(ELEMENT_SEP.join(c.name for c in components), lattice, gamma)
     return ProductAbstraction(components, abs_)
 
@@ -189,7 +187,7 @@ def _imager(target: ConcreteUniverse):
         key = tuple([a.members for a in rect.axes])
         m = images.get(key)
         if m is None:
-            m = images[key] = target.mask(iota(rect, target))
+            m = images[key] = target.mask(iota(rect, target).members)
         return m
 
     return image
@@ -259,7 +257,7 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
         mask = target.mask
         regions = _subsets(target)
         rects = list(_all_rectangles([target.axis()] * len(axis_windows)))
-        images = [mask(iota(x, target)) for x in rects]
+        images = [mask(iota(x, target).members) for x in rects]
         rows: dict[tuple, list[bool]] = {}  # closure members -> order row
         for r in regions:
             closure = rectangle_closure(r)
@@ -267,7 +265,7 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
             if row is None:
                 row = rows[closure.members] = [closure.componentwise_leq(x)
                                                for x in rects]
-            rm = mask(r)
+            rm = mask(r.members)
             for leq, x, ix in zip(row, rects, images):
                 checked += 1
                 if leq != (rm & ix == rm):
@@ -278,7 +276,7 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     pts, full = target.points, target.full()
     for _ in range(sample):
         r = full._derive(frozenset(compress(pts, [random_() < 0.4 for _ in pts])))
-        rm = target.mask(r)
+        rm = target.mask(r.members)
         x = draw()
         checked += 1
         if rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm):
@@ -311,7 +309,7 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                 f"with {points} points; pass sample=")
         mask = target.mask
         rects = list(_all_rectangles(axes))
-        images = {x.members: mask(iota(x, target)) for x in rects}
+        images = {x.members: mask(iota(x, target).members) for x in rects}
         get = images.get
         pairs = [(y, images[y.members]) for y in rects]
         for x, ix in pairs:
@@ -323,7 +321,7 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                 # of the loop
                 lhs = get(tuple([a.members for a in m.axes]))
                 if lhs is None:  # a meet that is none of the rectangles
-                    lhs = mask(iota(m, target))
+                    lhs = mask(iota(m, target).members)
                 if lhs != ix & iy:
                     return CheckResult(False, checked, (x, y))
         return CheckResult(True, checked)
@@ -370,10 +368,9 @@ def product_embedding_criterion(pa: ProductAbstraction) -> CheckResult:
     abs_ = pa.abstraction
     lat = abs_.lattice
     gamma = abs_.gamma.masks
-    guarded = []
-    for name in lat.elements:
-        rect = pa.gamma_prime(name)
-        guarded.append(all(a.members for a in rect.axes))
+    parts = [c.gamma.masks for c in pa.components]
+    guarded = [all(m[p] != 0 for m, p in zip(parts, name.split(ELEMENT_SEP)))
+               for name in lat.elements]
     checked = 0
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):

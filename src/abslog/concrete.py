@@ -2,20 +2,22 @@
 
 A universe is a finite ordered set of points: opaque atoms or integer
 points drawn from a bounded window.  A 1-D window has int points; only
-windows with dim >= 2 have integer-tuple points.  Concrete sets are plain
-frozensets over those points.  The exhaustive checks compare them as int
-*point masks*, bit j for the j-th point, a format this module alone knows:
-:meth:`ConcreteUniverse.mask` encodes a set and :meth:`ConcreteUniverse.span`
+windows with dim >= 2 have integer-tuple points.  A concrete set is an int
+*point mask*, bit j for the j-th point, a format this module alone knows:
+:meth:`ConcreteUniverse.mask` encodes points and :meth:`ConcreteUniverse.span`
 a run of consecutive points, :meth:`ConcreteUniverse.points_of` is the one
-decoder, a concretization map keeps each image's mask in ``masks``, and
+decoder, a concretization map is its table ``masks``, and
 :class:`PointMasks` applies the registry's concrete operations to masks.
+A :class:`ConcreteSet`, a frozenset of points, is decoded only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
 from itertools import product as iproduct
+from operator import or_
 
 from .connectives import CONNECTIVES, Connective, connective, lookup
 from .errors import (
@@ -52,6 +54,7 @@ class ConcreteUniverse:
         self._full: ConcreteSet | None = None
         self._axis: ConcreteUniverse | None = None
         self._bits: dict | None = None
+        self._digit: dict | None = None
         if not self.points:
             raise InvalidConcretization("empty universe")
         if len(self.point_set) != len(self.points):
@@ -130,18 +133,27 @@ class ConcreteUniverse:
     def empty(self) -> "ConcreteSet":
         return ConcreteSet(self, frozenset())
 
-    def mask(self, s: "ConcreteSet") -> int:
-        """A set's point mask, bit j for the j-th point.  Below
-        ``_TABLE_POINTS`` points the map from point to bit is built on first
-        use and then kept; a larger universe writes the mask as one binary
-        digit per point, highest point first, in time and memory linear in
-        the points."""
-        if len(self.points) < _TABLE_POINTS:
-            if self._bits is None:
-                self._bits = {p: 1 << j for j, p in enumerate(self.points)}
-            return sum(map(self._bits.__getitem__, s.members))
-        inside = bytes(map(s.members.__contains__, reversed(self.points)))
-        return int(inside.translate(_DIGITS), 2)
+    def mask(self, points) -> int:
+        """The point mask of some points of the universe, bit j for the j-th
+        point; a point given twice counts once.  Below ``_TABLE_POINTS``
+        points it ORs each point's bit; a larger universe sets one flag byte
+        per point and reads the flags as binary digits, highest point first,
+        in time and memory linear in the points.  Either map from point to
+        bit is built on first use and then kept."""
+        try:
+            if len(self.points) < _TABLE_POINTS:
+                if self._bits is None:
+                    self._bits = {p: 1 << j for j, p in enumerate(self.points)}
+                return reduce(or_, map(self._bits.__getitem__, points), 0)
+            if self._digit is None:  # point -> its digit's place, highest first
+                self._digit = {p: j for j, p in enumerate(reversed(self.points))}
+            flags = bytearray(len(self.points))
+            for j in map(self._digit.__getitem__, points):
+                flags[j] = 1
+        except KeyError as e:
+            raise InvalidConcretization(
+                f"point {e.args[0]!r} is not in the universe") from None
+        return int(flags.translate(_DIGITS), 2)
 
     def span(self, start: int, stop: int) -> int:
         """The point mask of ``points[start:stop]``."""
@@ -245,40 +257,37 @@ class PointMasks:
 
 
 class ConcretizationMap:
-    """Total monotone map from lattice elements to concrete sets."""
+    """Total monotone map from lattice elements to concrete sets, kept as
+    its table ``masks``: element name to its image's point mask."""
 
     def __init__(self, source: FiniteLattice, target: ConcreteUniverse,
-                 table: dict[str, ConcreteSet]):
+                 masks: dict[str, int]):
         self.source = source
         self.target = target
-        self.table = dict(table)
+        self.masks = dict(masks)
+        full = (1 << len(target)) - 1
         for e in source.elements:
-            if e not in self.table:
+            if e not in self.masks:
                 raise InvalidConcretization(f"gamma missing entry for {e!r}")
-            if self.table[e].universe != target:
-                raise InvalidConcretization(f"gamma({e!r}) lives in the wrong universe")
-        for e in self.table:
+            m = self.masks[e]
+            if not isinstance(m, int) or not 0 <= m <= full:
+                raise InvalidConcretization(
+                    f"gamma({e!r}) is not a point mask of the universe")
+        for e in self.masks:
             if e not in source.index:
                 raise UnknownElement(f"gamma defined on unknown element {e!r}")
         # inclusion is transitive, so monotone on the covers is monotone
         for a, b in hasse_edges(source):
-            if not self.table[a].issubset(self.table[b]):
+            if self.masks[a] & ~self.masks[b]:
                 raise InvalidConcretization(f"gamma is not monotone on ({a!r}, {b!r})")
-        self._masks: dict[str, int] | None = None
 
     def __call__(self, element: str) -> ConcreteSet:
+        """The element's image, decoded from its mask."""
         try:
-            return self.table[element]
+            m = self.masks[element]
         except KeyError:
             raise UnknownElement(f"unknown element {element!r}") from None
-
-    @property
-    def masks(self) -> dict[str, int]:
-        """Element name to its image's point mask, built on first use and
-        then kept: nothing writes ``table`` after construction."""
-        if self._masks is None:
-            self._masks = {e: self.target.mask(s) for e, s in self.table.items()}
-        return self._masks
+        return self.target.subset(self.target.points_of(m))
 
 
 @dataclass
@@ -421,14 +430,14 @@ def compute_left_adjoint(abs_: Abstraction) -> AdjointResult:
         for b in lat.elements:
             if gamma[lat.meet(a, b)] != gamma[a] & gamma[b]:
                 return AdjointResult(
-                    False, witness=abs_.gamma(a) & abs_.gamma(b),
+                    False, witness=uni.subset(uni.points_of(gamma[a] & gamma[b])),
                     reason=f"gamma does not preserve meet({a}, {b}); that "
                            "intersection has no least over-approximation")
 
     def alpha(s: ConcreteSet) -> str:
         if s.universe != uni:
             raise InvalidConcretization("alpha queried outside the universe")
-        m = uni.mask(s)
+        m = uni.mask(s.members)
         best = lat.top
         for e in lat.elements:
             if not m & ~gamma[e]:

@@ -16,17 +16,18 @@ satisfies both, since N >= C.  So the rule holds over the integer plane
 and over the grid alike.
 
 In each grid column an element holds on one run of consecutive points.
-:func:`grid_gamma` collects those runs into the frozenset the export
-keeps.  The conjunction witness encodes the same runs as point masks with
-:meth:`~abslog.concrete.ConcreteUniverse.span` and decodes a separating
-point with :meth:`~abslog.concrete.ConcreteUniverse.points_of`, so it
-compares ints and hashes no grid point.
+:func:`_grid_mask` encodes those runs as a point mask with
+:meth:`~abslog.concrete.ConcreteUniverse.span`: the export hands these
+masks to gamma as its table, and the conjunction witness compares them and
+decodes a separating point with
+:meth:`~abslog.concrete.ConcreteUniverse.points_of`, so neither builds a
+set of grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
 from .errors import GridGuardViolated, InvalidNegation, UnknownElement, WindowOverflow
@@ -51,7 +52,7 @@ def _sgn(v: int) -> str:
 @dataclass(frozen=True, order=True)
 class OctPredicate:
     """The constraint  sx*x + sy*y >= c  with sx, sy in {+1, -1};
-    :func:`grid_gamma` evaluates it on the grid."""
+    :func:`_runs` evaluates it on the grid."""
 
     sx: int
     sy: int
@@ -156,19 +157,10 @@ def _runs(lat: OctLattice, element: OctPredicate | str,
     return runs
 
 
-def grid_gamma(lat: OctLattice, element: OctPredicate | str,
-               grid: ConcreteUniverse) -> frozenset:
-    """The points of a grid universe where an element holds."""
-    if element == "top":  # the universe's own set, not a copy of it
-        return grid.point_set
-    pts = grid.points
-    return frozenset(chain.from_iterable(
-        [pts[start:stop] for start, stop in _runs(lat, element, grid)]))
-
-
 def _grid_mask(lat: OctLattice, element: OctPredicate | str,
                grid: ConcreteUniverse) -> int:
-    """The point mask of :func:`grid_gamma`, built run by run."""
+    """The point mask of the grid points where an element holds, built run
+    by run."""
     mask = 0
     for start, stop in _runs(lat, element, grid):
         mask |= grid.span(start, stop)
@@ -222,8 +214,8 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
             f"grid N = {grid_n} violates the guard N >= 4C = {4 * lat.window_c}")
     finite = to_finite_lattice(lat)
     uni = grid_universe(grid_n)
-    table = {name: uni.subset(grid_gamma(lat, name, uni)) for name in lat.carrier}
-    gamma = ConcretizationMap(finite, uni, table)
+    masks = {name: _grid_mask(lat, name, uni) for name in lat.carrier}
+    gamma = ConcretizationMap(finite, uni, masks)
     ff = (Compound("ff"),)
     axioms = tuple((f"axiom.{i:03d}", Sequent((Pred(p.name), Pred(q.name)), ff))
                    for i, (p, q) in enumerate(infeasible_pairs(lat)))

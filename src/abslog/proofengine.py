@@ -55,8 +55,8 @@ systems by the tests (``tests/test_schema_soundness.py``, over every subset
 of a 2-point universe).  The axioms are particular to a system, so
 :func:`verify_soundness` checks each of them on *point masks*: bit j of a
 formula's mask stands for the j-th point of the universe.  Each
-predicate's mask is read from gamma's table, ``ConcretizationMap.masks``,
-and the valuations V_x are that table's transpose; the registry's
+predicate's mask is read from ``ConcretizationMap.masks``, the one table
+gamma keeps, and the valuations V_x are that table's transpose; the registry's
 concrete operations compute a compound's mask from its arguments' masks,
 and ``G |- D`` holds iff
 ``AND(ante masks) & ~OR(succ masks) == 0``.  Both checks are exact; nothing

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
+from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
 from .lattice import FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
 from .syntax import NAME_RE, formula_predicates, parse_sequent, render_sequent
@@ -112,19 +112,19 @@ def load(text: str, name: str = "spec") -> Abstraction:
 
     uni = _parse_universe(*universe_line)
 
-    table: dict[str, ConcreteSet] = {}
+    masks: dict[str, int] = {}
     points: dict[str, object] = {}  # point token text -> its point, for this call
     for ln_no, elt, expr in gamma_lines:
-        if elt in table:
+        if elt in masks:
             raise SpecError(f"duplicate GAMMA entry for {elt!r}", ln_no)
         try:
-            table[elt] = _eval_set_expr(expr, uni, points)
+            masks[elt] = _eval_set_expr(expr, uni, points)
         except AbslogError as e:
             raise SpecError(f"bad GAMMA entry for {elt!r}: {e}", ln_no) from e
-    missing = [e for e in elements if e not in table]
+    missing = [e for e in elements if e not in masks]
     if missing:
         raise SpecError(f"GAMMA missing entries for {missing}")
-    gamma = ConcretizationMap(lattice, uni, table)
+    gamma = ConcretizationMap(lattice, uni, masks)
 
     axioms = []
     for i, (ln_no, line) in enumerate(axiom_lines):
@@ -180,31 +180,30 @@ def _parse_point(tok: str, uni: ConcreteUniverse):
 
 
 def _eval_set_expr(expr: str, uni: ConcreteUniverse,
-                   points: dict[str, object]) -> ConcreteSet:
-    """A GAMMA set expression's set.  ``points`` maps each point token read
-    so far to its point, which is in the universe; a new token is parsed and
-    checked once and then added."""
+                   points: dict[str, object]) -> int:
+    """A GAMMA set expression's point mask.  ``points`` maps each point token
+    read so far to its point, which is in the universe; a new token is
+    parsed and checked once and then added."""
     expr = expr.strip()
     if expr == "{}":
-        return uni.empty()
+        return 0
     if expr == "all":
-        return uni.full()
+        return uni.span(0, len(uni))
     if expr in ("evens", "odds"):
         if uni.kind != "window" or uni.params[2] != 1:
             raise SpecError(f"{expr!r} needs a one-dimensional integer window")
         parity = 0 if expr == "evens" else 1
-        return uni.subset(p for p in uni.points if p % 2 == parity)
+        return uni.mask(p for p in uni.points if p % 2 == parity)
     m = re.fullmatch(r"range\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", expr)
     if m:
         if uni.kind != "window" or uni.params[2] != 1:
             raise SpecError("'range' needs a one-dimensional integer window")
         lo, hi = int(m.group(1)), int(m.group(2))
-        return uni.subset(p for p in uni.points if lo <= p <= hi)
+        return uni.mask(p for p in uni.points if lo <= p <= hi)
     if expr.startswith("union(") and expr.endswith(")"):
         inner = expr[len("union("):-1]
-        parts = _split_top_level(inner)
-        out = uni.empty()
-        for part in parts:
+        out = 0
+        for part in _split_top_level(inner):
             out |= _eval_set_expr(part, uni, points)
         return out
     if expr.startswith("{") and expr.endswith("}"):
@@ -219,7 +218,7 @@ def _eval_set_expr(expr: str, uni: ConcreteUniverse,
             if p not in uni.point_set:
                 raise SpecError(f"point {p!r} is outside the universe")
         points.update(new)
-        return uni.subset(map(points.__getitem__, toks))
+        return uni.mask(map(points.__getitem__, toks))
     raise SpecError(f"cannot parse set expression {expr!r}")
 
 

@@ -98,5 +98,5 @@ def family_abstraction(case):
                          if a != b and a & b == a])
     uni = ConcreteUniverse.atoms([f"a{i}" for i in range(k)])
     gamma = ConcretizationMap(lat, uni, {
-        name[m]: uni.subset(f"a{i}" for i in range(k) if m >> i & 1) for m in family})
+        name[m]: uni.mask(f"a{i}" for i in range(k) if m >> i & 1) for m in family})
     return Abstraction("family", lat, gamma)

@@ -274,7 +274,7 @@ def test_empty_component_image_surfaces_collapse():
     lat = build_lattice(["bot", "mid", "top"], [("bot", "mid"), ("mid", "top")])
     u = ConcreteUniverse.window(0, 2)
     gamma = ConcretizationMap(lat, u, {
-        "bot": u.empty(), "mid": u.empty(), "top": u.full()})
+        "bot": u.mask([]), "mid": u.mask([]), "top": u.mask(u.points)})
     weird = Abstraction("weird", lat, gamma)
     pa = product([weird, small_parity(0, 2, "p02")])
     res = product_embedding_criterion(pa)

@@ -33,10 +33,10 @@ def parity_abstraction(lo=-8, hi=8):
             "bot": "top", "Even": "Odd", "Odd": "Even", "top": "bot"})},
     )
     uni = window(lo, hi)
-    evens = uni.subset(p for p in uni.points if p % 2 == 0)
-    odds = uni.subset(p for p in uni.points if p % 2 != 0)
+    evens = uni.mask(p for p in uni.points if p % 2 == 0)
+    odds = uni.mask(p for p in uni.points if p % 2 != 0)
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), "Even": evens, "Odd": odds, "top": uni.full()})
+        "bot": uni.mask([]), "Even": evens, "Odd": odds, "top": uni.mask(uni.points)})
     return Abstraction("parity", lat, gamma)
 
 
@@ -47,11 +47,11 @@ def sign_abstraction():
         + [(s, "top") for s in ("Neg", "Zero", "Pos")])
     uni = window(-8, 8)
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(),
-        "Neg": uni.subset(p for p in uni.points if p < 0),
-        "Zero": uni.subset([0]),
-        "Pos": uni.subset(p for p in uni.points if p > 0),
-        "top": uni.full()})
+        "bot": uni.mask([]),
+        "Neg": uni.mask(p for p in uni.points if p < 0),
+        "Zero": uni.mask([0]),
+        "Pos": uni.mask(p for p in uni.points if p > 0),
+        "top": uni.mask(uni.points)})
     return Abstraction("sign", lat, gamma)
 
 
@@ -107,7 +107,7 @@ def test_monotonicity_validated():
     lat = build_lattice(["bot", "top"], [("bot", "top")])
     u = window(0, 1)
     with pytest.raises(InvalidConcretization):
-        ConcretizationMap(lat, u, {"bot": u.full(), "top": u.empty()})
+        ConcretizationMap(lat, u, {"bot": u.mask(u.points), "top": u.mask([])})
 
 
 def test_order_embedding_parity():
@@ -119,9 +119,9 @@ def test_order_embedding_failure_witnessed():
         ["bot", "a", "b", "top"],
         [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
     u = ConcreteUniverse.atoms(["p", "q"])
-    s = u.subset(["p"])
+    s = u.mask(["p"])
     gamma = ConcretizationMap(lat, u, {
-        "bot": u.empty(), "a": s, "b": s, "top": u.full()})
+        "bot": u.mask([]), "a": s, "b": s, "top": u.mask(u.points)})
     res = check_order_embedding(Abstraction("dup", lat, gamma))
     assert not res.is_embedding
     a, b = res.witness
@@ -131,7 +131,7 @@ def test_order_embedding_failure_witnessed():
 def test_order_embedding_singleton():
     lat = build_lattice(["only"], [])
     u = window(0, 0)
-    gamma = ConcretizationMap(lat, u, {"only": u.full()})
+    gamma = ConcretizationMap(lat, u, {"only": u.mask(u.points)})
     assert check_order_embedding(Abstraction("one", lat, gamma)).is_embedding
 
 
@@ -185,7 +185,7 @@ def test_left_adjoint_absent_with_witness():
     # gamma(top) misses a point, so the full set has no over-approximation
     lat = build_lattice(["bot", "top"], [("bot", "top")])
     u = window(0, 1)
-    gamma = ConcretizationMap(lat, u, {"bot": u.empty(), "top": u.subset([0])})
+    gamma = ConcretizationMap(lat, u, {"bot": u.mask([]), "top": u.mask([0])})
     res = compute_left_adjoint(Abstraction("gap", lat, gamma))
     assert not res.total
     s = res.witness
@@ -201,8 +201,8 @@ def test_left_adjoint_absent_on_meet_failure():
         [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
     u = window(0, 2)
     gamma = ConcretizationMap(lat, u, {
-        "bot": u.empty(), "a": u.subset([0, 1]), "b": u.subset([1, 2]),
-        "top": u.full()})
+        "bot": u.mask([]), "a": u.mask([0, 1]), "b": u.mask([1, 2]),
+        "top": u.mask(u.points)})
     res = compute_left_adjoint(Abstraction("nomeet", lat, gamma))
     assert not res.total
     assert res.witness.members == frozenset([1])

@@ -304,7 +304,7 @@ def test_machine_format_refuses_a_name_the_grammar_cannot_read(element):
     uni = ConcreteUniverse.atoms(["p"])
     lat = build_lattice(["bot", element, "top"], [("bot", element), (element, "top")])
     abs_ = Abstraction("odd", lat, ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), element: uni.full(), "top": uni.full()}))
+        "bot": uni.mask([]), element: uni.mask(uni.points), "top": uni.mask(uni.points)}))
     with pytest.raises(SpecError):
         specfile.emit(abs_)
     ps = system(abs_)

@@ -251,9 +251,9 @@ def antichain(k):
     lat = build_lattice(["bot", *atoms, "top"],
                         [("bot", a) for a in atoms] + [(a, "top") for a in atoms])
     uni = ConcreteUniverse.atoms(["shared", *(f"p{i}" for i in range(k))])
-    table = {"bot": uni.empty(), "top": uni.full()}
-    table.update({a: uni.subset(["shared", f"p{i}"]) for i, a in enumerate(atoms)})
-    abs_ = Abstraction("antichain", lat, ConcretizationMap(lat, uni, table))
+    masks = {"bot": uni.mask([]), "top": uni.mask(uni.points)}
+    masks.update({a: uni.mask(["shared", f"p{i}"]) for i, a in enumerate(atoms)})
+    abs_ = Abstraction("antichain", lat, ConcretizationMap(lat, uni, masks))
     report = preservation_report(abs_)
     assert "and" not in report.preserved()
     return generate_proof_system(abs_, report)

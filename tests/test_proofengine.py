@@ -218,7 +218,7 @@ def test_parity_lindenbaum_classes(parity, parity_ps):
 def test_single_element_lattice():
     lat = build_lattice(["only"], [])
     uni = ConcreteUniverse.window(0, 0)
-    gamma = ConcretizationMap(lat, uni, {"only": uni.full()})
+    gamma = ConcretizationMap(lat, uni, {"only": uni.mask(uni.points)})
     abs_ = Abstraction("one", lat, gamma)
     ps = system(abs_)
     lind = build_lindenbaum(ps)
@@ -260,10 +260,10 @@ def noninjective_exhibit():
         unary_ops={"negation": UnaryOpTable("negation", {
             "bot": "top", "top": "bot", "a": "c", "b": "c", "c": "a"})})
     uni = ConcreteUniverse.atoms(["u1", "u2"])
-    s = uni.subset(["u1"])
+    s = uni.mask(["u1"])
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), "a": s, "b": s, "c": ~s,
-        "top": uni.full()})
+        "bot": uni.mask([]), "a": s, "b": s, "c": uni.mask(["u2"]),
+        "top": uni.mask(uni.points)})
     return Abstraction("merge", lat, gamma)
 
 

@@ -35,8 +35,9 @@ def axioms(ps):
 def naive_masks(abs_) -> dict[str, int]:
     """Each element's mask, read off gamma point by point."""
     points = abs_.universe.points
-    return {p: sum(1 << j for j, x in enumerate(points) if x in abs_.gamma(p).members)
-            for p in abs_.lattice.elements}
+    images = {p: abs_.gamma(p).members for p in abs_.lattice.elements}
+    return {p: sum(1 << j for j, x in enumerate(points) if x in image)
+            for p, image in images.items()}
 
 
 def point_masks(abs_) -> PointMasks:

@@ -196,7 +196,7 @@ def _atoms_abstraction(atom):
     uni = ConcreteUniverse.atoms([atom, "q"])
     lat = build_lattice(["bot", "a", "top"], [("bot", "a"), ("a", "top")])
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), "a": uni.subset([atom]), "top": uni.full()})
+        "bot": uni.mask([]), "a": uni.mask([atom]), "top": uni.mask(uni.points)})
     return Abstraction("atoms", lat, gamma)
 
 
@@ -224,7 +224,7 @@ def _elements_abstraction(element, negation=False):
     lat = build_lattice(["bot", element, "top"],
                         [("bot", element), (element, "top")], unary_ops=ops)
     gamma = ConcretizationMap(lat, uni, {
-        "bot": uni.empty(), element: uni.subset(["p"]), "top": uni.full()})
+        "bot": uni.mask([]), element: uni.mask(["p"]), "top": uni.mask(uni.points)})
     return Abstraction("elements", lat, gamma)
 
 
@@ -249,7 +249,7 @@ def test_emit_refuses_an_operation_keyword_element_beside_operations(element):
 def test_emit_refuses_a_lone_element_named_like_a_section(section):
     uni = ConcreteUniverse.atoms(["p"])
     lat = build_lattice([section], [])
-    abs_ = Abstraction("lone", lat, ConcretizationMap(lat, uni, {section: uni.full()}))
+    abs_ = Abstraction("lone", lat, ConcretizationMap(lat, uni, {section: uni.mask(uni.points)}))
     with pytest.raises(SpecError) as exc:
         specfile.emit(abs_)
     assert repr(section) in str(exc.value)

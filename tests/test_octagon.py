@@ -75,6 +75,19 @@ def test_grid_gamma_is_the_inequality_filter(window_c):
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3, 4])
+def test_grid_mask_is_the_mask_of_grid_gamma(window_c):
+    # the grid gamma of each carrier element is the brute-force filter;
+    # the mask the export hands over is its encoding, compared as ints
+    lat = OctLattice.build(window_c)
+    n = 4 * window_c
+    grid = grid_universe(n)
+    points = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
+    for name in lat.carrier:
+        image = [pt for pt in points if brute_holds(lat, name, *pt)]
+        assert _grid_mask(lat, name, grid) == grid.mask(image), name
+
+
+@pytest.mark.parametrize("window_c", [1, 2, 3, 4])
 def test_finite_lattice_order_is_oct_leq(window_c):
     # the order is built by closing oct_leq, so oct_leq must be transitive
     lat = OctLattice.build(window_c)

@@ -6,14 +6,19 @@
 adjunction, meet preservation and injectivity-off-empty-axes live here
 alongside the product construction itself.
 
+A :class:`Rectangle` is its axis window and one point mask per axis
+(:meth:`ConcreteUniverse.mask`): its meet is the axis masks' and, its order
+is mask inclusion, and ``rectangle_closure`` encodes the projections as
+masks.  Its member sets are decoded on request; the rectangles the
+exhaustive checks enumerate come with them, each axis subset decoded once.
 The meet and Galois checks, exhaustive and sampled alike, call ``iota``
-once per distinct rectangle and keep each image as the target's point mask
-(:meth:`ConcreteUniverse.mask`), so comparing two images, or a region with
-an image, is one int operation per pair.  ``product`` encodes each composite
-image straight from the decoded component images, and the embedding
-criterion reads the composite and component masks.  What they check is
-still called per pair or per region: ``Rectangle.meet`` for every pair, in
-order, ``rectangle_closure`` for every region, and
+once per distinct rectangle, by axis masks, and keep each image as the
+target's point mask, so comparing two images, or a region with an image,
+is one int operation per pair.  ``product`` encodes each composite image
+straight from the decoded component images, and the embedding criterion
+reads the composite and component masks.  What they check is still called
+per pair or per region: ``Rectangle.meet`` for every pair, in order,
+``rectangle_closure`` for every region, and
 ``Rectangle.componentwise_leq`` for every sampled pair.
 """
 
@@ -21,8 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from itertools import product as iproduct
+from operator import and_, or_
 
 from .concrete import (
     Abstraction,
@@ -42,25 +49,69 @@ MAX_MEET_AXIS_POINTS = 10    # exhaustive meet check: points of both axes togeth
 
 @dataclass(frozen=True)
 class Rectangle:
-    """One concrete set per axis."""
+    """One concrete set per axis, kept as the axis universe they share and
+    one point mask per axis (:meth:`ConcreteUniverse.mask`).  Meet and
+    order are int operations on the masks; ``members`` and ``axes`` decode
+    them on request."""
 
-    axes: tuple[ConcreteSet, ...]
+    axis: ConcreteUniverse
+    masks: tuple[int, ...]
+
+    def __init__(self, axes):
+        axes = tuple(axes)
+        if not axes:
+            raise InvalidConcretization("a rectangle needs at least one axis")
+        axis = axes[0].universe
+        if any(a.universe != axis for a in axes):
+            raise InvalidConcretization("rectangle axes live in different universes")
+        fields = self.__dict__  # the frozen fields, written without __setattr__
+        fields["axis"] = axis
+        fields["masks"] = tuple([axis.mask(a.members) for a in axes])
+
+    @cached_property
+    def members(self) -> tuple[frozenset, ...]:
+        """The axis member sets, decoded on first request and then kept."""
+        points_of = self.axis.points_of
+        return tuple([frozenset(points_of(m)) for m in self.masks])
 
     @property
-    def members(self) -> tuple[frozenset, ...]:
-        """The axis member sets.  As a key it hashes fast: a frozenset
-        keeps its hash, where a rectangle would hash each axis universe."""
-        return tuple([a.members for a in self.axes])
+    def axes(self) -> tuple[ConcreteSet, ...]:
+        """The axes as sets of the axis universe, decoded on each request."""
+        full = self.axis.full()
+        return tuple([full._derive(s) for s in self.members])
+
+    def _check(self, other: "Rectangle") -> None:
+        if self.axis != other.axis:
+            raise InvalidConcretization("rectangles live on different axes")
 
     def componentwise_leq(self, other: "Rectangle") -> bool:
-        return all(map(ConcreteSet.issubset, self.axes, other.axes))
+        if self.axis is not other.axis:
+            self._check(other)
+        # a mask is included in another iff their or is the other
+        return tuple(map(or_, self.masks, other.masks)) == other.masks
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        # built as ConcreteSet._derive builds a set: the frozen __init__
-        # writes the field through object.__setattr__, a tenth of a meet
-        out = _new(Rectangle)
-        out.__dict__["axes"] = tuple(map(ConcreteSet.__and__, self.axes, other.axes))
-        return out
+        if self.axis is not other.axis:
+            self._check(other)
+        return _rectangle(self.axis, tuple(map(and_, self.masks, other.masks)))
+
+    def __repr__(self) -> str:
+        sets = ["{" + ", ".join(map(repr, self.axis.points_of(m))) + "}"
+                for m in self.masks]
+        return f"Rectangle({' x '.join(sets)})"
+
+
+def _rectangle(axis: ConcreteUniverse, masks: tuple[int, ...],
+               members: tuple[frozenset, ...] | None = None) -> Rectangle:
+    """A rectangle from masks of one axis universe, which are not checked
+    again; given its decoded ``members``, it keeps them."""
+    out = _new(Rectangle)
+    fields = out.__dict__
+    fields["axis"] = axis
+    fields["masks"] = masks
+    if members is not None:
+        fields["members"] = members
+    return out
 
 
 def tuple_universe(axis_universes) -> ConcreteUniverse:
@@ -107,17 +158,13 @@ def rectangle_closure(r: ConcreteSet) -> Rectangle:
     uni = r.universe
     if uni.kind != "window":
         raise InvalidConcretization("rectangle closure needs a window universe")
-    dim = uni.params[2]
-    out = _new(Rectangle)  # built as Rectangle.meet builds its result
+    dim, axis = uni.params[2], uni.axis()
     if dim == 1:
-        out.__dict__["axes"] = (r,)
-        return out
-    # a coordinate of a point of r is a point of the axis window, so each
-    # projection is derived from the full axis set, unchecked
-    full = uni.axis().full()
+        return _rectangle(axis, (axis.mask(r.members),))
+    # a coordinate of a point of r is a point of the axis window; each
+    # column is encoded by its distinct coordinates
     columns = list(zip(*r.members)) or [()] * dim  # an empty region: empty axes
-    out.__dict__["axes"] = tuple([full._derive(frozenset(c)) for c in columns])
-    return out
+    return _rectangle(axis, tuple([axis.mask(set(c)) for c in columns]))
 
 
 @dataclass
@@ -172,22 +219,39 @@ def _subsets(u: ConcreteUniverse) -> list[ConcreteSet]:
     return [u.subset(u.points_of(mask)) for mask in range(1 << len(u))]
 
 
-def _all_rectangles(axis_universes):
-    for combo in iproduct(*map(_subsets, axis_universes)):
-        yield Rectangle(combo)
+def _all_rectangles(axis: ConcreteUniverse, dim: int):
+    """Every rectangle of ``dim`` axes on an axis window, in the order of
+    its axis masks, the first axis slowest.  Each of the 2^n axis subsets is
+    decoded once, and every rectangle keeps the decoded sets it holds, so
+    ``iota`` on it decodes nothing."""
+    subsets = [(m, frozenset(axis.points_of(m))) for m in range(1 << len(axis))]
+    for combo in iproduct(subsets, repeat=dim):
+        masks, members = zip(*combo)
+        yield _rectangle(axis, masks, members)
+
+
+class _Decoded(dict):
+    """Axis mask -> its points as a frozenset, decoded on first lookup."""
+
+    def __init__(self, axis: ConcreteUniverse):
+        super().__init__()
+        self.axis = axis
+
+    def __missing__(self, mask: int) -> frozenset:
+        s = self[mask] = frozenset(self.axis.points_of(mask))
+        return s
 
 
 def _imager(target: ConcreteUniverse):
     """The map from a rectangle to the mask of its iota image.  iota runs
-    once per distinct rectangle, by axis member sets, and the map keeps one
-    int per rectangle it has seen, for as long as it lives."""
+    once per distinct rectangle, by axis masks, and the map keeps one int
+    per rectangle it has seen, for as long as it lives."""
     images: dict[tuple, int] = {}
 
     def image(rect: Rectangle) -> int:
-        key = tuple([a.members for a in rect.axes])
-        m = images.get(key)
+        m = images.get(rect.masks)
         if m is None:
-            m = images[key] = target.mask(iota(rect, target).members)
+            m = images[rect.masks] = target.mask(iota(rect, target).members)
         return m
 
     return image
@@ -197,8 +261,8 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     """The random draw of a sampled check, and its rectangle draw: each axis
     point is in with probability 1/2, drawn point by point and axis by axis.
     The draws of a rectangle make one int, whose bits k*n to k*n+n-1 are
-    axis k's point mask for n axis points.  A rectangle is built once per
-    distinct int, and an axis set once per distinct axis mask, each kept for
+    axis k's point mask for n axis points.  A drawn rectangle comes with its
+    member sets, each axis mask decoded on its first draw and then kept for
     as long as the draw lives; the list of every axis subset, which grows as
     2^n, is not built."""
     if sample < 1:
@@ -207,23 +271,13 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     axis = target.axis()
     n, dim = len(axis), target.params[2]
     bits = [1 << i for i in range(n * dim)]
-    sets: dict[int, ConcreteSet] = {}
-    rects: dict[int, Rectangle] = {}
-
-    def axis_set(m: int) -> ConcreteSet:
-        s = sets.get(m)
-        if s is None:
-            s = sets[m] = axis.subset(axis.points_of(m))
-        return s
+    shifts, low = range(0, n * dim, n), (1 << n) - 1
+    decoded = _Decoded(axis)
 
     def draw() -> Rectangle:
         m = sum(compress(bits, [random_() < 0.5 for _ in bits]))
-        x = rects.get(m)
-        if x is None:
-            x = rects[m] = _new(Rectangle)  # built as Rectangle.meet builds one
-            x.__dict__["axes"] = tuple([axis_set(m >> k * n & (1 << n) - 1)
-                                        for k in range(dim)])
-        return x
+        masks = tuple([m >> s & low for s in shifts])
+        return _rectangle(axis, masks, tuple(map(decoded.__getitem__, masks)))
 
     return random_, draw
 
@@ -246,8 +300,9 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     exhaustive branch reads componentwise_leq once per distinct closure and
     rectangle, then compares each pair's order bit with R's mask included in
     iota(X)'s.  The sampled branch calls componentwise_leq once per sample;
-    until it returns it holds at most one rectangle and one mask per
-    distinct rectangle drawn.  ``sample`` must be at least 1."""
+    until it returns it holds one mask per distinct rectangle drawn and one
+    decoded set per distinct axis mask drawn.  ``sample`` must be at least
+    1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
@@ -255,17 +310,15 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
             raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
                                   "pass sample=")
         mask = target.mask
-        regions = _subsets(target)
-        rects = list(_all_rectangles([target.axis()] * len(axis_windows)))
+        rects = list(_all_rectangles(target.axis(), len(axis_windows)))
         images = [mask(iota(x, target).members) for x in rects]
-        rows: dict[tuple, list[bool]] = {}  # closure members -> order row
-        for r in regions:
+        rows: dict[tuple, list[bool]] = {}  # closure masks -> order row
+        for rm, r in enumerate(_subsets(target)):  # a region's mask is its index
             closure = rectangle_closure(r)
-            row = rows.get(closure.members)
+            row = rows.get(closure.masks)
             if row is None:
-                row = rows[closure.members] = [closure.componentwise_leq(x)
-                                               for x in rects]
-            rm = mask(r.members)
+                row = rows[closure.masks] = [closure.componentwise_leq(x)
+                                             for x in rects]
             for leq, x, ix in zip(row, rects, images):
                 checked += 1
                 if leq != (rm & ix == rm):
@@ -274,9 +327,11 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     random_, draw = _sampler(target, sample, rng_seed)
     image = _imager(target)
     pts, full = target.points, target.full()
+    bits = [1 << j for j in range(len(pts))]
     for _ in range(sample):
-        r = full._derive(frozenset(compress(pts, [random_() < 0.4 for _ in pts])))
-        rm = target.mask(r.members)
+        drawn = [random_() < 0.4 for _ in pts]
+        r = full._derive(frozenset(compress(pts, drawn)))
+        rm = sum(compress(bits, drawn))  # the region's mask, from its draws
         x = draw()
         checked += 1
         if rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm):
@@ -291,35 +346,33 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
     sampled otherwise.
 
     Both branches compute iota once per distinct rectangle and keep the
-    images as point masks, by axis member sets.  Each pair still takes its
+    images as point masks, by axis masks.  Each pair still takes its
     meet, whose mask is looked up and compared with the masks' and.  In the
     exhaustive branch a meet that is none of the rectangles is mapped by
-    iota.  Until it returns, the sampled branch holds at most one rectangle
-    per distinct rectangle drawn and one mask per distinct rectangle drawn
-    or met.  ``sample`` must be at least 1."""
+    iota.  Until it returns, the sampled branch holds one mask per distinct
+    rectangle drawn or met and one decoded set per distinct axis mask
+    drawn.  ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
-        axes = [target.axis()] * len(axis_windows)
-        points = sum(len(u) for u in axes)
-        if points > MAX_MEET_AXIS_POINTS or len(axes) != 2:
+        axis, dim = target.axis(), len(axis_windows)
+        points = len(axis) * dim
+        if points > MAX_MEET_AXIS_POINTS or dim != 2:
             raise CarrierTooLarge(
                 f"exhaustive meet check needs two axes with at most "
-                f"{MAX_MEET_AXIS_POINTS} points in all, got {len(axes)} axes "
+                f"{MAX_MEET_AXIS_POINTS} points in all, got {dim} axes "
                 f"with {points} points; pass sample=")
         mask = target.mask
-        rects = list(_all_rectangles(axes))
-        images = {x.members: mask(iota(x, target).members) for x in rects}
+        rects = list(_all_rectangles(axis, dim))
+        images = {x.masks: mask(iota(x, target).members) for x in rects}
         get = images.get
-        pairs = [(y, images[y.members]) for y in rects]
+        pairs = [(y, images[y.masks]) for y in rects]
         for x, ix in pairs:
             meet = x.meet
             for y, iy in pairs:
                 checked += 1
                 m = meet(y)
-                # m.members, written out: the property call costs a tenth
-                # of the loop
-                lhs = get(tuple([a.members for a in m.axes]))
+                lhs = get(m.masks)
                 if lhs is None:  # a meet that is none of the rectangles
                     lhs = mask(iota(m, target).members)
                 if lhs != ix & iy:
@@ -341,18 +394,15 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
     involves an empty axis (everything collapses to the empty set)."""
     lo, hi = axis_window
     target = ConcreteUniverse.window(lo, hi, dim=2)
-    axes = [target.axis()] * 2
     seen: dict[frozenset, Rectangle] = {}
     checked = 0
     collisions = 0
-    for rect in _all_rectangles(axes):
+    for rect in _all_rectangles(target.axis(), 2):
         checked += 1
         image = iota(rect, target).members
         if image in seen:
             other = seen[image]
-            nonempty = all(a.members for a in rect.axes) and \
-                all(a.members for a in other.axes)
-            if nonempty:
+            if all(rect.masks) and all(other.masks):  # no axis is empty
                 return CheckResult(False, checked, (rect, other))
             collisions += 1
         else:

@@ -201,23 +201,11 @@ class ConcreteSet:
         return self._derive(self.members | other.members)
 
     def __and__(self, other: "ConcreteSet") -> "ConcreteSet":
-        # _check and _derive written out: every Rectangle.meet of the
-        # exhaustive Cartesian checks takes one per axis
-        uni = self.universe
-        if uni is not other.universe:
-            self._check(other)
-        out = _new(ConcreteSet)
-        fields = out.__dict__
-        fields["universe"] = uni
-        fields["members"] = self.members & other.members
-        return out
+        self._check(other)
+        return self._derive(self.members & other.members)
 
     def __invert__(self) -> "ConcreteSet":
         return self._derive(self.universe.point_set - self.members)
-
-    def issubset(self, other: "ConcreteSet") -> bool:
-        self._check(other)
-        return self.members <= other.members
 
     def __len__(self) -> int:
         return len(self.members)

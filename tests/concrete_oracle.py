@@ -31,4 +31,4 @@ def holds_concrete(abs_: Abstraction, s: Sequent) -> bool:
     union = abs_.universe.empty()
     for f in s.succ:
         union |= eval_concrete(abs_, f)
-    return inter.issubset(union)
+    return inter.members <= union.members

@@ -126,6 +126,14 @@ def test_planted_fault_verdict(monkeypatch, fault, check):
     assert res.note == ""
 
 
+def test_planted_meet_fault_witness_reads_as_sets(monkeypatch):
+    monkeypatch.setattr(Rectangle, "meet", meet_narrows)
+    res = check_iota_preserves_meets(((0, 3), (0, 3)))
+    pair = "Rectangle({1, 2} x {0})"
+    assert repr(res.witness) == f"({pair}, {pair})"
+    assert f"witness=({pair}, {pair})" in repr(res)
+
+
 def _count(monkeypatch, owner, name: str) -> list:
     """Record the arguments of every call to ``owner.name``."""
     calls = []

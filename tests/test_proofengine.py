@@ -7,7 +7,6 @@ import pytest
 
 from abslog.concrete import (
     Abstraction,
-    ConcreteSet,
     ConcreteUniverse,
     ConcretizationMap,
     preservation_report,
@@ -331,25 +330,25 @@ def test_completeness_biconditional(parity, parity_ps):
     eng = DerivabilityEngine(parity_ps)
     for a in parity.lattice.elements:
         for b in parity.lattice.elements:
-            inc = parity.gamma(a).issubset(parity.gamma(b))
+            inc = parity.gamma(a).members <= parity.gamma(b).members
             der = eng.derivable(Sequent((Pred(a),), (Pred(b),)))
             assert inc == der
 
 
 def test_completeness_compares_concrete_sets_once(monkeypatch, parity, parity_ps):
     # once gamma is known to be an order embedding, gamma(a) <= gamma(b) is
-    # a <= b, and the embedding check compares the sets only where a <= b
-    # fails: fewer than one comparison per pair in all
+    # a <= b; the embedding check compares gamma's point masks, so no
+    # concrete set is decoded at all
     calls = []
-    issubset = ConcreteSet.issubset
+    decode = ConcretizationMap.__call__
 
-    def counted(self, other):
-        calls.append((self, other))
-        return issubset(self, other)
+    def counted(self, element):
+        calls.append(element)
+        return decode(self, element)
 
-    monkeypatch.setattr(ConcreteSet, "issubset", counted)
+    monkeypatch.setattr(ConcretizationMap, "__call__", counted)
     assert verify_completeness(parity, parity_ps).status == "complete"
-    assert len(calls) < len(parity.lattice.elements) ** 2
+    assert calls == []
 
 
 def test_completeness_reads_gamma_by_name(interval):

@@ -9,16 +9,16 @@ alongside the product construction itself.
 A :class:`Rectangle` is its axis window and one point mask per axis
 (:meth:`ConcreteUniverse.mask`): its meet is the axis masks' and, its order
 is mask inclusion, and ``rectangle_closure`` encodes the projections as
-masks.  Its member sets are decoded on request; the rectangles the
-exhaustive checks enumerate come with them, each axis subset decoded once.
-The meet and Galois checks, exhaustive and sampled alike, call ``iota``
-once per distinct rectangle, by axis masks, and keep each image as the
-target's point mask, so comparing two images, or a region with an image,
-is one int operation per pair.  ``product`` encodes each composite image
-straight from the decoded component images, and the embedding criterion
-reads the composite and component masks.  What they check is still called
-per pair or per region: ``Rectangle.meet`` for every pair, in order,
-``rectangle_closure`` for every region, and
+masks.  iota is defined once, on masks, by ``_iota_mask``: it builds the
+image's point mask on the tuple window from the axis masks by shifted ors,
+and decodes no point.  ``iota`` decodes that mask into a set.  The meet,
+Galois and injectivity checks, exhaustive and sampled alike, compute it
+once per distinct rectangle, by axis masks, so comparing two images, or a
+region with an image, is one int operation per pair.  ``product`` builds
+each composite image with it from the component masks, and the embedding
+criterion reads the composite and component masks.  What the checks check
+is still called per pair or per region: ``Rectangle.meet`` for every pair,
+in order, ``rectangle_closure`` for every region, and
 ``Rectangle.componentwise_leq`` for every sampled pair.
 """
 
@@ -26,18 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from itertools import product as iproduct
 from operator import and_, or_
 
-from .concrete import (
-    Abstraction,
-    ConcreteSet,
-    ConcreteUniverse,
-    ConcretizationMap,
-    _new,
-)
+from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization
 from .lattice import build_lattice, hasse_edges
 
@@ -51,8 +44,7 @@ MAX_MEET_AXIS_POINTS = 10    # exhaustive meet check: points of both axes togeth
 class Rectangle:
     """One concrete set per axis, kept as the axis universe they share and
     one point mask per axis (:meth:`ConcreteUniverse.mask`).  Meet and
-    order are int operations on the masks; ``members`` and ``axes`` decode
-    them on request."""
+    order are int operations on the masks; ``axes`` decodes them."""
 
     axis: ConcreteUniverse
     masks: tuple[int, ...]
@@ -68,17 +60,11 @@ class Rectangle:
         fields["axis"] = axis
         fields["masks"] = tuple([axis.mask(a.members) for a in axes])
 
-    @cached_property
-    def members(self) -> tuple[frozenset, ...]:
-        """The axis member sets, decoded on first request and then kept."""
-        points_of = self.axis.points_of
-        return tuple([frozenset(points_of(m)) for m in self.masks])
-
     @property
     def axes(self) -> tuple[ConcreteSet, ...]:
         """The axes as sets of the axis universe, decoded on each request."""
-        full = self.axis.full()
-        return tuple([full._derive(s) for s in self.members])
+        axis = self.axis
+        return tuple([axis.subset(axis.points_of(m)) for m in self.masks])
 
     def _check(self, other: "Rectangle") -> None:
         if self.axis != other.axis:
@@ -101,16 +87,13 @@ class Rectangle:
         return f"Rectangle({' x '.join(sets)})"
 
 
-def _rectangle(axis: ConcreteUniverse, masks: tuple[int, ...],
-               members: tuple[frozenset, ...] | None = None) -> Rectangle:
+def _rectangle(axis: ConcreteUniverse, masks: tuple[int, ...]) -> Rectangle:
     """A rectangle from masks of one axis universe, which are not checked
-    again; given its decoded ``members``, it keeps them."""
-    out = _new(Rectangle)
-    fields = out.__dict__
+    again."""
+    out = object.__new__(Rectangle)
+    fields = out.__dict__  # the frozen fields, written without __setattr__
     fields["axis"] = axis
     fields["masks"] = masks
-    if members is not None:
-        fields["members"] = members
     return out
 
 
@@ -137,16 +120,31 @@ def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
     return windows.pop()
 
 
-def _product_points(axes):
-    """The points of the Cartesian product of some axis point collections.
-    A one-axis product lives on the axis window itself, whose points are
-    ints, so its points are the axis points."""
-    return axes[0] if len(axes) == 1 else iproduct(*axes)
+def _iota_mask(rect: Rectangle, target: ConcreteUniverse) -> int:
+    """The point mask of iota(rect) on ``target``, a window with the
+    rectangle's axis window and one coordinate per axis.
+
+    From the last axis on, the image so far spans ``width`` points; it is
+    copied once per point of the axis, shifted by i * width for the i-th
+    point, and the copies are ored.  That is the window's own point order,
+    the first coordinate slowest, and no point is decoded."""
+    axis = target.axis()
+    if (rect.axis is not axis and rect.axis != axis
+            or len(rect.masks) != target.params[2]):
+        raise InvalidConcretization(
+            f"{rect!r} is not in the universe {target.describe()}")
+    n = len(axis.points)
+    image, width = 1, 1
+    for m in reversed(rect.masks):
+        # the copies do not overlap, so their sum is their or
+        image = sum([image << i * width for i in range(n) if m >> i & 1])
+        width *= n
+    return image
 
 
 def iota(rect: Rectangle, target: ConcreteUniverse) -> ConcreteSet:
-    """Cartesian product of the axes, as a set of tuples."""
-    return ConcreteSet(target, frozenset(_product_points(rect.members)))
+    """Cartesian product of the axes, as a set of ``target``'s points."""
+    return target.subset(target.points_of(_iota_mask(rect, target)))
 
 
 def rectangle_closure(r: ConcreteSet) -> Rectangle:
@@ -161,10 +159,10 @@ def rectangle_closure(r: ConcreteSet) -> Rectangle:
     dim, axis = uni.params[2], uni.axis()
     if dim == 1:
         return _rectangle(axis, (axis.mask(r.members),))
-    # a coordinate of a point of r is a point of the axis window; each
-    # column is encoded by its distinct coordinates
+    # a coordinate of a point of r is a point of the axis window; the mask
+    # of a column counts a repeated coordinate once
     columns = list(zip(*r.members)) or [()] * dim  # an empty region: empty axes
-    return _rectangle(axis, tuple([axis.mask(set(c)) for c in columns]))
+    return _rectangle(axis, tuple(map(axis.mask, columns)))
 
 
 @dataclass
@@ -200,12 +198,13 @@ def product(components) -> ProductAbstraction:
     names = [ELEMENT_SEP.join(t) for t in tuples]
     lattice = build_lattice(names, covers)
 
-    # each component image decoded once; each composite image is the mask
-    # of iota's points, built with no set of them
-    images = [{e: tuple(c.universe.points_of(m)) for e, m in c.gamma.masks.items()}
-              for c in components]
-    masks = {nm: uni.mask(_product_points([img[e] for img, e in zip(images, t)]))
-             for t, nm in zip(tuples, names)}
+    # each composite image is iota of the component masks: every component
+    # lives on a window equal to the tuple window's axis
+    axis, parts = uni.axis(), [c.gamma.masks for c in components]
+    masks = {}
+    for t, nm in zip(tuples, names):
+        rect = _rectangle(axis, tuple([p[e] for p, e in zip(parts, t)]))
+        masks[nm] = _iota_mask(rect, uni)
     gamma = ConcretizationMap(lattice, uni, masks)
     abs_ = Abstraction(ELEMENT_SEP.join(c.name for c in components), lattice, gamma)
     return ProductAbstraction(components, abs_)
@@ -221,37 +220,21 @@ def _subsets(u: ConcreteUniverse) -> list[ConcreteSet]:
 
 def _all_rectangles(axis: ConcreteUniverse, dim: int):
     """Every rectangle of ``dim`` axes on an axis window, in the order of
-    its axis masks, the first axis slowest.  Each of the 2^n axis subsets is
-    decoded once, and every rectangle keeps the decoded sets it holds, so
-    ``iota`` on it decodes nothing."""
-    subsets = [(m, frozenset(axis.points_of(m))) for m in range(1 << len(axis))]
-    for combo in iproduct(subsets, repeat=dim):
-        masks, members = zip(*combo)
-        yield _rectangle(axis, masks, members)
-
-
-class _Decoded(dict):
-    """Axis mask -> its points as a frozenset, decoded on first lookup."""
-
-    def __init__(self, axis: ConcreteUniverse):
-        super().__init__()
-        self.axis = axis
-
-    def __missing__(self, mask: int) -> frozenset:
-        s = self[mask] = frozenset(self.axis.points_of(mask))
-        return s
+    its axis masks, the first axis slowest."""
+    for masks in iproduct(range(1 << len(axis)), repeat=dim):
+        yield _rectangle(axis, masks)
 
 
 def _imager(target: ConcreteUniverse):
-    """The map from a rectangle to the mask of its iota image.  iota runs
-    once per distinct rectangle, by axis masks, and the map keeps one int
-    per rectangle it has seen, for as long as it lives."""
+    """The map from a rectangle to the mask of its iota image.  It is
+    computed once per distinct rectangle, by axis masks, and the map keeps
+    one int per rectangle it has seen, for as long as it lives."""
     images: dict[tuple, int] = {}
 
     def image(rect: Rectangle) -> int:
         m = images.get(rect.masks)
         if m is None:
-            m = images[rect.masks] = target.mask(iota(rect, target).members)
+            m = images[rect.masks] = _iota_mask(rect, target)
         return m
 
     return image
@@ -261,10 +244,8 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     """The random draw of a sampled check, and its rectangle draw: each axis
     point is in with probability 1/2, drawn point by point and axis by axis.
     The draws of a rectangle make one int, whose bits k*n to k*n+n-1 are
-    axis k's point mask for n axis points.  A drawn rectangle comes with its
-    member sets, each axis mask decoded on its first draw and then kept for
-    as long as the draw lives; the list of every axis subset, which grows as
-    2^n, is not built."""
+    axis k's point mask for n axis points; the list of every axis subset,
+    which grows as 2^n, is not built."""
     if sample < 1:
         raise AbslogError(f"a sampled check needs at least 1 sample, got {sample}")
     random_ = random.Random(rng_seed).random
@@ -272,12 +253,10 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     n, dim = len(axis), target.params[2]
     bits = [1 << i for i in range(n * dim)]
     shifts, low = range(0, n * dim, n), (1 << n) - 1
-    decoded = _Decoded(axis)
 
     def draw() -> Rectangle:
         m = sum(compress(bits, [random_() < 0.5 for _ in bits]))
-        masks = tuple([m >> s & low for s in shifts])
-        return _rectangle(axis, masks, tuple(map(decoded.__getitem__, masks)))
+        return _rectangle(axis, tuple([m >> s & low for s in shifts]))
 
     return random_, draw
 
@@ -300,18 +279,16 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     exhaustive branch reads componentwise_leq once per distinct closure and
     rectangle, then compares each pair's order bit with R's mask included in
     iota(X)'s.  The sampled branch calls componentwise_leq once per sample;
-    until it returns it holds one mask per distinct rectangle drawn and one
-    decoded set per distinct axis mask drawn.  ``sample`` must be at least
-    1."""
+    until it returns it holds one mask per distinct rectangle drawn.
+    ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
         if len(target) > 12:
             raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
                                   "pass sample=")
-        mask = target.mask
         rects = list(_all_rectangles(target.axis(), len(axis_windows)))
-        images = [mask(iota(x, target).members) for x in rects]
+        images = [_iota_mask(x, target) for x in rects]
         rows: dict[tuple, list[bool]] = {}  # closure masks -> order row
         for rm, r in enumerate(_subsets(target)):  # a region's mask is its index
             closure = rectangle_closure(r)
@@ -326,11 +303,11 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
         return CheckResult(True, checked)
     random_, draw = _sampler(target, sample, rng_seed)
     image = _imager(target)
-    pts, full = target.points, target.full()
+    pts = target.points
     bits = [1 << j for j in range(len(pts))]
     for _ in range(sample):
         drawn = [random_() < 0.4 for _ in pts]
-        r = full._derive(frozenset(compress(pts, drawn)))
+        r = target.subset(compress(pts, drawn))
         rm = sum(compress(bits, drawn))  # the region's mask, from its draws
         x = draw()
         checked += 1
@@ -345,13 +322,12 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
     """iota(X meet Y) = iota(X) & iota(Y); exhaustive for two small axes,
     sampled otherwise.
 
-    Both branches compute iota once per distinct rectangle and keep the
-    images as point masks, by axis masks.  Each pair still takes its
-    meet, whose mask is looked up and compared with the masks' and.  In the
-    exhaustive branch a meet that is none of the rectangles is mapped by
-    iota.  Until it returns, the sampled branch holds one mask per distinct
-    rectangle drawn or met and one decoded set per distinct axis mask
-    drawn.  ``sample`` must be at least 1."""
+    Both branches compute iota's mask once per distinct rectangle, by axis
+    masks.  Each pair still takes its meet, whose image is looked up and
+    compared with the images' and.  In the exhaustive branch a meet that is
+    none of the rectangles is mapped then.  Until it returns, the sampled
+    branch holds one mask per distinct rectangle drawn or met.  ``sample``
+    must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
@@ -362,9 +338,8 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                 f"exhaustive meet check needs two axes with at most "
                 f"{MAX_MEET_AXIS_POINTS} points in all, got {dim} axes "
                 f"with {points} points; pass sample=")
-        mask = target.mask
         rects = list(_all_rectangles(axis, dim))
-        images = {x.masks: mask(iota(x, target).members) for x in rects}
+        images = {x.masks: _iota_mask(x, target) for x in rects}
         get = images.get
         pairs = [(y, images[y.masks]) for y in rects]
         for x, ix in pairs:
@@ -374,7 +349,7 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                 m = meet(y)
                 lhs = get(m.masks)
                 if lhs is None:  # a meet that is none of the rectangles
-                    lhs = mask(iota(m, target).members)
+                    lhs = _iota_mask(m, target)
                 if lhs != ix & iy:
                     return CheckResult(False, checked, (x, y))
         return CheckResult(True, checked)
@@ -394,12 +369,12 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
     involves an empty axis (everything collapses to the empty set)."""
     lo, hi = axis_window
     target = ConcreteUniverse.window(lo, hi, dim=2)
-    seen: dict[frozenset, Rectangle] = {}
+    seen: dict[int, Rectangle] = {}  # image mask -> the first rectangle
     checked = 0
     collisions = 0
     for rect in _all_rectangles(target.axis(), 2):
         checked += 1
-        image = iota(rect, target).members
+        image = _iota_mask(rect, target)
         if image in seen:
             other = seen[image]
             if all(rect.masks) and all(other.masks):  # no axis is empty

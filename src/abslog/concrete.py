@@ -8,7 +8,9 @@ windows with dim >= 2 have integer-tuple points.  A concrete set is an int
 a run of consecutive points, :meth:`ConcreteUniverse.points_of` is the one
 decoder, a concretization map is its table ``masks``, and
 :class:`PointMasks` applies the registry's concrete operations to masks.
-A :class:`ConcreteSet`, a frozenset of points, is decoded only on request.
+Every computation on concrete sets runs on masks.  A :class:`ConcreteSet`,
+a frozenset of a universe's points, is the decoded view: it is built only
+on request and has no set operations.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .syntax import Formula, Pred, Sequent
 # largest window built, in points and in coordinates per point; the
 # products of ``cartesian`` have their own, smaller MAX_PRODUCT_POINTS
 MAX_WINDOW_POINTS = 100_000
-
-_new = object.__new__  # a set operation's result, built without __init__
 
 # a universe below this many points keeps each point's bit as a machine-word
 # int; the bit table of a larger one would grow as the square of its size
@@ -103,7 +103,7 @@ class ConcreteUniverse:
         return len(self.points)
 
     def __eq__(self, other) -> bool:
-        # every set operation compares its operands' universes, which are
+        # rectangles, iota and the left adjoint compare universes that are
         # nearly always one object
         return self is other or (isinstance(other, ConcreteUniverse)
                                  and self.points == other.points)
@@ -171,7 +171,8 @@ class ConcreteUniverse:
 
 @dataclass(frozen=True)
 class ConcreteSet:
-    """Subset of a universe's points."""
+    """Subset of a universe's points, checked to lie in it: the decoded
+    view of a point mask."""
 
     universe: ConcreteUniverse
     members: frozenset
@@ -181,32 +182,6 @@ class ConcreteSet:
             bad = sorted(self.members - self.universe.point_set, key=repr)[0]
             raise InvalidConcretization(f"point {bad!r} is not in the universe")
 
-    def _check(self, other: "ConcreteSet") -> None:
-        if self.universe is not other.universe and self.universe != other.universe:
-            raise InvalidConcretization("operands live in different universes")
-
-    def _derive(self, members: frozenset) -> "ConcreteSet":
-        """The result of a set operation on this set's universe.  Its
-        members come from sets that were checked when they were built, so
-        they cannot leave the universe and are not checked again."""
-        out = _new(ConcreteSet)
-        fields = out.__dict__  # the frozen fields, written without __setattr__
-        fields["universe"] = self.universe
-        fields["members"] = members
-        return out
-
-    # the operators the registry's concrete operations are written with
-    def __or__(self, other: "ConcreteSet") -> "ConcreteSet":
-        self._check(other)
-        return self._derive(self.members | other.members)
-
-    def __and__(self, other: "ConcreteSet") -> "ConcreteSet":
-        self._check(other)
-        return self._derive(self.members & other.members)
-
-    def __invert__(self) -> "ConcreteSet":
-        return self._derive(self.universe.point_set - self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -214,8 +189,7 @@ class ConcreteSet:
 class PointMasks:
     """Concrete sets as int masks over a universe's points: bit j stands for
     the j-th point.  It offers the ``full()`` and ``empty()`` that the
-    registry's concrete operations read, so those operations compute masks
-    unchanged."""
+    registry's concrete operations read."""
 
     def __init__(self, n_points: int, pred_masks: dict[str, int]):
         self._full = (1 << n_points) - 1

@@ -8,12 +8,12 @@ generated calculus adds when gamma preserves the connective.  Every
 module that needs one of these facts loops over ``CONNECTIVES`` or looks
 a record up by name; none spells them out again.
 
-The concrete operations are written with the set operators ``&``, ``|``
-and ``~`` and the universe's ``full()`` and ``empty()``, so one definition
-serves both representations of a concrete set: a
-:class:`~abslog.concrete.ConcreteSet`, and the int point masks that a
-system's axioms are checked on for soundness (bit j stands for the j-th
-point).
+The concrete operations compute on int point masks (bit j stands for the
+j-th point), the one representation of a concrete set that anything
+computes with: they are written with ``&``, ``|`` and ``~`` and the
+``full()`` and ``empty()`` of a :class:`~abslog.concrete.PointMasks`.  The
+preservation report and the soundness check of a system's axioms call
+them; a :class:`~abslog.concrete.ConcreteSet` is only a decoded view.
 
 Abstract tables are nested index tuples of depth ``arity``: an int for a
 constant, one row for a unary connective, a matrix for a binary one.
@@ -45,7 +45,7 @@ class Connective:
     latex: str
     prec: int                 # binding strength in text; higher binds tighter
     concrete_name: str
-    concrete: Callable        # (universe, *sets) -> set, on sets or point masks
+    concrete: Callable        # (masks, *point masks) -> point mask
     abstract: Callable        # lattice -> index table
     intro: Schemas
     # rules that replace ``intro`` when every connective in ``via`` is

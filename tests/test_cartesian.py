@@ -28,6 +28,8 @@ from abslog.errors import CarrierTooLarge, InvalidConcretization
 from abslog.lattice import build_lattice
 from abslog import specfile
 
+from conftest import load_builtin
+
 
 def small_parity(lo=-4, hi=4, name="parity4"):
     text = f"""
@@ -52,6 +54,8 @@ top = all
 def test_iota_examples():
     u = ConcreteUniverse.window(0, 1)
     target = tuple_universe([u, u])
+    # the target keeps its own axis window, equal to u but another object
+    assert target.axis() == u and target.axis() is not u
     r = Rectangle((u.subset([0, 1]), u.subset([0, 1])))
     assert iota(r, target).members == {(0, 0), (0, 1), (1, 0), (1, 1)}
     empty = Rectangle((u.empty(), u.subset([0, 1])))
@@ -117,7 +121,7 @@ def test_iota_monotone_sampled():
         small = Rectangle(tuple(u.subset(p for p in u.points if rng.random() < 0.4)
                                 for _ in range(2)))
         grow = Rectangle(tuple(
-            a | u.subset(p for p in u.points if rng.random() < 0.3)
+            u.subset(a.members.union(p for p in u.points if rng.random() < 0.3))
             for a in small.axes))
         assert iota(small, target).members <= iota(grow, target).members
 
@@ -140,19 +144,19 @@ def test_empty_axis_collision_example():
 
 
 def test_product_parity_parity():
-    pa = product([small_parity(), small_parity()])
-    lat = pa.abstraction.lattice
-    assert len(lat.elements) == 16
-    assert lat.top == "top*top" and lat.bottom == "bot*bot"
-    assert pa.abstraction.universe.var_names == ("x", "y")
-    # composite gamma equals the pointwise definition
-    comp0, comp1 = pa.components
-    for name in lat.elements:
-        a0, a1 = name.split("*")
-        expect = frozenset(
-            (x, y) for x in comp0.gamma(a0).members
-            for y in comp1.gamma(a1).members)
-        assert pa.abstraction.gamma(name).members == expect
+    for parity in (small_parity(), load_builtin("parity")):
+        pa = product([parity, parity])
+        lat, uni = pa.abstraction.lattice, pa.abstraction.universe
+        assert len(lat.elements) == 16
+        assert lat.top == "top*top" and lat.bottom == "bot*bot"
+        assert uni.var_names == ("x", "y")
+        # each composite mask is the mask of the product of the decoded
+        # component images
+        comp0, comp1 = pa.components
+        for name in lat.elements:
+            a0, a1 = name.split("*")
+            expect = iproduct(comp0.gamma(a0).members, comp1.gamma(a1).members)
+            assert pa.abstraction.gamma.masks[name] == uni.mask(expect), name
 
 
 def test_product_order_componentwise():

@@ -1,7 +1,9 @@
 """A rectangle kept as axis point masks agrees with the naive frozenset
-computation on its decoded member sets: meet, order, closure, equality and
-the sets that ``_all_rectangles`` hands out.  Every rectangle on (0, 2)^2
-and every region of that window are checked."""
+computation on its decoded axis sets: meet, order, closure, equality, the
+rectangles ``_all_rectangles`` enumerates and iota, which is computed on
+the masks.  Every rectangle on (0, 2)^2 and every region of that window
+are checked, and iota also on every rectangle of (0, 1)^3, (0, 4) and
+(-2, 1)^2."""
 
 from itertools import product as iproduct
 
@@ -27,16 +29,20 @@ MEMBERS = list(iproduct(subsets(AXIS.points), repeat=2))
 RECTS = [Rectangle(tuple(AXIS.subset(a) for a in axes)) for axes in MEMBERS]
 
 
+def sets(rect):
+    """A rectangle's decoded axis sets."""
+    return tuple(a.members for a in rect.axes)
+
+
 def test_members_and_axes_decode_the_given_sets():
     for r, axes in zip(RECTS, MEMBERS):
-        assert r.members == axes
-        assert [a.members for a in r.axes] == list(axes)
+        assert sets(r) == axes
         assert all(a.universe is AXIS for a in r.axes)
 
 
 def test_meet_and_order_equal_the_frozenset_computation():
     for (x, xs), (y, ys) in iproduct(zip(RECTS, MEMBERS), repeat=2):
-        assert x.meet(y).members == tuple(a & b for a, b in zip(xs, ys))
+        assert sets(x.meet(y)) == tuple(a & b for a, b in zip(xs, ys))
         assert x.componentwise_leq(y) == all(a <= b for a, b in zip(xs, ys))
 
 
@@ -45,8 +51,8 @@ def test_closure_of_every_region_is_its_projections():
     assert len(regions) == 512
     for region in regions:
         closure = rectangle_closure(TARGET.subset(region))
-        assert closure.members == tuple(frozenset(p[k] for p in region)
-                                        for k in range(2))
+        assert sets(closure) == tuple(frozenset(p[k] for p in region)
+                                      for k in range(2))
         assert closure.axis == AXIS
 
 
@@ -58,13 +64,31 @@ def test_rebuilt_from_its_axes_is_equal():
 
 
 def test_enumerated_rectangles_keep_their_own_sets():
-    # _all_rectangles hands each rectangle decoded sets; they must be the
-    # sets its masks decode to, in the order the constructor gives
+    # _all_rectangles enumerates in the order the constructor gives, and
+    # iota, computed on the masks, is the product of the decoded axis sets
     enumerated = list(cartesian._all_rectangles(AXIS, 2))
     assert enumerated == RECTS
-    assert [r.members for r in enumerated] == MEMBERS
-    for r in enumerated:
-        assert iota(r, TARGET).members == frozenset(iproduct(*r.members))
+    assert [sets(r) for r in enumerated] == MEMBERS
+    for lo, hi, dim in ((0, 2, 2), (0, 1, 3), (0, 4, 1), (-2, 1, 2)):
+        target = ConcreteUniverse.window(lo, hi, dim)
+        rects = list(cartesian._all_rectangles(target.axis(), dim))
+        assert len(rects) == 2 ** ((hi - lo + 1) * dim)
+        for r in rects:
+            axes = sets(r)
+            # a 1-D window's points are its axis points, not 1-tuples
+            expected = axes[0] if dim == 1 else frozenset(iproduct(*axes))
+            assert iota(r, target).members == expected, (target.describe(), r)
+
+
+@pytest.mark.parametrize("rect", [
+    Rectangle((AXIS.full(),) * 3),
+    Rectangle((AXIS.full(),)),
+    Rectangle((ConcreteUniverse.window(0, 1).full(),) * 2),
+    Rectangle((ConcreteUniverse.window(0, 3).full(),) * 2),
+], ids=["three-axes", "one-axis", "sub-window", "wider-window"])
+def test_iota_refuses_a_rectangle_off_the_window(rect):
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        iota(rect, TARGET)
 
 
 def test_a_rectangle_needs_one_axis_universe():

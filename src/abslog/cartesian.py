@@ -6,20 +6,26 @@
 adjunction, meet preservation and injectivity-off-empty-axes live here
 alongside the product construction itself.
 
-A :class:`Rectangle` is its axis window and one point mask per axis
-(:meth:`ConcreteUniverse.mask`): its meet is the axis masks' and, its order
-is mask inclusion, and ``rectangle_closure`` encodes the projections as
-masks.  iota is defined once, on masks, by ``_iota_mask``: it builds the
-image's point mask on the tuple window from the axis masks by shifted ors,
-and decodes no point.  ``iota`` decodes that mask into a set.  The meet,
-Galois and injectivity checks, exhaustive and sampled alike, compute it
-once per distinct rectangle, by axis masks, so comparing two images, or a
-region with an image, is one int operation per pair.  ``product`` builds
-each composite image with it from the component masks, and the embedding
-criterion reads the composite and component masks.  What the checks check
-is still called per pair or per region: ``Rectangle.meet`` for every pair,
-in order, ``rectangle_closure`` for every region, and
-``Rectangle.componentwise_leq`` for every sampled pair.
+A :class:`Rectangle` is a slotted frozen value: its axis window and one
+point mask per axis (:meth:`ConcreteUniverse.mask`).  Its meet is the axis
+masks' and, its order is mask inclusion, both refuse a rectangle on another
+axis window or with another number of axes, and ``rectangle_closure``
+encodes the projections as masks.  iota is defined once, on masks, by
+``_iota_mask``: it builds the image's point mask on the tuple window from
+the axis masks by shifted ors, and decodes no point.  ``iota`` decodes that
+mask into a set.  The meet, Galois and injectivity checks, exhaustive and
+sampled alike, compute it once per distinct rectangle, by axis masks, so
+comparing two images, or a region with an image, is one int operation per
+pair.  ``product`` builds each composite image with it from the component
+masks, and the embedding criterion reads the composite and component masks.
+What the checks check is still called per pair or per region:
+``Rectangle.meet`` for every pair, in order, ``rectangle_closure`` for
+every region, and ``Rectangle.componentwise_leq`` for every sampled pair.
+The exhaustive meet and Galois checks compare a row of pairs at a time and
+scan a row pair by pair only when it differs: on a failure the rest of that
+row's meets may already have been taken, which is harmless as ``meet`` is
+pure, and ``checked`` and the witness are still those of the first failing
+pair in pair order.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ MAX_PRODUCT_POINTS = 10_000  # largest tuple universe built
 MAX_MEET_AXIS_POINTS = 10    # exhaustive meet check: points of both axes together
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rectangle:
     """One concrete set per axis, kept as the axis universe they share and
     one point mask per axis (:meth:`ConcreteUniverse.mask`).  Meet and
@@ -56,9 +62,8 @@ class Rectangle:
         axis = axes[0].universe
         if any(a.universe != axis for a in axes):
             raise InvalidConcretization("rectangle axes live in different universes")
-        fields = self.__dict__  # the frozen fields, written without __setattr__
-        fields["axis"] = axis
-        fields["masks"] = tuple([axis.mask(a.members) for a in axes])
+        _set_axis(self, axis)
+        _set_masks(self, tuple([axis.mask(a.members) for a in axes]))
 
     @property
     def axes(self) -> tuple[ConcreteSet, ...]:
@@ -69,15 +74,17 @@ class Rectangle:
     def _check(self, other: "Rectangle") -> None:
         if self.axis != other.axis:
             raise InvalidConcretization("rectangles live on different axes")
+        if len(self.masks) != len(other.masks):
+            raise InvalidConcretization("rectangles have different numbers of axes")
 
     def componentwise_leq(self, other: "Rectangle") -> bool:
-        if self.axis is not other.axis:
+        if self.axis is not other.axis or len(self.masks) != len(other.masks):
             self._check(other)
         # a mask is included in another iff their or is the other
         return tuple(map(or_, self.masks, other.masks)) == other.masks
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        if self.axis is not other.axis:
+        if self.axis is not other.axis or len(self.masks) != len(other.masks):
             self._check(other)
         return _rectangle(self.axis, tuple(map(and_, self.masks, other.masks)))
 
@@ -87,13 +94,16 @@ class Rectangle:
         return f"Rectangle({' x '.join(sets)})"
 
 
+# the frozen slots, written without the raising __setattr__
+_set_axis, _set_masks = Rectangle.axis.__set__, Rectangle.masks.__set__
+
+
 def _rectangle(axis: ConcreteUniverse, masks: tuple[int, ...]) -> Rectangle:
     """A rectangle from masks of one axis universe, which are not checked
     again."""
     out = object.__new__(Rectangle)
-    fields = out.__dict__  # the frozen fields, written without __setattr__
-    fields["axis"] = axis
-    fields["masks"] = masks
+    _set_axis(out, axis)
+    _set_masks(out, masks)
     return out
 
 
@@ -277,10 +287,12 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     Both branches keep iota(X) as a point mask, computed once per distinct
     rectangle X, and call rectangle_closure(R) once per region R.  The
     exhaustive branch reads componentwise_leq once per distinct closure and
-    rectangle, then compares each pair's order bit with R's mask included in
-    iota(X)'s.  The sampled branch calls componentwise_leq once per sample;
-    until it returns it holds one mask per distinct rectangle drawn.
-    ``sample`` must be at least 1."""
+    rectangle, then compares R's order row with the row of R's mask
+    included in each iota(X)'s, in one list comparison; only a row that
+    differs is scanned pair by pair, so ``checked`` and the witness are
+    those of the first failing pair.  The sampled branch calls
+    componentwise_leq once per sample; until it returns it holds one mask
+    per distinct rectangle drawn.  ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
@@ -296,6 +308,9 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
             if row is None:
                 row = rows[closure.masks] = [closure.componentwise_leq(x)
                                              for x in rects]
+            if row == [rm & ix == rm for ix in images]:
+                checked += len(row)
+                continue
             for leq, x, ix in zip(row, rects, images):
                 checked += 1
                 if leq != (rm & ix == rm):
@@ -324,10 +339,15 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
 
     Both branches compute iota's mask once per distinct rectangle, by axis
     masks.  Each pair still takes its meet, whose image is looked up and
-    compared with the images' and.  In the exhaustive branch a meet that is
-    none of the rectangles is mapped then.  Until it returns, the sampled
-    branch holds one mask per distinct rectangle drawn or met.  ``sample``
-    must be at least 1."""
+    compared with the images' and.  The exhaustive branch does this a row
+    at a time: it takes the meets of X with every rectangle, looks up their
+    images and compares the row with the ands in one list comparison.  Only
+    a row that differs is scanned pair by pair; a meet that is none of the
+    rectangles is mapped then, and the first failing pair, in pair order,
+    gives ``checked`` and the witness.  The meets after it in that row have
+    already been taken, which changes nothing as meet is pure.  Until it
+    returns, the sampled branch holds one mask per distinct rectangle drawn
+    or met.  ``sample`` must be at least 1."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
     checked = 0
     if sample is None:
@@ -341,13 +361,15 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
         rects = list(_all_rectangles(axis, dim))
         images = {x.masks: _iota_mask(x, target) for x in rects}
         get = images.get
-        pairs = [(y, images[y.masks]) for y in rects]
-        for x, ix in pairs:
-            meet = x.meet
-            for y, iy in pairs:
+        row = [images[y.masks] for y in rects]
+        for x, ix in zip(rects, row):
+            meets = list(map(x.meet, rects))
+            got = [get(m.masks) for m in meets]
+            if got == [ix & iy for iy in row]:
+                checked += len(row)
+                continue
+            for y, iy, m, lhs in zip(rects, row, meets, got):
                 checked += 1
-                m = meet(y)
-                lhs = get(m.masks)
                 if lhs is None:  # a meet that is none of the rectangles
                     lhs = _iota_mask(m, target)
                 if lhs != ix & iy:

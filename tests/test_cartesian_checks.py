@@ -11,6 +11,12 @@ axis is {1, 2}.  The expected verdicts were recorded with the checks that
 evaluated ``iota`` once per pair and compared frozensets, and, for the
 order fault, ``componentwise_leq`` once per pair; a check that only reuses
 images and order rows must reach the same ``ok``, ``checked`` and witness.
+
+The exhaustive checks compare a row of pairs at a time and scan a row pair
+by pair only when it differs.  Faults planted at the last pair of a row, at
+the first pair of the last row, and after meets that are none of the
+rectangles are checked against the per-pair loops of ``naive_meets`` and
+``naive_galois``.
 """
 
 import hashlib
@@ -23,8 +29,9 @@ from abslog.cartesian import (
     Rectangle,
     check_galois,
     check_iota_preserves_meets,
+    tuple_universe,
 )
-from abslog.concrete import ConcreteSet
+from abslog.concrete import ConcreteSet, ConcreteUniverse
 from abslog.errors import AbslogError, CarrierTooLarge, InvalidConcretization
 
 FAULTY_AXIS = frozenset({1, 2})
@@ -146,6 +153,125 @@ def _count(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _window(axes):
+    target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axes)
+    return target, list(cartesian._all_rectangles(target.axis(), len(axes)))
+
+
+def naive_meets(axes):
+    """The exhaustive meet check, one pair at a time: each pair's meet is
+    looked up in the table of images, and mapped if it is none of the
+    rectangles."""
+    target, rects = _window(axes)
+    images = {x.masks: cartesian._iota_mask(x, target) for x in rects}
+    checked = 0
+    for x in rects:
+        for y in rects:
+            checked += 1
+            m = x.meet(y)
+            lhs = images.get(m.masks)
+            if lhs is None:
+                lhs = cartesian._iota_mask(m, target)
+            if lhs != images[x.masks] & images[y.masks]:
+                return False, checked, (x, y)
+    return True, checked, None
+
+
+def naive_galois(axes):
+    """The exhaustive Galois check, one pair at a time, with no order row
+    kept."""
+    target, rects = _window(axes)
+    images = [cartesian._iota_mask(x, target) for x in rects]
+    checked = 0
+    for rm in range(1 << len(target)):
+        r = target.subset(target.points_of(rm))
+        closure = cartesian.rectangle_closure(r)
+        for x, ix in zip(rects, images):
+            checked += 1
+            if closure.componentwise_leq(x) != (rm & ix == rm):
+                return False, checked, (r, x)
+    return True, checked, None
+
+
+ROW_AXES = ((0, 2), (0, 2))  # 64 rectangles, 512 regions
+FULL, WRONG_ROW = (7, 7), (3, 5)  # the full rectangle's masks; a middle row
+
+
+def _emptied(rect):
+    return cartesian._rectangle(rect.axis, (0,) * len(rect.masks))
+
+
+def meet_wrong_at_row_end(self, other):
+    # x meet full is x; from row (3, 5) on it is emptied
+    m = meet(self, other)
+    return _emptied(m) if other.masks == FULL and self.masks >= WRONG_ROW else m
+
+
+def meet_wrong_in_last_row(self, other):
+    # full meet (empty x B) is empty; it is made full
+    m = meet(self, other)
+    return self if self.masks == FULL and other.masks[0] == 0 else m
+
+
+def meet_missing_then_wrong(self, other):
+    m = meet_wrong_at_row_end(self, other)
+    if other.masks[0] == 1:
+        # none of the rectangles, with the right image: a bit past the axis
+        return cartesian._rectangle(m.axis, (m.masks[0] | 8, m.masks[1]))
+    return m
+
+
+def leq_wrong_at_row_end(self, other):
+    return componentwise_leq(self, other) != (
+        self.masks == WRONG_ROW and other.masks == FULL)
+
+
+def closure_wrong_in_last_row(r):
+    # the full region's closure is full; it is made empty
+    c = rectangle_closure(r)
+    return _emptied(c) if len(r) == len(r.universe) else c
+
+
+ROW_FAULTS = {
+    # name: (owner, attribute, fault, check, its naive loop, where it fails)
+    "meets-row-end": (Rectangle, "meet", meet_wrong_at_row_end,
+                      check_iota_preserves_meets, naive_meets, "row end"),
+    "meets-last-row": (Rectangle, "meet", meet_wrong_in_last_row,
+                       check_iota_preserves_meets, naive_meets, "last row"),
+    "meets-missing": (Rectangle, "meet", meet_missing_then_wrong,
+                      check_iota_preserves_meets, naive_meets, "row end"),
+    "galois-row-end": (Rectangle, "componentwise_leq", leq_wrong_at_row_end,
+                       check_galois, naive_galois, "row end"),
+    "galois-last-row": (cartesian, "rectangle_closure", closure_wrong_in_last_row,
+                        check_galois, naive_galois, "last row"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FAULTS))
+def test_row_fault_is_found_at_the_first_failing_pair(monkeypatch, name):
+    owner, attribute, fault, check, naive, where = ROW_FAULTS[name]
+    monkeypatch.setattr(owner, attribute, fault)
+    mapped = _count(monkeypatch, cartesian, "_iota_mask")
+    expected = naive(ROW_AXES)
+    naive_mapped = len(mapped)
+    del mapped[:]
+    res = check(ROW_AXES)
+    assert (res.ok, res.checked, res.witness) == expected
+    # the meets missing from the table are mapped up to the failing pair
+    assert len(mapped) == naive_mapped
+    row, rows = 64, 64 if check is check_iota_preserves_meets else 512
+    ok, checked, _ = expected
+    assert not ok
+    if where == "row end":
+        assert checked % row == 0 and checked < rows * row
+    else:
+        assert checked == (rows - 1) * row + 1
+    if name == "meets-missing":
+        # the 64 rectangles, then the 8 missing meets of each row up to
+        # and including the failing one
+        assert naive_mapped == 64 + 8 * (checked // row)
 
 
 def test_meet_check_maps_each_rectangle_once(monkeypatch):

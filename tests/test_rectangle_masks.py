@@ -3,8 +3,11 @@ computation on its decoded axis sets: meet, order, closure, equality, the
 rectangles ``_all_rectangles`` enumerates and iota, which is computed on
 the masks.  Every rectangle on (0, 2)^2 and every region of that window
 are checked, and iota also on every rectangle of (0, 1)^3, (0, 4) and
-(-2, 1)^2."""
+(-2, 1)^2.  A rectangle is a frozen value with no ``__dict__``, and meet
+and order refuse rectangles with different numbers of axes."""
 
+import copy
+import dataclasses
 from itertools import product as iproduct
 
 import pytest
@@ -101,6 +104,31 @@ def test_a_rectangle_needs_one_axis_universe():
     for op in (RECTS[0].meet, RECTS[0].componentwise_leq):
         with pytest.raises(InvalidConcretization, match="different axes"):
             op(wide)
+
+
+def test_meet_and_order_refuse_a_different_number_of_axes():
+    # on one axis window, map over the masks would cut the longer rectangle
+    two = Rectangle((AXIS.full(),) * 2)
+    three = Rectangle((AXIS.subset([0]), AXIS.subset([1]), AXIS.subset([2])))
+    for a, b in ((two, three), (three, two)):
+        for op in (a.meet, a.componentwise_leq):
+            with pytest.raises(InvalidConcretization,
+                               match="different numbers of axes"):
+                op(b)
+
+
+def test_a_rectangle_is_a_frozen_value_without_a_dict():
+    r = RECTS[45]
+    assert not hasattr(r, "__dict__")
+    before = (r.axis, r.masks)
+    for field in ("axis", "masks"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, field, getattr(RECTS[1], field))
+    assert (r.axis, r.masks) == before
+    for twin in (copy.copy(r), cartesian._rectangle(r.axis, tuple(r.masks)),
+                 Rectangle(r.axes)):
+        assert twin == r and hash(twin) == hash(r)
+    assert len({*RECTS, *map(copy.copy, RECTS)}) == len(RECTS)
 
 
 def test_repr_shows_the_axis_sets():

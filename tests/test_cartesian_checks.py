@@ -1,7 +1,10 @@
 """The Cartesian checks catch planted faults, compute each rectangle's
 image once, call what they check once per pair or region, refuse exactly
-the windows their message names and a sample count below 1, and the
-sampled checks draw the samples they always drew.
+the windows their message names (the injectivity check before it
+enumerates any rectangle) and a sample count below 1, and the sampled
+checks draw the samples they always drew.  A meet or closure of another
+number of axes whose key aliases a kept one is mapped or ordered again,
+never read from a table.
 
 A planted fault makes iota (``_iota_mask``, which every check maps
 rectangles with), ``Rectangle.meet`` or ``rectangle_closure`` wrong on the
@@ -25,9 +28,11 @@ import pytest
 
 from abslog import cartesian
 from abslog.cartesian import (
+    MAX_INJECTIVE_AXIS_POINTS,
     MAX_MEET_AXIS_POINTS,
     Rectangle,
     check_galois,
+    check_iota_injective_on_nonempty,
     check_iota_preserves_meets,
     tuple_universe,
 )
@@ -321,6 +326,92 @@ def test_meet_missing_from_the_table_is_mapped(monkeypatch):
     with pytest.raises(InvalidConcretization, match="not in the universe"):
         check_iota_preserves_meets(((0, 1), (0, 1)))
     assert len(calls) == 16 + 1 and len(calls[-1][0].axes) == 3
+
+
+def _aliased(rect, dim):
+    """A rectangle with the same axis and key but ``dim`` axes."""
+    return cartesian._keyed(rect.axis, dim, rect.key)
+
+
+def test_meet_aliasing_a_table_key_is_mapped(monkeypatch):
+    # the meet of the full rectangle with itself gains a third axis but
+    # keeps its key, 15, which is also the full 2-D rectangle's: it must
+    # not be read from the table, so it is mapped, and iota refuses it
+    def third_axis_on_full(self, other):
+        m = meet(self, other)
+        return _aliased(m, 3) if m.key == 15 else m
+
+    calls = _count(monkeypatch, cartesian, "_iota_mask")
+    monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        check_iota_preserves_meets(((0, 1), (0, 1)))
+    assert len(calls) == 16 + 1
+    assert calls[-1][0].dim == 3 and calls[-1][0].key == 15
+
+
+def test_sampled_meet_aliasing_a_drawn_key_is_mapped(monkeypatch):
+    # from the second sample on, the meet is the previous sample's x with a
+    # fourth axis: its key is that of a 3-D rectangle already mapped
+    xs = []
+
+    def previous_x_with_a_fourth_axis(self, other):
+        m = _aliased(xs[-1], 4) if xs else meet(self, other)
+        xs.append(self)
+        return m
+
+    calls = _count(monkeypatch, cartesian, "_iota_mask")
+    monkeypatch.setattr(Rectangle, "meet", previous_x_with_a_fourth_axis)
+    with pytest.raises(InvalidConcretization, match="not in the universe"):
+        check_iota_preserves_meets(SAMPLED, sample=2000)
+    assert len(xs) == 2
+    assert calls[-1][0].dim == 4 and calls[-1][0].key == xs[0].key
+
+
+def test_closure_aliasing_a_kept_row_is_ordered_again(monkeypatch):
+    # from the second region on, each closure is the first one, the empty
+    # region's, with a third axis: its key, 0, has an order row kept
+    closed = []
+
+    def first_closure_with_a_third_axis(r):
+        closed.append(rectangle_closure(r))
+        return closed[0] if len(closed) == 1 else _aliased(closed[0], 3)
+
+    monkeypatch.setattr(cartesian, "rectangle_closure",
+                        first_closure_with_a_third_axis)
+    with pytest.raises(InvalidConcretization, match="different numbers of axes"):
+        check_galois(((0, 1), (0, 1)))
+    assert len(closed) == 2
+
+
+def test_injectivity_check_refuses_a_large_window_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the rectangles were enumerated")
+
+    monkeypatch.setattr(cartesian, "_all_rectangles", no_enumeration)
+    with pytest.raises(CarrierTooLarge) as exc:
+        check_iota_injective_on_nonempty((0, 30))
+    message = str(exc.value)
+    assert f"at most {MAX_INJECTIVE_AXIS_POINTS} points in all" in message
+    assert "got 62 points" in message
+
+
+def test_injectivity_check_reads_empty_axes_off_the_keys(monkeypatch):
+    # iota keeps the point (0, 0) of a rectangle with one empty axis: such
+    # rectangles, with nonzero keys, collide with each other and with
+    # {0} x {0}, and each collision still involves an empty axis
+    def empty_axis_keeps_a_point(rect, target):
+        image = iota_mask(rect, target)
+        return image or (1 if rect.key else 0)
+
+    monkeypatch.setattr(cartesian, "_iota_mask", empty_axis_keeps_a_point)
+    res = check_iota_injective_on_nonempty((0, 3))
+    assert (res.ok, res.checked, res.note) == (True, 256, "30 empty-axis collisions")
+
+
+def test_injectivity_check_accepts_a_window_at_the_bound():
+    half = MAX_INJECTIVE_AXIS_POINTS // 2
+    res = check_iota_injective_on_nonempty((0, half - 1))
+    assert res.ok and res.checked == 2 ** MAX_INJECTIVE_AXIS_POINTS
 
 
 def test_meet_check_accepts_a_window_within_the_bound():

@@ -3,8 +3,12 @@ computation on its decoded axis sets: meet, order, closure, equality, the
 rectangles ``_all_rectangles`` enumerates and iota, which is computed on
 the masks.  Every rectangle on (0, 2)^2 and every region of that window
 are checked, and iota also on every rectangle of (0, 1)^3, (0, 4) and
-(-2, 1)^2.  A rectangle is a frozen value with no ``__dict__``, and meet
-and order refuse rectangles with different numbers of axes."""
+(-2, 1)^2.  On those four windows every rectangle's masks pack into its
+key, the first axis highest, and decode back, and the enumeration is the
+key order; meet and order also agree with the frozenset computation on
+(0, 1)^3 and (0, 4).  A rectangle is a frozen value with no ``__dict__``,
+and meet and order refuse rectangles with different numbers of axes, also
+when their keys are equal."""
 
 import copy
 import dataclasses
@@ -121,7 +125,7 @@ def test_a_rectangle_is_a_frozen_value_without_a_dict():
     r = RECTS[45]
     assert not hasattr(r, "__dict__")
     before = (r.axis, r.masks)
-    for field in ("axis", "masks"):
+    for field in ("axis", "dim", "key"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(r, field, getattr(RECTS[1], field))
     assert (r.axis, r.masks) == before
@@ -134,3 +138,46 @@ def test_a_rectangle_is_a_frozen_value_without_a_dict():
 def test_repr_shows_the_axis_sets():
     r = Rectangle((AXIS.subset([2, 0]), AXIS.empty()))
     assert repr(r) == "Rectangle({0, 2} x {})"
+
+
+# (lo, hi, dim) of the windows whose every rectangle is packed and decoded
+PACKED = [(0, 2, 2), (0, 1, 3), (0, 4, 1), (-2, 1, 2)]
+
+
+@pytest.mark.parametrize("lo, hi, dim", PACKED)
+def test_a_key_packs_the_axis_masks_first_axis_highest(lo, hi, dim):
+    axis = ConcreteUniverse.window(lo, hi)
+    n = len(axis)
+    every = list(iproduct(range(1 << n), repeat=dim))
+    for masks in every:
+        r = cartesian._rectangle(axis, masks)
+        assert r.masks == masks and r.dim == dim
+        assert r.key == sum(m << (dim - 1 - k) * n for k, m in enumerate(masks))
+    # the enumeration is the key order, which is the first axis slowest
+    enumerated = list(cartesian._all_rectangles(axis, dim))
+    assert [r.masks for r in enumerated] == every
+    assert [r.key for r in enumerated] == list(range(len(every)))
+
+
+@pytest.mark.parametrize("lo, hi, dim", [(0, 1, 3), (0, 4, 1)])
+def test_meet_and_order_equal_the_frozenset_computation_off_two_axes(lo, hi, dim):
+    axis = ConcreteUniverse.window(lo, hi)
+    rects = list(cartesian._all_rectangles(axis, dim))
+    members = [sets(r) for r in rects]
+    for (x, xs), (y, ys) in iproduct(zip(rects, members), repeat=2):
+        assert sets(x.meet(y)) == tuple(a & b for a, b in zip(xs, ys))
+        assert x.componentwise_leq(y) == all(a <= b for a, b in zip(xs, ys))
+
+
+def test_equal_keys_with_different_numbers_of_axes_differ():
+    # masks (3, 3) and (0, 3, 3) on a 2-point axis both pack to 15
+    axis = ConcreteUniverse.window(0, 1)
+    two = cartesian._rectangle(axis, (3, 3))
+    three = cartesian._rectangle(axis, (0, 3, 3))
+    assert two.key == three.key == 15
+    assert two != three
+    for a, b in ((two, three), (three, two)):
+        for op in (a.meet, a.componentwise_leq):
+            with pytest.raises(InvalidConcretization,
+                               match="different numbers of axes"):
+                op(b)

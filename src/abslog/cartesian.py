@@ -1,40 +1,27 @@
 """Products of abstractions and the tuple-of-sets to set-of-tuples embedding.
 
-``iota`` sends an axis-wise tuple of sets to its Cartesian product;
-``rectangle_closure`` (axis-wise projections) is its left adjoint, so
-``iota`` preserves all meets.  Exhaustive small-window checks of the
-adjunction, meet preservation and injectivity-off-empty-axes live here
-alongside the product construction itself.
+``iota`` sends a :class:`Rectangle`, an axis-wise tuple of sets, to its
+Cartesian product; ``rectangle_closure`` (axis-wise projections) is its
+left adjoint, so ``iota`` preserves all meets.  Next to the product
+construction, three checks state what it rests on, on small windows:
 
-A :class:`Rectangle` is a slotted frozen value: its axis window, its
-number of axes ``dim`` and one int ``key`` that packs one point mask per
-axis (:meth:`ConcreteUniverse.mask`).  For n axis points, axis k's mask is
-bits (dim-1-k)*n to (dim-1-k)*n + n-1 of the key, so the first axis holds
-the high bits and the keys 0 to 2^(n*dim) - 1, in order, are every
-rectangle with the first axis slowest.  Its meet is one ``&`` of the keys
-and its order one mask test, ``not x & ~y``; both refuse a rectangle on
-another axis window or with another number of axes.  ``masks`` and
-``axes`` decode the key on request, and ``rectangle_closure`` packs the
-projections' masks.  iota is defined once, on keys, by ``_iota_mask``: it
-reads the key n bits at a time and builds the image's point mask on the
-tuple window by shifted ors, decoding no point.  ``iota`` decodes that mask
-into a set.  The meet, Galois and injectivity checks, exhaustive and
-sampled alike, compute it once per distinct rectangle, by key, so comparing
-two images, or a region with an image, is one int operation per pair.  A
-table or cache of images or order rows is keyed by the key alone, so it is
-read only for a rectangle of its own axis window and number of axes: one of
-another shape, whose key may alias, is mapped or ordered afresh.
-``product`` builds each composite image with it from the component masks,
-and the embedding criterion reads the composite and component masks.  What
-the checks check is still called per pair or per region: ``Rectangle.meet``
-for every pair, in order, ``rectangle_closure`` for every region, and
-``Rectangle.componentwise_leq`` for every sampled pair.  The exhaustive
-meet and Galois checks compare a row of pairs at a time and scan a row pair
-by pair only when it differs: on a failure the rest of that row's meets may
-already have been taken, which is harmless as ``meet`` is pure, and
-``checked`` and the witness are still those of the first failing pair in
-pair order.  The exhaustive checks refuse a window whose rectangles would
-be too many to enumerate, before enumerating any.
+- ``check_galois``: rectangle_closure(R) <= X iff R is included in iota(X);
+- ``check_iota_preserves_meets``: iota(X meet Y) = iota(X) & iota(Y);
+- ``check_iota_injective_on_nonempty``: iota is injective off empty axes.
+
+Images are point masks, built from a rectangle's int key by ``_iota_mask``,
+the one iota, once per distinct rectangle.  The meet and Galois checks
+each state their pair once, as ``fails(u, v)``, and ``_scan`` runs it over
+rows of pairs in order, so ``checked`` and the witness are the first
+failing pair's.  A sampled row is one pair.  An exhaustive row, one X or
+one region against every rectangle, is first compared whole, in one list
+comparison, which is what keeps the exhaustive checks fast; only a row
+that differs is tried pair by pair.
+
+A key alone can alias a rectangle of another window or number of axes:
+``Rectangle.meet``, ``Rectangle.componentwise_leq`` and ``_iota_mask``
+refuse another shape, and in the checks only ``_imager`` and the meet row
+precheck read a table by key, for a rectangle of the check's shape alone.
 """
 
 from __future__ import annotations
@@ -52,17 +39,16 @@ ELEMENT_SEP = "*"
 MAX_PRODUCT_CARRIER = 4096   # largest product lattice built
 MAX_PRODUCT_POINTS = 10_000  # largest tuple universe built
 MAX_MEET_AXIS_POINTS = 10    # exhaustive meet check: points of both axes together
+MAX_GALOIS_PAIRS = 1 << 20   # exhaustive Galois check: region-rectangle pairs
 MAX_INJECTIVE_AXIS_POINTS = 16  # injectivity check: points of both axes together
 
 
 @dataclass(frozen=True, slots=True)
 class Rectangle:
     """One concrete set per axis, kept as the axis universe they share, the
-    number of axes ``dim`` and one int ``key`` that packs the axes' point
-    masks (:meth:`ConcreteUniverse.mask`): for n axis points, axis k's mask
-    is bits (dim-1-k)*n to (dim-1-k)*n + n-1, so the first axis holds the
-    high bits.  Meet is the keys' and, order is one mask test; ``masks``
-    and ``axes`` decode the key."""
+    number of axes ``dim`` and one int ``key`` packing the axes' point masks
+    (:meth:`ConcreteUniverse.mask`): for n axis points, axis k's mask is
+    bits (dim-1-k)*n to (dim-1-k)*n + n-1, the first axis in the high bits."""
 
     axis: ConcreteUniverse
     dim: int
@@ -175,13 +161,10 @@ def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
 
 def _iota_mask(rect: Rectangle, target: ConcreteUniverse) -> int:
     """The point mask of iota(rect) on ``target``, a window with the
-    rectangle's axis window and one coordinate per axis.
-
-    The key is read n bits at a time, from the last axis on.  The image so
-    far spans ``width`` points; it is copied once per point of the axis,
-    shifted by i * width for the i-th point, and the copies are ored.  That
-    is the window's own point order, the first coordinate slowest, and no
-    point is decoded."""
+    rectangle's axis window and one coordinate per axis.  The key is read n
+    bits at a time, from the last axis on: the image so far, ``width``
+    points wide, is copied shifted by i * width for each point i of the
+    axis and the copies are ored, in the window's own point order."""
     axis = target.axis()
     if (rect.axis is not axis and rect.axis != axis
             or rect.dim != target.params[2]):
@@ -268,24 +251,16 @@ def product(components) -> ProductAbstraction:
 # --- exhaustive / sampled checks ---------------------------------------------
 
 
-def _subsets(u: ConcreteUniverse) -> list[ConcreteSet]:
-    """Every subset of a universe, in the order of its point masks."""
-    return [u.subset(u.points_of(mask)) for mask in range(1 << len(u))]
-
-
 def _all_rectangles(axis: ConcreteUniverse, dim: int):
-    """Every rectangle of ``dim`` axes on an axis window, in the order of
-    its key, which is the order of its axis masks, the first axis slowest."""
+    """Every rectangle of ``dim`` axes on an axis window, in key order."""
     for key in range(1 << len(axis.points) * dim):
         yield _keyed(axis, dim, key)
 
 
 def _imager(target: ConcreteUniverse):
-    """The map from a rectangle to the mask of its iota image.  It is
-    computed once per distinct rectangle of the target's axis window and
-    dimension, by key, and the map keeps one int per rectangle it has seen,
-    for as long as it lives.  A rectangle of another shape, whose key may
-    alias one of the target's, is mapped every time."""
+    """The table of iota masks by key, and the map that fills it: a
+    rectangle of the target's shape is mapped once and kept while the table
+    lives; one of another shape, whose key may alias, is mapped every time."""
     images: dict[int, int] = {}
     axis, dim = target.axis(), target.params[2]
 
@@ -297,15 +272,13 @@ def _imager(target: ConcreteUniverse):
             m = images[rect.key] = _iota_mask(rect, target)
         return m
 
-    return image
+    return images, image
 
 
 def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     """The random draw of a sampled check, and its rectangle draw: each axis
-    point is in with probability 1/2, drawn point by point and axis by axis.
-    The draws of a rectangle sum straight into its key: for n axis points,
-    draw j of axis k weighs bit (dim-1-k)*n + j.  The list of every axis
-    subset, which grows as 2^n, is not built."""
+    point is in with probability 1/2, point by point and axis by axis, and
+    draw j of axis k sets bit (dim-1-k)*n + j of the key."""
     if sample < 1:
         raise AbslogError(f"a sampled check needs at least 1 sample, got {sample}")
     random_ = random.Random(rng_seed).random
@@ -327,128 +300,103 @@ class CheckResult:
     note: str = ""
 
 
+def _scan(rows, fails) -> CheckResult:
+    """Run a check's pair statement ``fails(u, v)`` over rows ``(u, vs,
+    passed)``: a row that has passed counts its ``len(vs)`` pairs, any other
+    is tried pair by pair, and the first failing pair is the witness."""
+    checked = 0
+    for u, vs, passed in rows:
+        if passed:
+            checked += len(vs)
+            continue
+        for v in vs:
+            checked += 1
+            if fails(u, v):
+                return CheckResult(False, checked, (u, v))
+    return CheckResult(True, checked)
+
+
 def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
                  rng_seed: int = 20240811) -> CheckResult:
-    """rectangle_closure(R) <= X iff R included in iota(X), exhaustively on
-    small axes or sampled for larger spaces.
-
-    Both branches keep iota(X) as a point mask, computed once per distinct
-    rectangle X, and call rectangle_closure(R) once per region R.  The
-    exhaustive branch reads componentwise_leq once per distinct closure key
-    and rectangle (a closure of another shape is ordered afresh), then
-    compares R's order row with the row of R's mask
-    included in each iota(X)'s, in one list comparison; only a row that
-    differs is scanned pair by pair, so ``checked`` and the witness are
-    those of the first failing pair.  The sampled branch calls
-    componentwise_leq once per sample; until it returns it holds one mask
-    per distinct rectangle drawn.  ``sample`` must be at least 1."""
+    """rectangle_closure(R) <= X iff R is included in iota(X), for every
+    region R and rectangle X of a small window or ``sample`` (>= 1) random
+    pairs.  The exhaustive check refuses more than MAX_GALOIS_PAIRS pairs
+    before it enumerates any; its row precheck orders each distinct closure
+    against every rectangle once."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    checked = 0
-    if sample is None:
-        if len(target) > 12:
-            raise CarrierTooLarge("exhaustive Galois check needs <= 12 points; "
-                                  "pass sample=")
-        axis, dim = target.axis(), len(axis_windows)
-        rects = list(_all_rectangles(axis, dim))
-        images = [_iota_mask(x, target) for x in rects]
-        rows: dict[int, list[bool]] = {}  # closure key -> order row
-        for rm, r in enumerate(_subsets(target)):  # a region's mask is its index
+    _, image = _imager(target)
+
+    def fails(r: ConcreteSet, x: Rectangle) -> bool:
+        rm = target.mask(r.members)
+        return rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm)
+
+    if sample is not None:
+        random_, draw = _sampler(target, sample, rng_seed)
+        pts = target.points
+        return _scan(((target.subset(compress(pts, [random_() < 0.4 for _ in pts])),
+                       (draw(),), False) for _ in range(sample)), fails)
+    axis, dim = target.axis(), len(axis_windows)
+    if 1 << len(target) + len(axis) * dim > MAX_GALOIS_PAIRS:  # regions x rectangles
+        raise CarrierTooLarge(
+            f"exhaustive Galois check needs at most {MAX_GALOIS_PAIRS} pairs, got "
+            f"2^{len(target)} regions x 2^{len(axis) * dim} rectangles; pass sample=")
+    rects = list(_all_rectangles(axis, dim))
+    ims = list(map(image, rects))
+    orders: dict[Rectangle, list[bool]] = {}  # closure -> its order row
+
+    def rows():
+        for rm in range(1 << len(target)):  # every region, by its mask
+            r = target.subset(target.points_of(rm))
             closure = rectangle_closure(r)
-            # a closure of another shape may alias a key: its row is not kept
-            row = (rows.get(closure.key)
-                   if closure.axis is axis and closure.dim == dim else None)
+            row = orders.get(closure)
             if row is None:
-                row = rows[closure.key] = [closure.componentwise_leq(x)
-                                           for x in rects]
-            if row == [rm & ix == rm for ix in images]:
-                checked += len(row)
-                continue
-            for leq, x, ix in zip(row, rects, images):
-                checked += 1
-                if leq != (rm & ix == rm):
-                    return CheckResult(False, checked, (r, x))
-        return CheckResult(True, checked)
-    random_, draw = _sampler(target, sample, rng_seed)
-    image = _imager(target)
-    pts = target.points
-    bits = [1 << j for j in range(len(pts))]
-    for _ in range(sample):
-        drawn = [random_() < 0.4 for _ in pts]
-        r = target.subset(compress(pts, drawn))
-        rm = sum(compress(bits, drawn))  # the region's mask, from its draws
-        x = draw()
-        checked += 1
-        if rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm):
-            return CheckResult(False, checked, (r, x))
-    return CheckResult(True, checked)
+                row = orders[closure] = [closure.componentwise_leq(x) for x in rects]
+            yield r, rects, row == [rm & ix == rm for ix in ims]
+
+    return _scan(rows(), fails)
 
 
 def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
                                sample: int | None = None,
                                rng_seed: int = 20240811) -> CheckResult:
-    """iota(X meet Y) = iota(X) & iota(Y); exhaustive for two small axes,
-    sampled otherwise.
-
-    Both branches compute iota's mask once per distinct rectangle, by key.
-    Each pair still takes its meet, whose image is looked up and compared
-    with the images' and.  The exhaustive branch does this a row at a time:
-    it takes the meets of X with every rectangle, looks up their images by
-    key and compares the row with the ands in one list comparison.  A meet
-    of another axis window or number of axes is left out of the lookup, so
-    its row differs.  Only a row that differs is scanned pair by pair; a
-    meet that is none of the rectangles is mapped then, and the first
-    failing pair, in pair order,
-    gives ``checked`` and the witness.  The meets after it in that row have
-    already been taken, which changes nothing as meet is pure.  Until it
-    returns, the sampled branch holds one mask per distinct rectangle drawn
-    or met.  ``sample`` must be at least 1."""
+    """iota(X meet Y) = iota(X) & iota(Y), for every pair of rectangles on
+    two small axes or ``sample`` (>= 1) random pairs.  The exhaustive check
+    refuses more than MAX_MEET_AXIS_POINTS points before it enumerates any
+    rectangle; its row precheck reads the meets' images from the table, so
+    a meet missing from it, or of another shape, makes the row differ."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    checked = 0
-    if sample is None:
-        axis, dim = target.axis(), len(axis_windows)
-        points = len(axis) * dim
-        if points > MAX_MEET_AXIS_POINTS or dim != 2:
-            raise CarrierTooLarge(
-                f"exhaustive meet check needs two axes with at most "
-                f"{MAX_MEET_AXIS_POINTS} points in all, got {dim} axes "
-                f"with {points} points; pass sample=")
-        rects = list(_all_rectangles(axis, dim))
-        row = [_iota_mask(y, target) for y in rects]
-        get = dict(enumerate(row)).get  # a rectangle's key is its index
-        for x, ix in zip(rects, row):
-            meets = list(map(x.meet, rects))
-            # a meet of another shape may alias a key: it is left out of the
-            # row, which then differs
-            got = [get(m.key) for m in meets if m.axis is axis and m.dim == dim]
-            if got == [ix & iy for iy in row]:
-                checked += len(row)
-                continue
-            for y, iy, m in zip(rects, row, meets):
-                checked += 1
-                lhs = get(m.key) if m.axis is axis and m.dim == dim else None
-                if lhs is None:  # a meet that is none of the rectangles
-                    lhs = _iota_mask(m, target)
-                if lhs != ix & iy:
-                    return CheckResult(False, checked, (x, y))
-        return CheckResult(True, checked)
-    _, draw = _sampler(target, sample, rng_seed)
-    image = _imager(target)
-    for _ in range(sample):
-        x = draw()
-        y = draw()
-        checked += 1
-        if image(x.meet(y)) != image(x) & image(y):
-            return CheckResult(False, checked, (x, y))
-    return CheckResult(True, checked)
+    images, image = _imager(target)
+
+    def fails(x: Rectangle, y: Rectangle) -> bool:
+        return image(x.meet(y)) != image(x) & image(y)
+
+    if sample is not None:
+        _, draw = _sampler(target, sample, rng_seed)
+        return _scan(((draw(), (draw(),), False) for _ in range(sample)), fails)
+    axis, dim = target.axis(), len(axis_windows)
+    points = len(axis) * dim
+    if points > MAX_MEET_AXIS_POINTS or dim != 2:
+        raise CarrierTooLarge(
+            f"exhaustive meet check needs two axes with at most {MAX_MEET_AXIS_POINTS}"
+            f" points in all, got {dim} axes with {points} points; pass sample=")
+    rects = list(_all_rectangles(axis, dim))
+    ims = list(map(image, rects))
+
+    def rows():
+        for x, ix in zip(rects, ims):
+            meets = list(map(x.meet, rects))  # a list filters faster than the map
+            # a meet of another shape may alias a key: it is left out
+            got = [images.get(m.key) for m in meets if m.axis is axis and m.dim == dim]
+            yield x, rects, got == [ix & iy for iy in ims]
+
+    return _scan(rows(), fails)
 
 
 def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
     """iota is injective on tuples of nonempty axes; every collision
-    involves an empty axis (everything collapses to the empty set).
-
-    Every rectangle on the window squared is enumerated, 2^(2n) of them for
-    n axis points, so a window of more than MAX_INJECTIVE_AXIS_POINTS points
-    on its two axes together is refused before the first."""
+    involves an empty axis (everything collapses to the empty set).  All
+    2^(2n) rectangles of n-point axes are enumerated, so more than
+    MAX_INJECTIVE_AXIS_POINTS points on the two axes are refused first."""
     lo, hi = axis_window
     n = hi - lo + 1
     if 2 * n > MAX_INJECTIVE_AXIS_POINTS:

@@ -1,7 +1,7 @@
 """The Cartesian checks catch planted faults, compute each rectangle's
 image once, call what they check once per pair or region, refuse exactly
-the windows their message names (the injectivity check before it
-enumerates any rectangle) and a sample count below 1, and the sampled
+the windows their message names (the injectivity and Galois checks before
+they enumerate any rectangle) and a sample count below 1, and the sampled
 checks draw the samples they always drew.  A meet or closure of another
 number of axes whose key aliases a kept one is mapped or ordered again,
 never read from a table.
@@ -19,7 +19,7 @@ The exhaustive checks compare a row of pairs at a time and scan a row pair
 by pair only when it differs.  Faults planted at the last pair of a row, at
 the first pair of the last row, and after meets that are none of the
 rectangles are checked against the per-pair loops of ``naive_meets`` and
-``naive_galois``.
+``naive_galois``, and so is every pinned exhaustive verdict.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ import pytest
 
 from abslog import cartesian
 from abslog.cartesian import (
+    MAX_GALOIS_PAIRS,
     MAX_INJECTIVE_AXIS_POINTS,
     MAX_MEET_AXIS_POINTS,
     Rectangle,
@@ -200,6 +201,19 @@ def naive_galois(axes):
     return True, checked, None
 
 
+NAIVE = {check_iota_preserves_meets: naive_meets, check_galois: naive_galois}
+
+
+@pytest.mark.parametrize("fault, check", sorted(
+    key for key in EXPECTED if CHECKS[key[1]][2] is None))
+def test_pinned_exhaustive_verdict_is_the_naive_loops(monkeypatch, fault, check):
+    owner, name, wrong = FAULTS[fault]
+    monkeypatch.setattr(owner, name, wrong)
+    fn, axes, _ = CHECKS[check]
+    ok, checked, witness = NAIVE[fn](axes)
+    assert (ok, checked, _plain(witness)) == EXPECTED[fault, check]
+
+
 ROW_AXES = ((0, 2), (0, 2))  # 64 rectangles, 512 regions
 FULL, WRONG_ROW = (7, 7), (3, 5)  # the full rectangle's masks; a middle row
 
@@ -260,12 +274,13 @@ def test_row_fault_is_found_at_the_first_failing_pair(monkeypatch, name):
     monkeypatch.setattr(owner, attribute, fault)
     mapped = _count(monkeypatch, cartesian, "_iota_mask")
     expected = naive(ROW_AXES)
-    naive_mapped = len(mapped)
+    naive_mapped = [rect.key for rect, _ in mapped]
     del mapped[:]
     res = check(ROW_AXES)
     assert (res.ok, res.checked, res.witness) == expected
-    # the meets missing from the table are mapped up to the failing pair
-    assert len(mapped) == naive_mapped
+    # every rectangle the naive loop maps up to the failing pair is mapped,
+    # once per distinct key, in the order the naive loop first maps it
+    assert [rect.key for rect, _ in mapped] == list(dict.fromkeys(naive_mapped))
     row, rows = 64, 64 if check is check_iota_preserves_meets else 512
     ok, checked, _ = expected
     assert not ok
@@ -274,9 +289,12 @@ def test_row_fault_is_found_at_the_first_failing_pair(monkeypatch, name):
     else:
         assert checked == (rows - 1) * row + 1
     if name == "meets-missing":
-        # the 64 rectangles, then the 8 missing meets of each row up to
-        # and including the failing one
-        assert naive_mapped == 64 + 8 * (checked // row)
+        # the naive loop maps the 64 rectangles, then the 8 missing meets of
+        # each row up to and including the failing one; they have 16
+        # distinct keys, each mapped once by the check
+        missing = naive_mapped[64:]
+        assert len(missing) == 8 * (checked // row)
+        assert len(mapped) == 64 + len(set(missing)) == 80
 
 
 def test_meet_check_maps_each_rectangle_once(monkeypatch):
@@ -412,6 +430,28 @@ def test_injectivity_check_accepts_a_window_at_the_bound():
     half = MAX_INJECTIVE_AXIS_POINTS // 2
     res = check_iota_injective_on_nonempty((0, half - 1))
     assert res.ok and res.checked == 2 ** MAX_INJECTIVE_AXIS_POINTS
+
+
+@pytest.mark.parametrize("axes, shape", [
+    (((0, 10),), "2^11 regions x 2^11 rectangles"),
+    (((0, 3), (0, 3)), "2^16 regions x 2^8 rectangles"),
+])
+def test_galois_check_refuses_a_large_window_before_enumerating(
+        monkeypatch, axes, shape):
+    def no_enumeration(*args):
+        raise AssertionError("the rectangles were enumerated")
+
+    monkeypatch.setattr(cartesian, "_all_rectangles", no_enumeration)
+    with pytest.raises(CarrierTooLarge) as exc:
+        check_galois(axes)
+    message = str(exc.value)
+    assert f"at most {MAX_GALOIS_PAIRS} pairs" in message
+    assert shape in message and "pass sample=" in message
+
+
+def test_galois_check_accepts_a_window_at_the_bound():
+    res = check_galois(((0, 9),))  # 2^10 regions x 2^10 rectangles
+    assert res.ok and res.checked == MAX_GALOIS_PAIRS
 
 
 def test_meet_check_accepts_a_window_within_the_bound():

@@ -11,9 +11,10 @@ construction, three checks state what it rests on, on small windows:
 
 Images are point masks, built from a rectangle's int key by ``_iota_mask``,
 the one iota, once per distinct rectangle.  The meet and Galois checks
-each state their pair once, as ``fails(u, v)``, and ``_scan`` runs it over
-rows of pairs in order, so ``checked`` and the witness are the first
-failing pair's.  A sampled row is one pair.  An exhaustive row, one X or
+each state their pair once, as ``fails(u, v)``, and ``concrete._scan``,
+the one driver of every exhaustive pair verdict, runs it over rows of
+pairs in order, so ``checked`` and the witness are the first failing
+pair's.  A sampled row is one pair.  An exhaustive row, one X or
 one region against every rectangle, is first compared whole, in one list
 comparison, which is what keeps the exhaustive checks fast; only a row
 that differs is tried pair by pair.
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from itertools import compress
 from itertools import product as iproduct
 
-from .concrete import Abstraction, ConcreteSet, ConcreteUniverse, ConcretizationMap
+from .concrete import (Abstraction, CheckResult, ConcreteSet, ConcreteUniverse,
+                       ConcretizationMap, _reflection, _scan)
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization
 from .lattice import build_lattice, hasse_edges
 
@@ -148,6 +150,8 @@ def tuple_universe(axis_universes) -> ConcreteUniverse:
 
 def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
     """The one integer window every axis lives on."""
+    if not axis_universes:
+        raise InvalidConcretization("a tuple universe needs at least one axis")
     windows = set()
     for u in axis_universes:
         if u.kind != "window" or u.params[2] != 1:
@@ -292,30 +296,6 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
     return random_, draw
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    checked: int
-    witness: object = None
-    note: str = ""
-
-
-def _scan(rows, fails) -> CheckResult:
-    """Run a check's pair statement ``fails(u, v)`` over rows ``(u, vs,
-    passed)``: a row that has passed counts its ``len(vs)`` pairs, any other
-    is tried pair by pair, and the first failing pair is the witness."""
-    checked = 0
-    for u, vs, passed in rows:
-        if passed:
-            checked += len(vs)
-            continue
-        for v in vs:
-            checked += 1
-            if fails(u, v):
-                return CheckResult(False, checked, (u, v))
-    return CheckResult(True, checked)
-
-
 def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
                  rng_seed: int = 20240811) -> CheckResult:
     """rectangle_closure(R) <= X iff R is included in iota(X), for every
@@ -424,25 +404,16 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
 
 def product_embedding_criterion(pa: ProductAbstraction) -> CheckResult:
     """Composite gamma reflects the componentwise order on the guarded
-    sublattice (all component images nonempty); an empty component image
-    collapses the whole tuple to the empty set, which is surfaced as a
-    witness rather than an embedding failure."""
-    abs_ = pa.abstraction
-    lat = abs_.lattice
-    gamma = abs_.gamma.masks
+    sublattice (all component images nonempty): the order embedding's
+    reflection statement, run on the guarded elements only.  An empty
+    component image collapses the whole tuple to the empty set; the note
+    counts such elements rather than reporting an embedding failure."""
+    elements = pa.abstraction.lattice.elements
     parts = [c.gamma.masks for c in pa.components]
-    guarded = [all(m[p] != 0 for m, p in zip(parts, name.split(ELEMENT_SEP)))
-               for name in lat.elements]
-    checked = 0
-    for i, a in enumerate(lat.elements):
-        for j, b in enumerate(lat.elements):
-            if not (guarded[i] and guarded[j]):
-                continue
-            checked += 1
-            if (not gamma[a] & ~gamma[b]) != lat.leq(a, b):
-                return CheckResult(False, checked, (a, b))
-    collapsed = [lat.elements[i] for i in range(len(lat.elements))
-                 if not guarded[i]]
-    return CheckResult(True, checked,
-                       note=f"{len(collapsed)} elements collapse through an "
-                            f"empty axis" if collapsed else "")
+    guarded = [name for name in elements
+               if all(m[p] for m, p in zip(parts, name.split(ELEMENT_SEP)))]
+    res = _reflection(pa.abstraction, guarded)
+    if len(guarded) < len(elements):
+        res.note = (f"{len(elements) - len(guarded)} elements collapse through "
+                    "an empty axis")
+    return res

@@ -11,6 +11,15 @@ decoder, a concretization map is its table ``masks``, and
 Every computation on concrete sets runs on masks.  A :class:`ConcreteSet`,
 a frozenset of a universe's points, is the decoded view: it is built only
 on request and has no set operations.
+
+Every exhaustive pair verdict, here, in ``cartesian`` and in
+``proofengine``, states its pair once and runs it through one scan,
+:func:`_scan`: the first failing pair is the witness, and ``checked``
+counts the pairs tried up to and including it.  The order embedding and
+the product embedding criterion share one reflection statement,
+:func:`_reflection`.  The left adjoint exists exactly when gamma preserves
+``tt`` and ``and``, and :func:`compute_left_adjoint` reads those two
+verdicts of the preservation report.
 """
 
 from __future__ import annotations
@@ -342,6 +351,41 @@ def preservation_report(abs_: Abstraction) -> PreservationReport:
     return PreservationReport({c.name: _status(abs_, c) for c in CONNECTIVES.values()})
 
 
+@dataclass
+class CheckResult:
+    ok: bool
+    checked: int
+    witness: object = None
+    note: str = ""
+
+
+def _scan(rows, fails) -> CheckResult:
+    """Run a pair statement ``fails(u, v)`` over rows ``(u, vs, passed)``,
+    the one driver of every exhaustive or sampled pair verdict: a row that
+    has passed counts its ``len(vs)`` pairs, any other is tried pair by
+    pair, and the first failing pair is the witness, with ``checked``
+    counting the pairs tried up to and including it."""
+    checked = 0
+    for u, vs, passed in rows:
+        if passed:
+            checked += len(vs)
+            continue
+        for v in vs:
+            checked += 1
+            if fails(u, v):
+                return CheckResult(False, checked, (u, v))
+    return CheckResult(True, checked)
+
+
+def _reflection(abs_: Abstraction, elements) -> CheckResult:
+    """gamma reflects the order on ``elements``: the first pair with
+    gamma(a) included in gamma(b) but a not below b fails.  Monotonicity is
+    a construction invariant of the map, so this is all that can fail."""
+    leq, gamma = abs_.lattice.leq, abs_.gamma.masks
+    return _scan(((a, elements, False) for a in elements),
+                 lambda a, b: not gamma[a] & ~gamma[b] and not leq(a, b))
+
+
 @dataclass(frozen=True)
 class EmbeddingResult:
     is_embedding: bool
@@ -349,19 +393,9 @@ class EmbeddingResult:
 
 
 def check_order_embedding(abs_: Abstraction) -> EmbeddingResult:
-    """a <= b iff gamma(a) included in gamma(b), exhaustively over pairs.
-
-    Monotonicity is a construction invariant of the map, so only the
-    reflection direction can fail; the witness is a pair with
-    gamma(a) included in gamma(b) but a not below b.
-    """
-    lat = abs_.lattice
-    gamma = abs_.gamma.masks
-    for a in lat.elements:
-        for b in lat.elements:
-            if not gamma[a] & ~gamma[b] and not lat.leq(a, b):
-                return EmbeddingResult(False, (a, b))
-    return EmbeddingResult(True)
+    """a <= b iff gamma(a) included in gamma(b), over every pair."""
+    res = _reflection(abs_, abs_.lattice.elements)
+    return EmbeddingResult(res.ok, res.witness)
 
 
 @dataclass
@@ -376,25 +410,24 @@ def compute_left_adjoint(abs_: Abstraction) -> AdjointResult:
     """Decide existence of the abstraction map and return it as a query function.
 
     Between finite lattices a monotone map is a right adjoint exactly when
-    it preserves all meets, i.e. binary meets and the empty meet (top maps
-    to the whole universe).  When either fails, a concrete set with no
-    least over-approximation is returned as witness.
+    it preserves all meets: the empty meet (``tt``, top maps to the whole
+    universe) and binary meets (``and``), the verdicts of
+    :func:`preservation_report`.  When either fails, a concrete set with
+    no least over-approximation is returned as witness.
     """
-    lat = abs_.lattice
-    gamma = abs_.gamma.masks
-    uni = abs_.universe
-    if gamma[lat.top] != (1 << len(uni)) - 1:
+    lat, gamma, uni = abs_.lattice, abs_.gamma.masks, abs_.universe
+    if _status(abs_, CONNECTIVES["tt"]).state != PRESERVED:
         return AdjointResult(
             False, witness=uni.full(),
             reason=f"gamma({lat.top}) is not the whole universe, so the full "
                    "set has no over-approximation")
-    for a in lat.elements:
-        for b in lat.elements:
-            if gamma[lat.meet(a, b)] != gamma[a] & gamma[b]:
-                return AdjointResult(
-                    False, witness=uni.subset(uni.points_of(gamma[a] & gamma[b])),
-                    reason=f"gamma does not preserve meet({a}, {b}); that "
-                           "intersection has no least over-approximation")
+    meet = _status(abs_, CONNECTIVES["and"])
+    if meet.state != PRESERVED:
+        a, b = meet.witness
+        return AdjointResult(
+            False, witness=uni.subset(uni.points_of(gamma[a] & gamma[b])),
+            reason=f"gamma does not preserve meet({a}, {b}); that "
+                   "intersection has no least over-approximation")
 
     def alpha(s: ConcreteSet) -> str:
         if s.universe != uni:

@@ -81,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .concrete import Abstraction, PointMasks, check_order_embedding
+from .concrete import Abstraction, PointMasks, _scan, check_order_embedding
 from .connectives import CONNECTIVES, lookup
 from .errors import (AbslogError, CarrierTooLarge, TooManyModels, UnknownElement,
                      UnknownSymbol)
@@ -829,19 +829,18 @@ def verify_completeness(abs_: Abstraction, ps: ProofSystem,
     """gamma(a) included in gamma(b) implies a(x) |- b(x) derivable.
 
     Requires gamma to be an order embedding; otherwise reports the unmet
-    precondition distinctly instead of failing.
+    precondition distinctly instead of failing.  The pairs run through
+    ``concrete._scan`` in the engine's predicate order, and
+    ``pairs_checked`` counts those tried up to and including the witness.
     """
     emb = check_order_embedding(abs_)
     if not emb.is_embedding:
         return CompletenessResult("precondition_unmet", emb.witness)
     engine = engine_for(ps, max_predicates)
-    leq = abs_.lattice.leq
-    checked = 0
-    # engine bits are the system's predicates; the order is read by name.
+    leq, preds = abs_.lattice.leq, engine.preds
+    bit = {p: 1 << i for i, p in enumerate(preds)}  # engine bits, read by name
     # gamma is an order embedding here, so gamma(a) <= gamma(b) iff a <= b
-    for i, a in enumerate(engine.preds):
-        for j, b in enumerate(engine.preds):
-            checked += 1
-            if leq(a, b) and not engine.derivable_masks(1 << i, 1 << j):
-                return CompletenessResult("incomplete", (a, b), checked)
-    return CompletenessResult("complete", None, checked)
+    res = _scan(((a, preds, False) for a in preds),
+                lambda a, b: leq(a, b) and not engine.derivable_masks(bit[a], bit[b]))
+    return CompletenessResult("complete" if res.ok else "incomplete",
+                              res.witness, res.checked)

@@ -30,6 +30,7 @@ def load_path(path: str | Path) -> Abstraction:
 
 def load(text: str, name: str = "spec") -> Abstraction:
     elements: list[str] = []
+    known: set[str] = set()  # the names of ``elements``, for the name checks
     order: list[tuple[str, str]] = []
     unary: dict[str, dict[str, str]] = {}
     universe_line: tuple[int, str] | None = None
@@ -50,20 +51,21 @@ def load(text: str, name: str = "spec") -> Abstraction:
             raise ParseError(f"content before any section: {line!r}", ln_no)
         if section == "ELEMENTS":
             for e in line.split():
-                if e in elements:
+                if e in known:
                     raise SpecError(f"duplicate element {e!r}", ln_no)
                 if not NAME_RE.fullmatch(e):
                     raise SpecError(f"element name {e!r} is not a predicate name "
                                     "of the formula grammar", ln_no)
                 elements.append(e)
+                known.add(e)
         elif section == "ORDER":
             if " < " not in line:
                 raise ParseError(f"expected 'a < b', got {line!r}", ln_no)
             a, _, b = line.partition(" < ")
             a, b = a.strip(), b.strip()
-            if a not in elements:
+            if a not in known:
                 raise SpecError(f"unknown element {a!r} in ORDER", ln_no)
-            if b not in elements:
+            if b not in known:
                 raise SpecError(f"unknown element {b!r} in ORDER", ln_no)
             order.append((a, b))
         elif section == "OPS":
@@ -80,7 +82,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
                 args = lhs.split()
                 rhs = rhs.strip()
                 for sym in args + [rhs]:
-                    if sym not in elements:
+                    if sym not in known:
                         raise SpecError(f"unknown element {sym!r} in OPS", ln_no)
                 if len(args) != 1:
                     raise ParseError("unary entry needs one argument", ln_no)
@@ -96,7 +98,7 @@ def load(text: str, name: str = "spec") -> Abstraction:
                 raise ParseError(f"expected 'element = expr', got {line!r}", ln_no)
             elt, _, expr = line.partition(" = ")
             elt = elt.strip()
-            if elt not in elements:
+            if elt not in known:
                 raise SpecError(f"unknown element {elt!r} in GAMMA", ln_no)
             gamma_lines.append((ln_no, elt, expr.strip()))
         elif section == "AXIOMS":

@@ -323,3 +323,16 @@ def test_product_spec_roundtrip():
     assert again.lattice.elements == pa.abstraction.lattice.elements
     for e in again.lattice.elements:
         assert again.gamma(e).members == pa.abstraction.gamma(e).members
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tuple_universe([]),
+    lambda: check_galois(()),
+    lambda: check_galois((), sample=5),
+    lambda: check_iota_preserves_meets(()),
+    lambda: check_iota_preserves_meets((), sample=5),
+], ids=["tuple_universe", "galois", "galois-sampled", "meets", "meets-sampled"])
+def test_zero_axes_are_refused_with_their_own_message(build):
+    with pytest.raises(InvalidConcretization,
+                       match="^a tuple universe needs at least one axis$"):
+        build()

@@ -154,10 +154,10 @@ def _shared_window(axis_universes: list[ConcreteUniverse]) -> tuple[int, int]:
         raise InvalidConcretization("a tuple universe needs at least one axis")
     windows = set()
     for u in axis_universes:
-        if u.kind != "window" or u.params[2] != 1:
+        if u.bounds is None or u.dim != 1:
             raise InvalidConcretization(
                 "product axes must be one-dimensional integer windows")
-        windows.add(u.params[:2])
+        windows.add(u.bounds)
     if len(windows) != 1:
         raise InvalidConcretization(f"axis windows differ: {sorted(windows)}")
     return windows.pop()
@@ -171,7 +171,7 @@ def _iota_mask(rect: Rectangle, target: ConcreteUniverse) -> int:
     axis and the copies are ored, in the window's own point order."""
     axis = target.axis()
     if (rect.axis is not axis and rect.axis != axis
-            or rect.dim != target.params[2]):
+            or rect.dim != target.dim):
         raise InvalidConcretization(
             f"{rect!r} is not in the universe {target.describe()}")
     n = len(axis.points)
@@ -196,9 +196,9 @@ def rectangle_closure(r: ConcreteSet) -> Rectangle:
     (:meth:`ConcreteUniverse.axis`), the axes of the checks below.  On a
     1-D window the only projection is the set itself."""
     uni = r.universe
-    if uni.kind != "window":
+    if uni.bounds is None:
         raise InvalidConcretization("rectangle closure needs a window universe")
-    dim, axis = uni.params[2], uni.axis()
+    dim, axis = uni.dim, uni.axis()
     if dim == 1:
         return _keyed(axis, 1, axis.mask(r.members))
     # a coordinate of a point of r is a point of the axis window; the mask
@@ -266,7 +266,7 @@ def _imager(target: ConcreteUniverse):
     rectangle of the target's shape is mapped once and kept while the table
     lives; one of another shape, whose key may alias, is mapped every time."""
     images: dict[int, int] = {}
-    axis, dim = target.axis(), target.params[2]
+    axis, dim = target.axis(), target.dim
 
     def image(rect: Rectangle) -> int:
         if rect.axis is not axis or rect.dim != dim:
@@ -287,7 +287,7 @@ def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
         raise AbslogError(f"a sampled check needs at least 1 sample, got {sample}")
     random_ = random.Random(rng_seed).random
     axis = target.axis()
-    n, dim = len(axis), target.params[2]
+    n, dim = len(axis), target.dim
     bits = [1 << k * n + j for k in reversed(range(dim)) for j in range(n)]
 
     def draw() -> Rectangle:

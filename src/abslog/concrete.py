@@ -1,13 +1,16 @@
 """Finite concrete powerset domains and concretization maps.
 
 A universe is a finite ordered set of points: opaque atoms or integer
-points drawn from a bounded window.  A 1-D window has int points; only
-windows with dim >= 2 have integer-tuple points.  A concrete set is an int
+points drawn from a bounded window.  It names its shape by ``bounds``, a
+window's ``(lo, hi)`` or ``None`` for atoms, and ``dim``, the coordinates
+per point, 1 for atoms.  A 1-D window has int points; only windows with
+dim >= 2 have integer-tuple points.  A concrete set is an int
 *point mask*, bit j for the j-th point, a format this module alone knows:
 :meth:`ConcreteUniverse.mask` encodes points and :meth:`ConcreteUniverse.span`
 a run of consecutive points, :meth:`ConcreteUniverse.points_of` is the one
 decoder, a concretization map is its table ``masks``, and
-:class:`PointMasks` applies the registry's concrete operations to masks.
+:class:`PointMasks` applies the registry's concrete operations, which
+take the full mask and their arguments' masks, ``(full, *point masks)``.
 Every computation on concrete sets runs on masks.  A :class:`ConcreteSet`,
 a frozenset of a universe's points, is the decoded view: it is built only
 on request and has no set operations.
@@ -55,11 +58,11 @@ _FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # and back
 class ConcreteUniverse:
     """Finite ordered point set (atoms, or an integer window of some dimension)."""
 
-    def __init__(self, points, kind: str, params):
+    def __init__(self, points, bounds: tuple[int, int] | None, dim: int):
         self.points: tuple = tuple(points)
         self.point_set: frozenset = frozenset(self.points)
-        self.kind = kind          # "atoms" | "window"
-        self.params = params      # tuple of atom names, or (lo, hi, dim)
+        self.bounds = bounds      # a window's (lo, hi); None for atoms
+        self.dim = dim            # coordinates per point; 1 for atoms
         self._full: ConcreteSet | None = None
         self._axis: ConcreteUniverse | None = None
         self._bits: dict | None = None
@@ -72,7 +75,7 @@ class ConcreteUniverse:
     @classmethod
     def atoms(cls, names) -> "ConcreteUniverse":
         names = tuple(sorted(names))
-        return cls(names, "atoms", names)
+        return cls(names, None, 1)
 
     @classmethod
     def window(cls, lo: int, hi: int, dim: int = 1) -> "ConcreteUniverse":
@@ -90,23 +93,21 @@ class ConcreteUniverse:
             pts = tuple(axis)
         else:
             pts = tuple(iproduct(axis, repeat=dim))
-        return cls(pts, "window", (lo, hi, dim))
+        return cls(pts, (lo, hi), dim)
 
     def describe(self) -> str:
-        if self.kind == "atoms":
-            return "atoms " + " ".join(self.params)
-        lo, hi, dim = self.params
-        base = f"window {lo} {hi}"
-        return base if dim == 1 else f"{base} dim {dim}"
+        if self.bounds is None:
+            return "atoms " + " ".join(self.points)
+        base = "window {} {}".format(*self.bounds)
+        return base if self.dim == 1 else f"{base} dim {self.dim}"
 
     @property
     def var_names(self) -> tuple[str, ...]:
         """The object variables that predicates over this universe take:
         ``x`` on atoms and 1-D windows, ``x,y`` in 2-D, ``x1..xN`` above."""
-        dim = self.params[2] if self.kind == "window" else 1
-        if dim > 2:
-            return tuple(f"x{i + 1}" for i in range(dim))
-        return ("x", "y")[:dim]
+        if self.dim > 2:
+            return tuple(f"x{i + 1}" for i in range(self.dim))
+        return ("x", "y")[:self.dim]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -130,13 +131,12 @@ class ConcreteUniverse:
         """A window's 1-D window of one coordinate, built on first use and
         then kept, so the sets on it share one universe object; a 1-D
         window is its own axis."""
-        if self.kind != "window":
+        if self.bounds is None:
             raise InvalidConcretization("only a window universe has an axis")
-        lo, hi, dim = self.params
-        if dim == 1:
+        if self.dim == 1:
             return self
         if self._axis is None:
-            self._axis = ConcreteUniverse.window(lo, hi)
+            self._axis = ConcreteUniverse.window(*self.bounds)
         return self._axis
 
     def empty(self) -> "ConcreteSet":
@@ -196,24 +196,19 @@ class ConcreteSet:
 
 
 class PointMasks:
-    """Concrete sets as int masks over a universe's points: bit j stands for
-    the j-th point.  It offers the ``full()`` and ``empty()`` that the
-    registry's concrete operations read."""
+    """Formulas as int masks over a universe's points: bit j stands for the
+    j-th point, a predicate's mask is its entry in ``pred_masks``, and a
+    compound formula's is the registry's concrete operation on the full
+    mask and its arguments' masks."""
 
     def __init__(self, n_points: int, pred_masks: dict[str, int]):
         self._full = (1 << n_points) - 1
         self._preds = pred_masks
 
-    def full(self) -> int:
-        return self._full
-
-    def empty(self) -> int:
-        return 0
-
     def mask(self, f: Formula) -> int:
         if isinstance(f, Pred):
             return self._preds[f.name]
-        return connective(f.op).concrete(self, *map(self.mask, f.args))
+        return connective(f.op).concrete(self._full, *map(self.mask, f.args))
 
     def holds(self, s: Sequent) -> bool:
         """No point is in every antecedent and in no succedent; the tests
@@ -324,7 +319,7 @@ def _status(abs_: Abstraction, c: Connective) -> PreservationStatus:
     on gamma of the arguments, on point masks, for every argument tuple."""
     conn = c.name
     lat, gamma, uni = abs_.lattice, abs_.gamma.masks, abs_.universe
-    masks = PointMasks(len(uni), gamma)
+    full = (1 << len(uni)) - 1
     try:
         table = lat.table(conn)
     except (NotDistributive, UnknownSymbol) as e:
@@ -332,7 +327,7 @@ def _status(abs_: Abstraction, c: Connective) -> PreservationStatus:
     for args in iproduct(lat.elements, repeat=c.arity):
         image = lat.elements[lookup(table, map(lat.index.__getitem__, args))]
         lhs = gamma[image]
-        rhs = c.concrete(masks, *map(gamma.__getitem__, args))
+        rhs = c.concrete(full, *map(gamma.__getitem__, args))
         if lhs == rhs:
             continue
         if not args:  # a constant: the element it denotes is the witness

@@ -10,10 +10,12 @@ a record up by name; none spells them out again.
 
 The concrete operations compute on int point masks (bit j stands for the
 j-th point), the one representation of a concrete set that anything
-computes with: they are written with ``&``, ``|`` and ``~`` and the
-``full()`` and ``empty()`` of a :class:`~abslog.concrete.PointMasks`.  The
-preservation report and the soundness check of a system's axioms call
-them; a :class:`~abslog.concrete.ConcreteSet` is only a decoded view.
+computes with.  An operation takes the universe's full mask and its
+arguments' masks, ``(full, *point masks)``, and returns a mask written
+with ``&``, ``|`` and ``~`` relative to ``full``: ``tt`` is ``full`` and
+``not x`` is ``full & ~x``.  The preservation report and the soundness
+check of a system's axioms call them; a
+:class:`~abslog.concrete.ConcreteSet` is only a decoded view.
 
 Abstract tables are nested index tuples of depth ``arity``: an int for a
 constant, one row for a unary connective, a matrix for a binary one.
@@ -45,7 +47,7 @@ class Connective:
     latex: str
     prec: int                 # binding strength in text; higher binds tighter
     concrete_name: str
-    concrete: Callable        # (masks, *point masks) -> point mask
+    concrete: Callable        # (full mask, *point masks) -> point mask
     abstract: Callable        # lattice -> index table
     intro: Schemas
     # rules that replace ``intro`` when every connective in ``via`` is
@@ -71,27 +73,27 @@ def _negation(lat):
 _CONNECTIVES = (
     Connective(
         "tt", 0, "tt", "tt", ATOM_PREC, "full",
-        lambda u: u.full(), lambda lat: lat.index[lat.top],
+        lambda full: full, lambda lat: lat.index[lat.top],
         {"intro.tt.r": ((), "G |- D, tt")}),
     Connective(
         "ff", 0, "ff", "ff", ATOM_PREC, "empty",
-        lambda u: u.empty(), lambda lat: lat.index[lat.bottom],
+        lambda full: 0, lambda lat: lat.index[lat.bottom],
         {"intro.ff.l": ((), "G, ff |- D")}),
     Connective(
         "and", 2, "&", r"\wedge ", 2, "intersection",
-        lambda u, x, y: x & y, lambda lat: lat._meet,
+        lambda full, x, y: x & y, lambda lat: lat._meet,
         {"intro.and.l": (("G, ?phi, ?psi |- D",), "G, ?phi & ?psi |- D"),
          "intro.and.r": (("G |- D, ?phi", "G' |- D', ?psi"),
                          "G, G' |- D, D', ?phi & ?psi")}),
     Connective(
         "or", 2, "|", r"\vee ", 1, "union",
-        lambda u, x, y: x | y, lambda lat: lat._join,
+        lambda full, x, y: x | y, lambda lat: lat._join,
         {"intro.or.l": (("G, ?phi |- D", "G', ?psi |- D'"),
                         "G, G', ?phi | ?psi |- D, D'"),
          "intro.or.r": (("G |- D, ?phi, ?psi",), "G |- D, ?phi | ?psi")}),
     Connective(
         "not", 1, "~", r"\neg ", 3, "complement",
-        lambda u, x: u.full() & ~x, _negation,
+        lambda full, x: full & ~x, _negation,
         # a bare involutive, order-reversing negation carries nothing more
         {"intro.not.involution.l": ((), "~~?phi |- ?phi"),
          "intro.not.involution.r": ((), "?phi |- ~~?phi"),
@@ -101,13 +103,13 @@ _CONNECTIVES = (
                    "intro.not.def.r": ((), "?phi -> ff |- ~?phi")}),
     Connective(
         "impl", 2, "->", r"\rightarrow ", 0, "implication",
-        lambda u, x, y: (u.full() & ~x) | y, lambda lat: lat.residual_table(co=False),
+        lambda full, x, y: (full & ~x) | y, lambda lat: lat.residual_table(co=False),
         {"intro.impl.l": (("G |- D, ?phi", "G', ?psi |- D'"),
                           "G, G', ?phi -> ?psi |- D, D'"),
          "intro.impl.r": (("G, ?phi |- ?psi",), "G |- D, ?phi -> ?psi")}),
     Connective(
         "coimpl", 2, "<-", r"\leftarrow ", 0, "coimplication",
-        lambda u, x, y: x & ~y, lambda lat: lat.residual_table(co=True),
+        lambda full, x, y: x & ~y, lambda lat: lat.residual_table(co=True),
         {"intro.coimpl.l": (("?phi |- D, ?psi",), "?phi <- ?psi |- D"),
          "intro.coimpl.r": (("G |- D, ?phi", "G', ?psi |- D'"),
                             "G, G' |- D, D', ?phi <- ?psi")}),

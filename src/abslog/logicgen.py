@@ -212,7 +212,14 @@ def minimize_proof_system(ps: ProofSystem, oracle) -> ProofSystem:
 
 
 def render(ps: ProofSystem, format: str = "text") -> str:
-    """Serialize a proof system deterministically."""
+    """Serialize a proof system deterministically.
+
+    Raises :class:`UnknownFormat` for a LaTeX or machine render of a source
+    name that spans lines: each writes the name into one line, and a line
+    break would end that line (and a LaTeX comment) early."""
+    if format in ("latex", "machine") and ps.source.splitlines() not in ([], [ps.source]):
+        raise UnknownFormat(
+            f"source name {ps.source!r} cannot be written to the {format} format")
     if format == "text":
         return _render_text(ps)
     if format == "latex":

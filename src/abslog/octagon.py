@@ -145,7 +145,7 @@ def _runs(lat: OctLattice, element: OctPredicate | str,
         return []
     p = lat.by_name(element) if isinstance(element, str) else element
     sx, sy, c = p.sx, p.sy, p.c
-    lo, hi, _ = grid.params
+    lo, hi = grid.bounds
     width = hi - lo + 1  # column by column: (x, y) is at (x - lo) * width + y - lo
     runs = []
     for x in range(lo, hi + 1):

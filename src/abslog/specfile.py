@@ -167,12 +167,12 @@ _TUPLE_RE = re.compile(r"\(\s*-?\d+\s*(?:,\s*-?\d+\s*)+\)|\S+")
 
 
 def _parse_point(tok: str, uni: ConcreteUniverse):
-    """A point token read by the universe's kind: an atom name, an int on a
+    """A point token read by the universe's shape: an atom name, an int on a
     1-D window, an int tuple on a window of higher dimension."""
-    if uni.kind == "atoms":
+    if uni.bounds is None:
         return tok
     try:
-        if uni.params[2] == 1:
+        if uni.dim == 1:
             return int(tok)
         if tok.startswith("("):
             return tuple(int(x) for x in tok[1:-1].split(","))
@@ -192,13 +192,13 @@ def _eval_set_expr(expr: str, uni: ConcreteUniverse,
     if expr == "all":
         return uni.span(0, len(uni))
     if expr in ("evens", "odds"):
-        if uni.kind != "window" or uni.params[2] != 1:
+        if uni.bounds is None or uni.dim != 1:
             raise SpecError(f"{expr!r} needs a one-dimensional integer window")
         parity = 0 if expr == "evens" else 1
         return uni.mask(p for p in uni.points if p % 2 == parity)
     m = re.fullmatch(r"range\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", expr)
     if m:
-        if uni.kind != "window" or uni.params[2] != 1:
+        if uni.bounds is None or uni.dim != 1:
             raise SpecError("'range' needs a one-dimensional integer window")
         lo, hi = int(m.group(1)), int(m.group(2))
         return uni.mask(p for p in uni.points if lo <= p <= hi)
@@ -245,8 +245,11 @@ def emit(abs_: Abstraction) -> str:
     """Serialize an abstraction deterministically (explicit point lists).
 
     Raises :class:`SpecError` for an atom or element name that ``load``
-    cannot read back.
+    cannot read back, and for an abstraction name that spans lines, which
+    ``load`` would read as more lines.
     """
+    if abs_.name.splitlines() not in ([], [abs_.name]):
+        raise SpecError(f"abstraction name {abs_.name!r} cannot be written to a spec file")
     lat = abs_.lattice
     # ``load`` reads an element name only as a predicate name of the formula
     # grammar, drops what follows ``#``, reads an OPS line that starts with
@@ -258,8 +261,8 @@ def emit(abs_: Abstraction) -> str:
     for e in lat.elements:
         if "#" in e or not NAME_RE.fullmatch(e) or e in keywords:
             raise SpecError(f"element name {e!r} cannot be written to a spec file")
-    if abs_.universe.kind == "atoms":
-        for atom in abs_.universe.params:
+    if abs_.universe.bounds is None:
+        for atom in abs_.universe.points:
             # ``load`` must read the name back as one point token: whitespace
             # would split it, ``#`` would start a comment, a leading int tuple
             # would be read as its own token

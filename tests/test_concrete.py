@@ -6,20 +6,19 @@ from itertools import product as iproduct
 
 import pytest
 
-from abslog import concrete
+from abslog import cartesian, concrete, specfile
 from abslog.concrete import (
     MAX_WINDOW_POINTS,
     Abstraction,
     ConcreteSet,
     ConcreteUniverse,
     ConcretizationMap,
-    PointMasks,
     check_order_embedding,
     compute_left_adjoint,
     preservation_report,
 )
 from abslog.connectives import CONNECTIVES
-from abslog.errors import CarrierTooLarge, InvalidConcretization
+from abslog.errors import CarrierTooLarge, InvalidConcretization, SpecError
 from abslog.lattice import UnaryOpTable, build_lattice
 
 from concrete_oracle import OPS
@@ -69,10 +68,46 @@ def test_universe_windows_and_atoms():
 
 
 def test_universe_names_its_variables():
-    assert ConcreteUniverse.atoms(["p", "q"]).var_names == ("x",)
-    assert ConcreteUniverse.window(0, 1).var_names == ("x",)
-    assert ConcreteUniverse.window(0, 1, dim=2).var_names == ("x", "y")
-    assert ConcreteUniverse.window(0, 1, dim=3).var_names == ("x1", "x2", "x3")
+    # a universe's shape: bounds, dim, its spec text and its variables
+    shapes = [
+        (ConcreteUniverse.atoms(["q", "p"]), None, 1, "atoms p q", ("x",)),
+        (ConcreteUniverse.window(0, 1), (0, 1), 1, "window 0 1", ("x",)),
+        (ConcreteUniverse.window(-1, 2, dim=2), (-1, 2), 2, "window -1 2 dim 2",
+         ("x", "y")),
+        (ConcreteUniverse.window(0, 1, dim=3), (0, 1), 3, "window 0 1 dim 3",
+         ("x1", "x2", "x3")),
+    ]
+    for uni, bounds, dim, text, names in shapes:
+        assert (uni.bounds, uni.dim, uni.describe(), uni.var_names) == (
+            bounds, dim, text, names)
+    atoms, line, plane, cube = (uni for uni, *_ in shapes)
+    with pytest.raises(InvalidConcretization) as exc:
+        atoms.axis()
+    assert str(exc.value) == "only a window universe has an axis"
+    assert line.axis() is line
+    for uni in (plane, cube):
+        axis = uni.axis()
+        assert axis is uni.axis()  # kept
+        assert (axis.bounds, axis.dim) == (uni.bounds, 1)
+        assert axis.points == tuple(range(uni.bounds[0], uni.bounds[1] + 1))
+
+
+def test_shape_refusals_keep_their_messages():
+    atoms = ConcreteUniverse.atoms(["p"])
+    plane = ConcreteUniverse.window(0, 1, dim=2)
+    for uni in (atoms, plane):
+        with pytest.raises(InvalidConcretization) as exc:
+            cartesian.tuple_universe([uni])
+        assert str(exc.value) == "product axes must be one-dimensional integer windows"
+    with pytest.raises(InvalidConcretization) as exc:
+        cartesian.rectangle_closure(atoms.full())
+    assert str(exc.value) == "rectangle closure needs a window universe"
+    for universe in ("atoms p", "window 0 1 dim 2"):
+        for expr, word in (("evens", "evens"), ("odds", "odds"), ("range(0,1)", "range")):
+            with pytest.raises(SpecError) as exc:
+                specfile.load(f"ELEMENTS\na\nUNIVERSE\n{universe}\nGAMMA\na = {expr}")
+            assert str(exc.value.__cause__) == (
+                f"{word!r} needs a one-dimensional integer window")
 
 
 def test_oracle_states_every_connective():
@@ -83,12 +118,12 @@ def test_concrete_ops():
     # every registry operation on point masks, against the oracle's set
     # operation, for every argument tuple of subsets of each universe
     for uni in (ConcreteUniverse.atoms("abc"), window(-1, 2)):
-        masks = PointMasks(len(uni), {})
+        full = (1 << len(uni)) - 1
         points = uni.point_set
         subsets = [(m, frozenset(uni.points_of(m))) for m in range(1 << len(uni))]
         for name, c in CONNECTIVES.items():
             for args in iproduct(subsets, repeat=c.arity):
-                got = c.concrete(masks, *(m for m, _ in args))
+                got = c.concrete(full, *(m for m, _ in args))
                 want = uni.mask(OPS[name](points, *(s for _, s in args)))
                 assert got == want, (uni.describe(), name, args)
 

@@ -1,5 +1,7 @@
 """Signature/proof-system generation, axiom minimization, render formats."""
 
+from dataclasses import replace
+
 import pytest
 
 from abslog import logicgen, specfile, syntax
@@ -243,6 +245,23 @@ def test_render_latex_structure(parity):
     ps = system(parity)
     tex = render(ps, "latex")
     assert tex.count(r"\frac") == len(ps.rules)
+
+
+@pytest.mark.parametrize("fmt", ["machine", "latex"])
+@pytest.mark.parametrize("name", ["par\nELEMENTS\nzz", "a\rb", "a\n", "a\u2028b"])
+def test_render_refuses_a_source_name_that_spans_lines(parity, fmt, name):
+    # each format writes the source into one line: a line break would start
+    # an unknown machine line, or end the LaTeX comment early
+    ps = system(replace(parity, name=name))
+    with pytest.raises(UnknownFormat) as exc:
+        render(ps, fmt)
+    assert repr(name) in str(exc.value)
+
+
+def test_render_keeps_a_one_line_source_name(parity):
+    ps = system(replace(parity, name="par # x"))
+    assert parse_machine(render(ps, "machine")).source == "par # x"
+    assert render(ps, "latex").startswith("% proof system for par # x\n")
 
 
 def test_machine_roundtrip(builtins):

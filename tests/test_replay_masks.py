@@ -74,7 +74,7 @@ def test_registry_ops_agree_on_sets_and_masks(uni):
     full = uni.point_set
     subsets = [frozenset(c) for k in range(len(points) + 1)
                for c in combinations(points, k)]
-    masks = PointMasks(len(points), {})
+    full_mask = (1 << len(points)) - 1
 
     def mask_of(members):
         return sum(1 << j for j, x in enumerate(points) if x in members)
@@ -82,7 +82,7 @@ def test_registry_ops_agree_on_sets_and_masks(uni):
     for c in CONNECTIVES.values():
         for args in product(subsets, repeat=c.arity):
             expected = OPS[c.name](full, *args)
-            on_masks = c.concrete(masks, *map(mask_of, args))
+            on_masks = c.concrete(full_mask, *map(mask_of, args))
             assert on_masks == mask_of(expected), (c.name, args)
 
 

@@ -1,5 +1,6 @@
 """Spec file parsing, shorthand expressions and round-trip emission."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,23 @@ def test_emit_refuses_an_element_name_load_cannot_read(element):
     with pytest.raises(SpecError) as exc:
         specfile.emit(_elements_abstraction(element))
     assert repr(element) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["par\nELEMENTS\nzz", "a\rb", "a\r\nb", "a\n",
+                                  "a\x0bb", "a\u2028b"])
+def test_emit_refuses_an_abstraction_name_that_spans_lines(parity, name):
+    # the name is written into the header comment, and ``load`` would read
+    # what follows a line break as spec lines
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(replace(parity, name=name))
+    assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["", "par # x", "a b", "ELEMENTS"])
+def test_emit_keeps_a_one_line_abstraction_name(parity, name):
+    text = specfile.emit(replace(parity, name=name))
+    assert text.splitlines()[0] == f"# abstraction: {name}"
+    assert specfile.emit(specfile.load(text, name)) == text
 
 
 @pytest.mark.parametrize("element", ["unary"])

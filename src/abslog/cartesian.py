@@ -10,27 +10,24 @@ construction, three checks state what it rests on, on small windows:
 - ``check_iota_injective_on_nonempty``: iota is injective off empty axes.
 
 Images are point masks, built from a rectangle's int key by ``_iota_mask``,
-the one iota, once per distinct rectangle.  The meet and Galois checks
-each state their pair once, as ``fails(u, v)``, and ``concrete._scan``,
-the one driver of every exhaustive pair verdict, runs it over rows of
-pairs in order, so ``checked`` and the witness are the first failing
-pair's.  A sampled row is one pair.  An exhaustive row, one X or
-one region against every rectangle, is first compared whole, in one list
-comparison, which is what keeps the exhaustive checks fast; only a row
-that differs is tried pair by pair.
-
-A key alone can alias a rectangle of another window or number of axes:
-``Rectangle.meet``, ``Rectangle.componentwise_leq`` and ``_iota_mask``
-refuse another shape, and in the checks only ``_imager`` and the meet row
-precheck read a table by key, for a rectangle of the check's shape alone.
+the one iota, once per key.  On the rectangles of one window and number of
+axes the meet is the keys' ``&`` and the order is key inclusion, so the
+meet and Galois checks state their theorems on keys, once each, as
+``fails(u, v)``, which ``concrete._scan`` runs over rows of pairs.  A
+sampled row is one pair.  An exhaustive row, one X or one region against
+every rectangle, is first compared whole, in one list comparison, which is
+what keeps the exhaustive checks fast.  A region's closure, the one
+rectangle a check does not build itself, must have the check's shape.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from itertools import product as iproduct
+from math import prod
 
 from .concrete import (Abstraction, CheckResult, ConcreteSet, ConcreteUniverse,
                        ConcretizationMap, _reflection, _scan)
@@ -65,13 +62,13 @@ class Rectangle:
             raise InvalidConcretization("rectangle axes live in different universes")
         _set_axis(self, axis)
         _set_dim(self, len(axes))
-        _set_key(self, _pack(axis, [axis.mask(a.members) for a in axes]))
+        _set_key(self, _rectangle(axis, [axis.mask(a.members) for a in axes]).key)
 
     @property
     def masks(self) -> tuple[int, ...]:
         """The axis point masks, first axis first, decoded on each request;
         the first axis takes every bit above the others, so the masks
-        :func:`_pack` packs are given back as they were."""
+        :func:`_rectangle` packs are given back as they were."""
         n, key, last = len(self.axis.points), self.key, self.dim - 1
         low = (1 << n) - 1
         return (key >> last * n, *[key >> k * n & low for k in reversed(range(last))])
@@ -89,19 +86,12 @@ class Rectangle:
             raise InvalidConcretization("rectangles have different numbers of axes")
 
     def componentwise_leq(self, other: "Rectangle") -> bool:
-        if self.axis is not other.axis or self.dim != other.dim:
-            self._check(other)
+        self._check(other)
         return not self.key & ~other.key
 
     def meet(self, other: "Rectangle") -> "Rectangle":
-        if self.axis is not other.axis or self.dim != other.dim:
-            self._check(other)
-        # _keyed, inlined: the exhaustive meet check takes one meet per pair
-        out = _new(Rectangle)
-        _set_axis(out, self.axis)
-        _set_dim(out, self.dim)
-        _set_key(out, self.key & other.key)
-        return out
+        self._check(other)
+        return _keyed(self.axis, self.dim, self.key & other.key)
 
     def __repr__(self) -> str:
         sets = ["{" + ", ".join(map(repr, self.axis.points_of(m))) + "}"
@@ -110,32 +100,26 @@ class Rectangle:
 
 
 # the frozen slots, written without the raising __setattr__
-_new = object.__new__
 _set_axis, _set_dim, _set_key = (
     Rectangle.axis.__set__, Rectangle.dim.__set__, Rectangle.key.__set__)
 
 
 def _keyed(axis: ConcreteUniverse, dim: int, key: int) -> Rectangle:
     """A rectangle from its key, which is not checked again."""
-    out = _new(Rectangle)
+    out = object.__new__(Rectangle)
     _set_axis(out, axis)
     _set_dim(out, dim)
     _set_key(out, key)
     return out
 
 
-def _pack(axis: ConcreteUniverse, masks) -> int:
-    """The key of some axis masks, the first axis in the high bits."""
+def _rectangle(axis: ConcreteUniverse, masks) -> Rectangle:
+    """A rectangle from masks of one axis universe, which are not checked
+    again, packed into its key with the first axis in the high bits."""
     n, key = len(axis.points), 0
     for m in masks:
         key = key << n | m
-    return key
-
-
-def _rectangle(axis: ConcreteUniverse, masks) -> Rectangle:
-    """A rectangle from masks of one axis universe, which are not checked
-    again."""
-    return _keyed(axis, len(masks), _pack(axis, masks))
+    return _keyed(axis, len(masks), key)
 
 
 def tuple_universe(axis_universes) -> ConcreteUniverse:
@@ -170,8 +154,7 @@ def _iota_mask(rect: Rectangle, target: ConcreteUniverse) -> int:
     points wide, is copied shifted by i * width for each point i of the
     axis and the copies are ored, in the window's own point order."""
     axis = target.axis()
-    if (rect.axis is not axis and rect.axis != axis
-            or rect.dim != target.dim):
+    if rect.axis != axis or rect.dim != target.dim:
         raise InvalidConcretization(
             f"{rect!r} is not in the universe {target.describe()}")
     n = len(axis.points)
@@ -218,9 +201,12 @@ def product(components) -> ProductAbstraction:
     components = tuple(components)
     if not components:
         raise InvalidConcretization("a product needs at least one component")
-    size = 1
-    for c in components:
-        size *= len(c.lattice.elements)
+    for c in components:  # joined names, which the product criterion splits
+        for e in c.lattice.elements:
+            if ELEMENT_SEP in e:
+                raise InvalidConcretization(f"element {e!r} of {c.name} holds the "
+                                            f"product separator {ELEMENT_SEP!r}")
+    size = prod(len(c.lattice.elements) for c in components)
     if size > MAX_PRODUCT_CARRIER:
         raise CarrierTooLarge(f"product carrier {size} exceeds {MAX_PRODUCT_CARRIER}")
     # counted from the axes before any point is built
@@ -262,21 +248,10 @@ def _all_rectangles(axis: ConcreteUniverse, dim: int):
 
 
 def _imager(target: ConcreteUniverse):
-    """The table of iota masks by key, and the map that fills it: a
-    rectangle of the target's shape is mapped once and kept while the table
-    lives; one of another shape, whose key may alias, is mapped every time."""
-    images: dict[int, int] = {}
+    """iota as a map from a key of the target's shape to its point mask,
+    computed by ``_iota_mask`` on a key's first request and then kept."""
     axis, dim = target.axis(), target.dim
-
-    def image(rect: Rectangle) -> int:
-        if rect.axis is not axis or rect.dim != dim:
-            return _iota_mask(rect, target)
-        m = images.get(rect.key)
-        if m is None:
-            m = images[rect.key] = _iota_mask(rect, target)
-        return m
-
-    return images, image
+    return cache(lambda key: _iota_mask(_keyed(axis, dim, key), target))
 
 
 def _sampler(target: ConcreteUniverse, sample: int, rng_seed: int):
@@ -302,35 +277,42 @@ def check_galois(axis_windows=((0, 2), (0, 2)), sample: int | None = None,
     region R and rectangle X of a small window or ``sample`` (>= 1) random
     pairs.  The exhaustive check refuses more than MAX_GALOIS_PAIRS pairs
     before it enumerates any; its row precheck orders each distinct closure
-    against every rectangle once."""
+    key against every rectangle once."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    _, image = _imager(target)
+    image = _imager(target)
+    axis, dim = target.axis(), target.dim
+    shape = _keyed(axis, dim, 0)
+
+    def closed(r: ConcreteSet) -> int:
+        """The key of r's closure, refused unless of the check's shape."""
+        c = rectangle_closure(r)
+        shape._check(c)
+        return c.key
 
     def fails(r: ConcreteSet, x: Rectangle) -> bool:
         rm = target.mask(r.members)
-        return rectangle_closure(r).componentwise_leq(x) != (rm & image(x) == rm)
+        return (not closed(r) & ~x.key) != (rm & image(x.key) == rm)
 
     if sample is not None:
         random_, draw = _sampler(target, sample, rng_seed)
         pts = target.points
         return _scan(((target.subset(compress(pts, [random_() < 0.4 for _ in pts])),
                        (draw(),), False) for _ in range(sample)), fails)
-    axis, dim = target.axis(), len(axis_windows)
     if 1 << len(target) + len(axis) * dim > MAX_GALOIS_PAIRS:  # regions x rectangles
         raise CarrierTooLarge(
             f"exhaustive Galois check needs at most {MAX_GALOIS_PAIRS} pairs, got "
             f"2^{len(target)} regions x 2^{len(axis) * dim} rectangles; pass sample=")
     rects = list(_all_rectangles(axis, dim))
-    ims = list(map(image, rects))
-    orders: dict[Rectangle, list[bool]] = {}  # closure -> its order row
+    ims = [image(x.key) for x in rects]
+    orders: dict[int, list[bool]] = {}  # closure key -> its order row
 
     def rows():
         for rm in range(1 << len(target)):  # every region, by its mask
             r = target.subset(target.points_of(rm))
-            closure = rectangle_closure(r)
-            row = orders.get(closure)
+            c = closed(r)
+            row = orders.get(c)
             if row is None:
-                row = orders[closure] = [closure.componentwise_leq(x) for x in rects]
+                row = orders[c] = [not c & ~x.key for x in rects]
             yield r, rects, row == [rm & ix == rm for ix in ims]
 
     return _scan(rows(), fails)
@@ -342,13 +324,13 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
     """iota(X meet Y) = iota(X) & iota(Y), for every pair of rectangles on
     two small axes or ``sample`` (>= 1) random pairs.  The exhaustive check
     refuses more than MAX_MEET_AXIS_POINTS points before it enumerates any
-    rectangle; its row precheck reads the meets' images from the table, so
-    a meet missing from it, or of another shape, makes the row differ."""
+    rectangle; its row precheck reads the meets' images from the list of
+    images, which the rectangles' key order indexes by key."""
     target = tuple_universe(ConcreteUniverse.window(lo, hi) for lo, hi in axis_windows)
-    images, image = _imager(target)
+    image = _imager(target)
 
     def fails(x: Rectangle, y: Rectangle) -> bool:
-        return image(x.meet(y)) != image(x) & image(y)
+        return image(x.key & y.key) != image(x.key) & image(y.key)
 
     if sample is not None:
         _, draw = _sampler(target, sample, rng_seed)
@@ -360,14 +342,13 @@ def check_iota_preserves_meets(axis_windows=((0, 4), (0, 4)),
             f"exhaustive meet check needs two axes with at most {MAX_MEET_AXIS_POINTS}"
             f" points in all, got {dim} axes with {points} points; pass sample=")
     rects = list(_all_rectangles(axis, dim))
-    ims = list(map(image, rects))
+    ims = [image(x.key) for x in rects]
+    keys = range(len(rects))
 
     def rows():
         for x, ix in zip(rects, ims):
-            meets = list(map(x.meet, rects))  # a list filters faster than the map
-            # a meet of another shape may alias a key: it is left out
-            got = [images.get(m.key) for m in meets if m.axis is axis and m.dim == dim]
-            yield x, rects, got == [ix & iy for iy in ims]
+            k = x.key
+            yield x, rects, [ims[k & y] for y in keys] == [ix & iy for iy in ims]
 
     return _scan(rows(), fails)
 
@@ -386,10 +367,8 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
     target = ConcreteUniverse.window(lo, hi, dim=2)
     low = (1 << n) - 1
     seen: dict[int, Rectangle] = {}  # image mask -> the first rectangle
-    checked = 0
     collisions = 0
-    for rect in _all_rectangles(target.axis(), 2):
-        checked += 1
+    for checked, rect in enumerate(_all_rectangles(target.axis(), 2), 1):
         image = _iota_mask(rect, target)
         if image in seen:
             other = seen[image]

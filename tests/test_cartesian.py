@@ -293,6 +293,32 @@ def test_product_rejects_mismatched_windows():
         product([small_parity(-4, 4), small_parity(0, 4, "p04")])
 
 
+def _chain(name, elements):
+    """A chain abstraction on the window (0, 1), bottom first."""
+    lat = build_lattice(elements, list(zip(elements, elements[1:])))
+    u = ConcreteUniverse.window(0, 1)
+    masks = {e: (1 << i) - 1 for i, e in enumerate(elements)}
+    return Abstraction(name, lat, ConcretizationMap(lat, u, masks))
+
+
+@pytest.mark.parametrize("components, message", [
+    # the product criterion split 'E*v*bot' into 'E', 'v', 'bot'
+    (lambda: [_chain("a", ["bot", "E*v", "top"])] * 2, "element 'E*v' of a"),
+    # 'p*q' x 'r' and 'p' x 'q*r' were both named 'p*q*r'
+    (lambda: [_chain("l", ["p", "p*q"]), _chain("r", ["q*r", "r"])],
+     "element 'p*q' of l"),
+], ids=["criterion-split", "name-collision"])
+def test_product_refuses_an_element_name_holding_the_separator(
+        monkeypatch, components, message):
+    def no_order(*args, **kwargs):
+        raise AssertionError("the product order was built")
+
+    monkeypatch.setattr(cartesian, "build_lattice", no_order)
+    with pytest.raises(InvalidConcretization) as exc:
+        product(components())
+    assert str(exc.value) == f"{message} holds the product separator '*'"
+
+
 def test_product_carrier_cap(monkeypatch):
     def no_order(*args, **kwargs):
         raise AssertionError("the product order was built")

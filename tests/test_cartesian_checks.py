@@ -1,10 +1,9 @@
 """The Cartesian checks catch planted faults, compute each rectangle's
-image once, call what they check once per pair or region, refuse exactly
-the windows their message names (the injectivity and Galois checks before
-they enumerate any rectangle) and a sample count below 1, and the sampled
-checks draw the samples they always drew.  A meet or closure of another
-number of axes whose key aliases a kept one is mapped or ordered again,
-never read from a table.
+image once, close each region once, refuse exactly the windows their
+message names (the injectivity and Galois checks before they enumerate any
+rectangle) and a sample count below 1, and the sampled checks draw the
+samples they always drew.  A closure of another number of axes whose key
+aliases a kept one is refused, never read from a table.
 
 A planted fault makes iota (``_iota_mask``, which every check maps
 rectangles with), ``Rectangle.meet`` or ``rectangle_closure`` wrong on the
@@ -14,12 +13,16 @@ axis is {1, 2}.  The expected verdicts were recorded with the checks that
 evaluated ``iota`` once per pair and compared frozensets, and, for the
 order fault, ``componentwise_leq`` once per pair; a check that only reuses
 images and order rows must reach the same ``ok``, ``checked`` and witness.
+The checks state meet and order on keys, as ``&`` and key inclusion, so a
+fault of ``meet`` or ``componentwise_leq`` leaves their verdicts as they
+are; the per-pair loops ``naive_meets`` and ``naive_galois``, which call
+both methods, reach the recorded verdicts of those faults, and
+``test_rectangle_masks`` catches both faults on its own.
 
 The exhaustive checks compare a row of pairs at a time and scan a row pair
-by pair only when it differs.  Faults planted at the last pair of a row, at
-the first pair of the last row, and after meets that are none of the
-rectangles are checked against the per-pair loops of ``naive_meets`` and
-``naive_galois``, and so is every pinned exhaustive verdict.
+by pair only when it differs.  Faults planted at the last pair of a row and
+at the first pair of the last row are checked against the naive loops, and
+so is every pinned exhaustive verdict.
 """
 
 import hashlib
@@ -130,22 +133,34 @@ def _plain(witness):
     return tuple(_plain(w) for w in witness)
 
 
+# check -> its verdict with no fault planted
+CLEAN = {
+    "meets-exhaustive": (True, 65536, None),
+    "galois-exhaustive": (True, 32768, None),
+    "meets-sampled": (True, 2000, None),
+    "galois-sampled": (True, 2000, None),
+}
+UNCALLED = {"meet", "leq"}  # faults of methods the checks do not call
+
+
 @pytest.mark.parametrize("fault, check", sorted(EXPECTED))
 def test_planted_fault_verdict(monkeypatch, fault, check):
     owner, name, wrong = FAULTS[fault]
     monkeypatch.setattr(owner, name, wrong)
     fn, axes, sample = CHECKS[check]
     res = fn(axes, sample=sample)
-    assert (res.ok, res.checked, _plain(res.witness)) == EXPECTED[fault, check]
+    expected = CLEAN[check] if fault in UNCALLED else EXPECTED[fault, check]
+    assert (res.ok, res.checked, _plain(res.witness)) == expected
     assert res.note == ""
 
 
 def test_planted_meet_fault_witness_reads_as_sets(monkeypatch):
-    monkeypatch.setattr(Rectangle, "meet", meet_narrows)
+    # the meet check's witness under the iota fault
+    monkeypatch.setattr(cartesian, "_iota_mask", iota_drops_a_point)
     res = check_iota_preserves_meets(((0, 3), (0, 3)))
-    pair = "Rectangle({1, 2} x {0})"
-    assert repr(res.witness) == f"({pair}, {pair})"
-    assert f"witness=({pair}, {pair})" in repr(res)
+    pair = "Rectangle({1} x {0}), Rectangle({1, 2} x {0})"
+    assert repr(res.witness) == f"({pair})"
+    assert f"witness=({pair})" in repr(res)
 
 
 def _count(monkeypatch, owner, name: str) -> list:
@@ -215,53 +230,32 @@ def test_pinned_exhaustive_verdict_is_the_naive_loops(monkeypatch, fault, check)
 
 
 ROW_AXES = ((0, 2), (0, 2))  # 64 rectangles, 512 regions
-FULL, WRONG_ROW = (7, 7), (3, 5)  # the full rectangle's masks; a middle row
+FULL = 63  # the key of the full rectangle, the last of every row
 
 
-def _emptied(rect):
-    return cartesian._rectangle(rect.axis, (0,) * len(rect.masks))
-
-
-def meet_wrong_at_row_end(self, other):
-    # x meet full is x; from row (3, 5) on it is emptied
-    m = meet(self, other)
-    return _emptied(m) if other.masks == FULL and self.masks >= WRONG_ROW else m
-
-
-def meet_wrong_in_last_row(self, other):
-    # full meet (empty x B) is empty; it is made full
-    m = meet(self, other)
-    return self if self.masks == FULL and other.masks[0] == 0 else m
-
-
-def meet_missing_then_wrong(self, other):
-    m = meet_wrong_at_row_end(self, other)
-    if other.masks[0] == 1:
-        # none of the rectangles, with the right image: a bit past the axis
-        return cartesian._rectangle(m.axis, (m.masks[0] | 8, m.masks[1]))
-    return m
-
-
-def leq_wrong_at_row_end(self, other):
-    return componentwise_leq(self, other) != (
-        self.masks == WRONG_ROW and other.masks == FULL)
+def full_image_drops_a_point(rect, target):
+    # the full rectangle's image loses its least point, (0, 0): a pair
+    # (x, full) fails when iota(x) holds that point, and a pair (r, full)
+    # when the region r does
+    image = iota_mask(rect, target)
+    return image & (image - 1) if rect.key == FULL else image
 
 
 def closure_wrong_in_last_row(r):
     # the full region's closure is full; it is made empty
     c = rectangle_closure(r)
-    return _emptied(c) if len(r) == len(r.universe) else c
+    return cartesian._keyed(c.axis, c.dim, 0) if len(r) == len(r.universe) else c
 
 
+# With meet the keys' &, the statement of the meet check is symmetric: a
+# pair (full, y) of the last row fails only if (y, full) failed at the end
+# of an earlier row, so no fault puts the meet check's first failure in its
+# last row.
 ROW_FAULTS = {
     # name: (owner, attribute, fault, check, its naive loop, where it fails)
-    "meets-row-end": (Rectangle, "meet", meet_wrong_at_row_end,
+    "meets-row-end": (cartesian, "_iota_mask", full_image_drops_a_point,
                       check_iota_preserves_meets, naive_meets, "row end"),
-    "meets-last-row": (Rectangle, "meet", meet_wrong_in_last_row,
-                       check_iota_preserves_meets, naive_meets, "last row"),
-    "meets-missing": (Rectangle, "meet", meet_missing_then_wrong,
-                      check_iota_preserves_meets, naive_meets, "row end"),
-    "galois-row-end": (Rectangle, "componentwise_leq", leq_wrong_at_row_end,
+    "galois-row-end": (cartesian, "_iota_mask", full_image_drops_a_point,
                        check_galois, naive_galois, "row end"),
     "galois-last-row": (cartesian, "rectangle_closure", closure_wrong_in_last_row,
                         check_galois, naive_galois, "last row"),
@@ -288,13 +282,6 @@ def test_row_fault_is_found_at_the_first_failing_pair(monkeypatch, name):
         assert checked % row == 0 and checked < rows * row
     else:
         assert checked == (rows - 1) * row + 1
-    if name == "meets-missing":
-        # the naive loop maps the 64 rectangles, then the 8 missing meets of
-        # each row up to and including the failing one; they have 16
-        # distinct keys, each mapped once by the check
-        missing = naive_mapped[64:]
-        assert len(missing) == 8 * (checked // row)
-        assert len(mapped) == 64 + len(set(missing)) == 80
 
 
 def test_meet_check_maps_each_rectangle_once(monkeypatch):
@@ -312,12 +299,6 @@ def test_galois_check_maps_each_rectangle_once(monkeypatch):
     assert len(calls) == 64
 
 
-def test_meet_check_meets_every_pair(monkeypatch):
-    calls = _count(monkeypatch, Rectangle, "meet")
-    res = check_iota_preserves_meets(((0, 3), (0, 3)))
-    assert res.ok and len(calls) == res.checked == 65536
-
-
 def test_galois_check_closes_every_region(monkeypatch):
     calls = _count(monkeypatch, cartesian, "rectangle_closure")
     res = check_galois(((0, 2), (0, 2)))
@@ -330,59 +311,9 @@ def test_galois_check_runs_with_its_defaults():
     assert res.ok and res.checked == 512 * 64
 
 
-def test_meet_missing_from_the_table_is_mapped(monkeypatch):
-    # the meet of the full rectangle with itself gains a third axis: it is
-    # none of the 16 rectangles, so it is mapped, and iota refuses it
-    def third_axis_on_full(self, other):
-        m = meet(self, other)
-        if all(len(a) == 2 for a in m.axes):
-            return Rectangle(m.axes + m.axes[:1])
-        return m
-
-    calls = _count(monkeypatch, cartesian, "_iota_mask")
-    monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
-    with pytest.raises(InvalidConcretization, match="not in the universe"):
-        check_iota_preserves_meets(((0, 1), (0, 1)))
-    assert len(calls) == 16 + 1 and len(calls[-1][0].axes) == 3
-
-
 def _aliased(rect, dim):
     """A rectangle with the same axis and key but ``dim`` axes."""
     return cartesian._keyed(rect.axis, dim, rect.key)
-
-
-def test_meet_aliasing_a_table_key_is_mapped(monkeypatch):
-    # the meet of the full rectangle with itself gains a third axis but
-    # keeps its key, 15, which is also the full 2-D rectangle's: it must
-    # not be read from the table, so it is mapped, and iota refuses it
-    def third_axis_on_full(self, other):
-        m = meet(self, other)
-        return _aliased(m, 3) if m.key == 15 else m
-
-    calls = _count(monkeypatch, cartesian, "_iota_mask")
-    monkeypatch.setattr(Rectangle, "meet", third_axis_on_full)
-    with pytest.raises(InvalidConcretization, match="not in the universe"):
-        check_iota_preserves_meets(((0, 1), (0, 1)))
-    assert len(calls) == 16 + 1
-    assert calls[-1][0].dim == 3 and calls[-1][0].key == 15
-
-
-def test_sampled_meet_aliasing_a_drawn_key_is_mapped(monkeypatch):
-    # from the second sample on, the meet is the previous sample's x with a
-    # fourth axis: its key is that of a 3-D rectangle already mapped
-    xs = []
-
-    def previous_x_with_a_fourth_axis(self, other):
-        m = _aliased(xs[-1], 4) if xs else meet(self, other)
-        xs.append(self)
-        return m
-
-    calls = _count(monkeypatch, cartesian, "_iota_mask")
-    monkeypatch.setattr(Rectangle, "meet", previous_x_with_a_fourth_axis)
-    with pytest.raises(InvalidConcretization, match="not in the universe"):
-        check_iota_preserves_meets(SAMPLED, sample=2000)
-    assert len(xs) == 2
-    assert calls[-1][0].dim == 4 and calls[-1][0].key == xs[0].key
 
 
 def test_closure_aliasing_a_kept_row_is_ordered_again(monkeypatch):
@@ -492,9 +423,7 @@ def test_sampled_check_maps_each_rectangle_once(monkeypatch, check):
 
 
 @pytest.mark.parametrize("check, owner, name", [
-    (check_iota_preserves_meets, Rectangle, "meet"),
     (check_galois, cartesian, "rectangle_closure"),
-    (check_galois, Rectangle, "componentwise_leq"),
 ])
 def test_sampled_check_calls_what_it_checks_once_per_sample(
         monkeypatch, check, owner, name):
@@ -519,13 +448,21 @@ SAMPLES_DIGEST = "8f07be53b22853215114917cd6e50cde54575d490e5c5e2dcc08e2f6677387
 
 
 def test_sampled_checks_draw_the_pinned_samples(monkeypatch):
-    meets = _count(monkeypatch, Rectangle, "meet")
-    closures = _count(monkeypatch, cartesian, "rectangle_closure")
-    leqs = _count(monkeypatch, Rectangle, "componentwise_leq")
+    # the drawn pairs are read off the rows the checks hand to the scan
+    drawn = []
+    scan = cartesian._scan
+
+    def recording(rows, fails):
+        def recorded():
+            for u, vs, passed in rows:
+                drawn.extend((_plain(u), _plain(v)) for v in vs)
+                yield u, vs, passed
+
+        return scan(recorded(), fails)
+
+    monkeypatch.setattr(cartesian, "_scan", recording)
     assert check_iota_preserves_meets(SAMPLED, sample=2000).ok
     assert check_galois(SAMPLED, sample=2000).ok
-    assert len(meets) == len(closures) == len(leqs) == 2000
-    drawn = [_plain(pair) for pair in meets]
-    drawn += [(_plain(r), _plain(x)) for (r,), (_, x) in zip(closures, leqs)]
+    assert len(drawn) == 4000
     digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
     assert digest == SAMPLES_DIGEST

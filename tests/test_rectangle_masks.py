@@ -6,7 +6,9 @@ are checked, and iota also on every rectangle of (0, 1)^3, (0, 4) and
 (-2, 1)^2.  On those four windows every rectangle's masks pack into its
 key, the first axis highest, and decode back, and the enumeration is the
 key order; meet and order also agree with the frozenset computation on
-(0, 1)^3 and (0, 4).  A rectangle is a frozen value with no ``__dict__``,
+(0, 1)^3 and (0, 4), and those comparisons catch the planted faults of
+meet and order that the Cartesian checks, which state both on keys, no
+longer call.  A rectangle is a frozen value with no ``__dict__``,
 and meet and order refuse rectangles with different numbers of axes, also
 when their keys are equal."""
 
@@ -20,6 +22,7 @@ from abslog import cartesian
 from abslog.cartesian import Rectangle, iota, rectangle_closure
 from abslog.concrete import ConcreteUniverse
 from abslog.errors import InvalidConcretization
+from test_cartesian_checks import leq_flips, meet_narrows
 
 AXIS = ConcreteUniverse.window(0, 2)
 TARGET = ConcreteUniverse.window(0, 2, dim=2)
@@ -47,10 +50,16 @@ def test_members_and_axes_decode_the_given_sets():
         assert all(a.universe is AXIS for a in r.axes)
 
 
-def test_meet_and_order_equal_the_frozenset_computation():
-    for (x, xs), (y, ys) in iproduct(zip(RECTS, MEMBERS), repeat=2):
+def assert_meet_and_order_agree(rects, members):
+    """Meet and order of every pair of rectangles equal the frozenset
+    computation on their axis member sets."""
+    for (x, xs), (y, ys) in iproduct(zip(rects, members), repeat=2):
         assert sets(x.meet(y)) == tuple(a & b for a, b in zip(xs, ys))
         assert x.componentwise_leq(y) == all(a <= b for a, b in zip(xs, ys))
+
+
+def test_meet_and_order_equal_the_frozenset_computation():
+    assert_meet_and_order_agree(RECTS, MEMBERS)
 
 
 def test_closure_of_every_region_is_its_projections():
@@ -161,12 +170,19 @@ def test_a_key_packs_the_axis_masks_first_axis_highest(lo, hi, dim):
 
 @pytest.mark.parametrize("lo, hi, dim", [(0, 1, 3), (0, 4, 1)])
 def test_meet_and_order_equal_the_frozenset_computation_off_two_axes(lo, hi, dim):
-    axis = ConcreteUniverse.window(lo, hi)
-    rects = list(cartesian._all_rectangles(axis, dim))
-    members = [sets(r) for r in rects]
-    for (x, xs), (y, ys) in iproduct(zip(rects, members), repeat=2):
-        assert sets(x.meet(y)) == tuple(a & b for a, b in zip(xs, ys))
-        assert x.componentwise_leq(y) == all(a <= b for a, b in zip(xs, ys))
+    rects = list(cartesian._all_rectangles(ConcreteUniverse.window(lo, hi), dim))
+    assert_meet_and_order_agree(rects, [sets(r) for r in rects])
+
+
+# the faults act on a first axis {1, 2}, which (0, 1)^3 has not
+@pytest.mark.parametrize("name, fault", [
+    ("meet", meet_narrows), ("componentwise_leq", leq_flips)])
+@pytest.mark.parametrize("rects", [RECTS, list(cartesian._all_rectangles(
+    ConcreteUniverse.window(0, 4), 1))], ids=["(0, 2)^2", "(0, 4)"])
+def test_the_frozenset_comparisons_catch_a_planted_fault(monkeypatch, name, fault, rects):
+    monkeypatch.setattr(Rectangle, name, fault)
+    with pytest.raises(AssertionError):
+        assert_meet_and_order_agree(rects, [sets(r) for r in rects])
 
 
 def test_equal_keys_with_different_numbers_of_axes_differ():

@@ -2,12 +2,13 @@
 
 Carriers are small (desk scale).  The order is stored once, as two int
 masks per element: bit m of ``_down[k]`` is set iff m <= k, and bit m of
-``_up[k]`` iff k <= m.  The meet and join tables are computed eagerly at
-construction and validated: the order must be a partial order, every pair
-of elements must have a unique glb and lub, and a top and bottom must
-exist.  The other connectives' tables are built on first use from the
-registry in :mod:`abslog.connectives` and cached.  Every operation is
-pure and the caches only ever gain the same values.
+``_up[k]`` iff k <= m, so the down-set rows are the bit-matrix transpose
+of the up-set rows (:func:`_transpose`).  The meet and join tables are
+computed eagerly at construction and validated: the order must be a
+partial order, every pair of elements must have a unique glb and lub, and
+a top and bottom must exist.  The other connectives' tables are built on
+first use from the registry in :mod:`abslog.connectives` and cached.
+Every operation is pure and the caches only ever gain the same values.
 
 Every other fact is read off the masks and the join-irreducibles J,
 computed once (Davey & Priestley, *Introduction to Lattices and Order*,
@@ -45,6 +46,18 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transpose(rows, width: int) -> list[int]:
+    """The ``width`` bit columns of a nonempty bit matrix given by its rows,
+    each below ``1 << width``: bit j of column i is bit i of ``rows[j]``.
+    The rows are written once, last row first, as one string of ``width``
+    binary digits each, so column i is every ``width``-th digit, highest row
+    first: one slice and one ``int`` parse per column, where setting bits one
+    at a time would copy the growing column once per bit."""
+    spec = f"0{width}b"
+    digits = "".join([format(r, spec) for r in reversed(rows)])
+    return [int(digits[width - 1 - i::width], 2) for i in range(width)]
 
 
 @dataclass(frozen=True)
@@ -199,10 +212,8 @@ def build_lattice(elements, order_pairs, unary_ops=None) -> FiniteLattice:
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= uk
-    down = [0] * n
-    for i, u in enumerate(up):
-        for j in bits(u):
-            down[j] |= 1 << i
+    # column j of the up-set rows is the set of elements below j
+    down = _transpose(up, n)
 
     # a cycle through i and some j < i was already reported on row j, so
     # the lowest bit names i's lowest partner
@@ -293,30 +304,25 @@ def find_order_reversing_involutions(lattice: FiniteLattice) -> list[UnaryOpTabl
         return True
 
     def extend(i: int) -> None:
+        while i < n and assign[i] is not None:
+            i += 1
         if i == n:
             found.append(tuple(assign))  # type: ignore[arg-type]
             return
-        if assign[i] is not None:
-            extend(i + 1)
-            return
-        for x in range(n):
-            if x == i:
-                assign[i] = i
-                if consistent(i):
-                    extend(i + 1)
-                assign[i] = None
-            elif assign[x] is None:
-                # involution pairs i and x
+        # every element below i is assigned, so i pairs with itself (a
+        # fixed point) or with a free x above it
+        for x in range(i, n):
+            if assign[x] is None:
                 assign[i], assign[x] = x, i
                 if consistent(i) and consistent(x):
                     extend(i + 1)
                 assign[i] = assign[x] = None
 
+    # two tables first differ at a position the search branched on (one
+    # filled as a partner holds that earlier partner, where they agree), and
+    # each branch tries its images in ascending order: the tables come out
+    # sorted, each once
     extend(0)
-    tables = []
-    for images in sorted(set(found)):
-        tables.append(UnaryOpTable(
-            name="involution",
-            table={lattice.elements[i]: lattice.elements[images[i]]
-                   for i in range(n)}))
-    return tables
+    e = lattice.elements
+    return [UnaryOpTable("involution", {e[i]: e[x] for i, x in enumerate(images)})
+            for images in found]

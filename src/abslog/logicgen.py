@@ -216,7 +216,11 @@ def render(ps: ProofSystem, format: str = "text") -> str:
 
     Raises :class:`UnknownFormat` for a LaTeX or machine render of a source
     name that spans lines: each writes the name into one line, and a line
-    break would end that line (and a LaTeX comment) early."""
+    break would end that line (and a LaTeX comment) early.  Each also
+    refuses the names it cannot write: LaTeX a predicate name holding a TeX
+    special character, the machine format a predicate name outside the
+    formula grammar and a rule name that is empty, holds whitespace or is
+    ``|``."""
     if format in ("latex", "machine") and ps.source.splitlines() not in ([], [ps.source]):
         raise UnknownFormat(
             f"source name {ps.source!r} cannot be written to the {format} format")
@@ -258,7 +262,16 @@ def _render_text(ps: ProofSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+# TeX reads these as markup (``%`` starts a comment, so a display would not
+# close); the other two, ``&`` and ``~``, are connective symbols no name holds
+TEX_SPECIALS = frozenset("#$%\\^_{}")
+
+
 def _render_latex(ps: ProofSystem) -> str:
+    for p in ps.signature.predicates:
+        if not TEX_SPECIALS.isdisjoint(p):
+            raise UnknownFormat(
+                f"predicate name {p!r} cannot be written to the latex format")
     # schemas name no predicates, so their symbols are replaced as text
     def tex(s: str) -> str:
         s = s.replace("|-", r"\vdash ")
@@ -287,6 +300,11 @@ def _render_machine(ps: ProofSystem) -> str:
         if not NAME_RE.fullmatch(p):
             raise UnknownFormat(
                 f"predicate name {p!r} cannot be written to the machine format")
+    # a rule line splits at whitespace and at " | "
+    for r in ps.rules:
+        if r.name.split() != [r.name] or r.name == "|":
+            raise UnknownFormat(
+                f"rule name {r.name!r} cannot be written to the machine format")
     lines = [MACHINE_HEADER, f"source {ps.source}"]
     lines += _sig_lines(ps)
     for r in ps.sorted_rules():

@@ -13,8 +13,9 @@ defines this way has exactly M as its models, Mod(|-_M) = M.  So the engine
 computes the model set M* and reads every answer off it:
 
 1. M0 is the set of valuations that satisfy the seed sequents (identity,
-   the axioms, |- top, the negation seeds) and, for each connective whose
-   rule family is on, its clauses: ``a, b |- a & b`` and ``a & b |- a``;
+   the axioms, |- top, bot |- x for every predicate x, the negation seeds)
+   and, for each connective whose rule family is on, its clauses:
+   ``a, b |- a & b`` and ``a & b |- a``;
    ``a | b |- a, b`` and ``a |- a | b``; ``a, a -> b |- b``;
    ``a |- b, a <- b``.  The other rules of those families are cuts of
    these clauses.
@@ -85,24 +86,12 @@ from .concrete import Abstraction, PointMasks, _scan, check_order_embedding
 from .connectives import CONNECTIVES, lookup
 from .errors import (AbslogError, CarrierTooLarge, TooManyModels, UnknownElement,
                      UnknownSymbol)
-from .lattice import bits
+from .lattice import _transpose, bits
 from .logicgen import ProofSystem, _STRUCTURAL_SCHEMAS
 from .syntax import Formula, Pred, Sequent
 
 DEFAULT_SATURATION_BOUND = 14
 MAX_MODELS = 100_000  # largest model set enumerated, partial or final
-
-
-def _transpose(rows, width: int) -> list[int]:
-    """The ``width`` bit columns of a nonempty bit matrix given by its rows,
-    each below ``1 << width``: bit j of column i is bit i of ``rows[j]``.
-    The rows are written once, last row first, as one string of ``width``
-    binary digits each, so column i is every ``width``-th digit, highest row
-    first: one slice and one ``int`` parse per column, where setting bits one
-    at a time would copy the growing column once per bit."""
-    spec = f"0{width}b"
-    digits = "".join([format(r, spec) for r in reversed(rows)])
-    return [int(digits[width - 1 - i::width], 2) for i in range(width)]
 
 
 # --- formula evaluation ------------------------------------------------------
@@ -186,8 +175,8 @@ class _Engine:
         # a connective's rule family runs when the system holds all of its
         # introduction rules
         on = {c: r.intro.keys() <= names for c, r in CONNECTIVES.items()}
-        self.f_and, self.f_or, self.f_impl, self.f_coimpl, self.f_tt = (
-            on[c] for c in ("and", "or", "impl", "coimpl", "tt"))
+        self.f_and, self.f_or, self.f_impl, self.f_coimpl, self.f_tt, self.f_ff = (
+            on[c] for c in ("and", "or", "impl", "coimpl", "tt", "ff"))
         self.f_not_prim = on["not"]
         not_ = CONNECTIVES["not"]
         self.f_not_def = not_.intro_via.keys() <= names
@@ -210,6 +199,9 @@ class _Engine:
         """The seed sequents read off the operation tables."""
         if self.f_tt:
             yield 0, 1 << self.top_i
+        if self.f_ff:
+            for x in range(self.n):
+                yield 1 << self.bot_i, 1 << x
         if self.f_not_def:
             for a in range(self.n):
                 na, ha = self.neg[a], self.hey[a][self.bot_i]

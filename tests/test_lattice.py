@@ -6,6 +6,7 @@ checked against the cubic definitions below, which read only ``leq``,
 """
 
 from functools import reduce
+from itertools import permutations
 
 import pytest
 from hypothesis import find, given, settings
@@ -285,6 +286,37 @@ def test_involution_properties_recheck(m3):
             for b in m3.elements:
                 if m3.leq(a, b):
                     assert m3.leq(f[b], f[a])
+
+
+def naive_involutions(lat):
+    """Each permutation s of the carrier indices with s s = id and
+    a <= b => s(b) <= s(a), as image tuples, in the order ``permutations``
+    gives them, which is sorted."""
+    e = lat.elements
+    n = range(len(e))
+    return [s for s in permutations(n)
+            if all(s[s[i]] == i for i in n)
+            and all(not lat.leq(e[a], e[b]) or lat.leq(e[s[b]], e[s[a]])
+                    for a in n for b in n)]
+
+
+def assert_involutions_equal_the_oracle(lat):
+    found = [tuple(lat.index[t.table[a]] for a in lat.elements)
+             for t in find_order_reversing_involutions(lat)]
+    assert found == naive_involutions(lat)
+
+
+@pytest.mark.parametrize("name", ["parity", "sign", "diamond", "threechain", "m3"])
+def test_builtin_involutions_equal_the_naive_oracle(name):
+    lat = load_builtin(name).lattice
+    assert len(lat) <= 6
+    assert_involutions_equal_the_oracle(lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intersection_closed().filter(lambda case: len(case[1]) <= 6))
+def test_family_involutions_equal_the_naive_oracle(case):
+    assert_involutions_equal_the_oracle(_family_lattice(case))
 
 
 def test_involution_carrier_cap():

@@ -316,14 +316,20 @@ def test_generation_parses_no_axiom_text(builtins, monkeypatch, source):
     assert axioms == [s for _, s in abs_.extra_axioms] != []
 
 
+def chain_through(element):
+    """bot < element < top over one point, built in code, so that any name
+    can be the middle element."""
+    uni = ConcreteUniverse.atoms(["p"])
+    lat = build_lattice(["bot", element, "top"], [("bot", element), (element, "top")])
+    return Abstraction("odd", lat, ConcretizationMap(lat, uni, {
+        "bot": uni.mask([]), element: uni.mask(uni.points), "top": uni.mask(uni.points)}))
+
+
 @pytest.mark.parametrize("element", ["0", "a&b"])
 def test_machine_format_refuses_a_name_the_grammar_cannot_read(element):
     # neither the spec format nor the formula grammar reads the name, so the
     # abstraction is built in code
-    uni = ConcreteUniverse.atoms(["p"])
-    lat = build_lattice(["bot", element, "top"], [("bot", element), (element, "top")])
-    abs_ = Abstraction("odd", lat, ConcretizationMap(lat, uni, {
-        "bot": uni.mask([]), element: uni.mask(uni.points), "top": uni.mask(uni.points)}))
+    abs_ = chain_through(element)
     with pytest.raises(SpecError):
         specfile.emit(abs_)
     ps = system(abs_)
@@ -342,6 +348,32 @@ def test_latex_writes_predicate_names_verbatim(element):
     assert parse_machine(render(ps, "machine")) == ps
     tex = render(ps, "latex")
     assert rf"{element}(x) \wedge  top(x) \vdash  {element}(x)" in tex
+
+
+@pytest.mark.parametrize("char", ["#", "$", "%", "\\", "^", "_", "{", "}"])
+def test_latex_refuses_a_predicate_name_holding_a_tex_special(char):
+    # TeX would read the character as markup: in a%b, % comments out the
+    # rest of the display, which then never closes
+    element = f"a{char}b"
+    ps = system(chain_through(element))
+    assert parse_machine(render(ps, "machine")) == ps
+    with pytest.raises(UnknownFormat) as exc:
+        render(ps, "latex")
+    assert repr(element) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["my axiom", "", "a\tb", "a\nb", "|"])
+def test_machine_format_refuses_a_rule_name_it_cannot_read_back(parity, name):
+    # a rule line splits at whitespace and at " | ": "rule operation_axiom
+    # my axiom | ..." has three words before the sequent
+    axiom = parse_sequent("Even(x) |- top(x)")
+    ps = system(replace(parity, extra_axioms=((name, axiom),)))
+    render(ps, "text")
+    with pytest.raises(UnknownFormat) as exc:
+        render(ps, "machine")
+    assert repr(name) in str(exc.value)
+    kept = system(replace(parity, extra_axioms=(("my|axiom", axiom),)))
+    assert parse_machine(render(kept, "machine")) == kept
 
 
 def test_var_line_after_the_rules(builtins):

@@ -160,16 +160,13 @@ def pruned_models(monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("chain-12", "boolean-3"))
-def test_models_equal_the_reference_on_pruned_systems(name, pruned_models):
+def test_models_equal_the_reference_on_pruned_systems(name):
     ps = system(_abstraction(name))
     rules = [r.name for r in ps.rules if r.kind != KIND_STRUCTURAL]
     rng = random.Random(f"prune-{name}")
     for _ in range(PRUNINGS.get(name, 10)):
         share = rng.random()
         same_models(drop_rules(ps, {r for r in rules if rng.random() < share}))
-    if name == "octagon-c1":
-        # contraposition removes models from M0 on some of these systems
-        assert any(pruned_models), pruned_models
     # prunings of axioms only, once the system has its engine: every other
     # one draws from the table axioms and ``a |- a``, so that some trial
     # inherits the engine, whose models must still be the reference's
@@ -186,6 +183,29 @@ def test_models_equal_the_reference_on_pruned_systems(name, pruned_models):
         inherited += model.models is base.models
         same_models(pruned, model)
     assert inherited
+
+
+def test_contraposition_removes_models_from_m0(pruned_models):
+    # octagon-c1 has primitive negation and neither residual: without these
+    # order axioms, contraposition alone removes 6 of M0's 43 valuations
+    ps = drop_rules(system(load_builtin("octagon-c1")),
+                    {"ord.p:-x-y>=0.top", "ord.p:-x-y>=1.p:-x-y>=0", "ord.p:-x-y>=1.top"})
+    model = ModelEngine(ps, max_predicates=len(ps.signature.predicates))
+    assert (pruned_models, len(model.models)) == ([6], 37)
+    same_models(ps, model)
+
+
+def test_ff_l_seeds_bot_below_every_predicate():
+    # intro.ff.l (G, ff |- D) gives ff |- Odd, and bot |- Odd by cut with
+    # op.ff.r (bot |- ff): in parity without its order axioms and with only
+    # that introduction rule, both come from the ff family alone
+    ps = system(load_builtin("parity"))
+    pruned = drop_rules(ps, {r.name for r in ps.rules if r.kind == KIND_ORDER
+                             or r.kind == KIND_INTRODUCTION and r.name != "intro.ff.l"})
+    engines = reference(pruned), ModelEngine(pruned)
+    for text in ("ff |- Odd(x)", "bot(x) |- Odd(x)"):
+        s = parse_sequent(text)
+        assert all(engine.derivable(s) for engine in engines), text
 
 
 def test_coimpl_l_weakens_a_context_in():

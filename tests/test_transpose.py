@@ -1,6 +1,7 @@
-"""The bit-matrix transpose that builds M*'s columns and the point valuations.
+"""The bit-matrix transpose that builds a lattice's down-sets, M*'s columns
+and the point valuations.
 
-``proofengine._transpose`` must equal a naive per-bit loop on every matrix,
+``lattice._transpose`` must equal a naive per-bit loop on every matrix,
 and the model engine's ``(models, cols)`` and every field of
 ``verify_soundness`` must keep the digests taken while both were still built
 bit by bit: on the builtins, the benchmark's scaling families and the
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abslog.proofengine import _transpose, engine_for, verify_soundness
+from abslog.lattice import _transpose
+from abslog.proofengine import engine_for, verify_soundness
 
 from conftest import BUILTIN_NAMES
 from test_model_engine import _abstraction, system

@@ -6,8 +6,9 @@ window's ``(lo, hi)`` or ``None`` for atoms, and ``dim``, the coordinates
 per point, 1 for atoms.  A 1-D window has int points; only windows with
 dim >= 2 have integer-tuple points.  A concrete set is an int
 *point mask*, bit j for the j-th point, a format this module alone knows:
-:meth:`ConcreteUniverse.mask` encodes points and :meth:`ConcreteUniverse.span`
-a run of consecutive points, :meth:`ConcreteUniverse.points_of` is the one
+:meth:`ConcreteUniverse.mask` encodes points, :meth:`ConcreteUniverse.mask_at`
+points by their positions and :meth:`ConcreteUniverse.span` a run of
+consecutive points, :meth:`ConcreteUniverse.points_of` is the one
 decoder, a concretization map is its table ``masks``, and
 :class:`PointMasks` applies the registry's concrete operations, which
 take the full mask and their arguments' masks, ``(full, *point masks)``.
@@ -66,7 +67,7 @@ class ConcreteUniverse:
         self._full: ConcreteSet | None = None
         self._axis: ConcreteUniverse | None = None
         self._bits: dict | None = None
-        self._digit: dict | None = None
+        self._position: dict | None = None
         if not self.points:
             raise InvalidConcretization("empty universe")
         if len(self.point_set) != len(self.points):
@@ -145,24 +146,30 @@ class ConcreteUniverse:
     def mask(self, points) -> int:
         """The point mask of some points of the universe, bit j for the j-th
         point; a point given twice counts once.  Below ``_TABLE_POINTS``
-        points it ORs each point's bit; a larger universe sets one flag byte
-        per point and reads the flags as binary digits, highest point first,
-        in time and memory linear in the points.  Either map from point to
-        bit is built on first use and then kept."""
+        points it ORs each point's bit; a larger universe hands the points'
+        positions to :meth:`mask_at`.  Either map from a point is built on
+        first use and then kept."""
         try:
             if len(self.points) < _TABLE_POINTS:
                 if self._bits is None:
                     self._bits = {p: 1 << j for j, p in enumerate(self.points)}
                 return reduce(or_, map(self._bits.__getitem__, points), 0)
-            if self._digit is None:  # point -> its digit's place, highest first
-                self._digit = {p: j for j, p in enumerate(reversed(self.points))}
-            flags = bytearray(len(self.points))
-            for j in map(self._digit.__getitem__, points):
-                flags[j] = 1
+            if self._position is None:
+                self._position = {p: j for j, p in enumerate(self.points)}
+            return self.mask_at(map(self._position.__getitem__, points))
         except KeyError as e:
             raise InvalidConcretization(
                 f"point {e.args[0]!r} is not in the universe") from None
-        return int(flags.translate(_DIGITS), 2)
+
+    def mask_at(self, positions) -> int:
+        """The point mask of the points at some positions of ``points``; a
+        position given twice counts once.  It sets one flag byte per point
+        and reads the flags as binary digits, highest point first, in time
+        and memory linear in the points."""
+        flags = bytearray(len(self.points))
+        for j in positions:
+            flags[j] = 1
+        return int(flags[::-1].translate(_DIGITS), 2)
 
     def span(self, start: int, stop: int) -> int:
         """The point mask of ``points[start:stop]``."""

@@ -267,11 +267,22 @@ def _render_text(ps: ProofSystem) -> str:
 TEX_SPECIALS = frozenset("#$%\\^_{}")
 
 
+def _one_line(s: str) -> bool:
+    """Whether ``s`` holds no line break, as ``str.splitlines`` finds them."""
+    return s.splitlines() in ([], [s])
+
+
 def _render_latex(ps: ProofSystem) -> str:
     for p in ps.signature.predicates:
         if not TEX_SPECIALS.isdisjoint(p):
             raise UnknownFormat(
                 f"predicate name {p!r} cannot be written to the latex format")
+    # a rule name ends its comment line, which a line break would end early;
+    # the names are scanned as one string, and searched only if one breaks
+    if not _one_line("".join([r.name for r in ps.rules])):
+        name = next(r.name for r in ps.rules if not _one_line(r.name))
+        raise UnknownFormat(
+            f"rule name {name!r} cannot be written to the latex format")
     # schemas name no predicates, so their symbols are replaced as text
     def tex(s: str) -> str:
         s = s.replace("|-", r"\vdash ")

@@ -8,6 +8,11 @@ grammar (``syntax.NAME_RE``); ``ORDER`` lines are Hasse (covering) edges;
 optional ``AXIOMS`` section holds extra axiom sequents, one per line
 (the octagon export stores its pairwise infeasibility axioms there).
 Errors are positioned by line.
+
+``emit`` writes each point in one spelling, :func:`_spellings`, and ``load``
+reads a point list made only of such spellings by one lookup per token;
+a list holding any other spelling of a point (``( 0, 1 )``, ``+1``, ``01``)
+still loads, through the tokenizer, with the same points and errors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
 
 def load_path(path: str | Path) -> Abstraction:
     path = Path(path)
-    return load(path.read_text(), name=path.stem)
+    return load(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 def load(text: str, name: str = "spec") -> Abstraction:
@@ -114,13 +119,13 @@ def load(text: str, name: str = "spec") -> Abstraction:
 
     uni = _parse_universe(*universe_line)
 
+    lists = _PointLists(uni)
     masks: dict[str, int] = {}
-    points: dict[str, object] = {}  # point token text -> its point, for this call
     for ln_no, elt, expr in gamma_lines:
         if elt in masks:
             raise SpecError(f"duplicate GAMMA entry for {elt!r}", ln_no)
         try:
-            masks[elt] = _eval_set_expr(expr, uni, points)
+            masks[elt] = _eval_set_expr(expr, uni, lists)
         except AbslogError as e:
             raise SpecError(f"bad GAMMA entry for {elt!r}: {e}", ln_no) from e
     missing = [e for e in elements if e not in masks]
@@ -163,7 +168,27 @@ def _parse_universe(ln_no: int, line: str) -> ConcreteUniverse:
     raise ParseError(f"unknown universe kind {words[0]!r}", ln_no)
 
 
+# a point token: an int tuple, which may hold spaces, or a run of non-space
+# characters
 _TUPLE_RE = re.compile(r"\(\s*-?\d+\s*(?:,\s*-?\d+\s*)+\)|\S+")
+# an int tuple opened and not closed, which ``_TUPLE_RE`` reads on into the
+# spaces and tokens after it
+_OPEN_TUPLE = re.compile(r"\((?:-?\d+(?:,-?\d+)*,?)?")
+
+
+def _spellings(points) -> list[str]:
+    """The one spelling of each point that ``emit`` writes and ``load`` reads
+    by lookup: an atom's name, an int's digits, an int tuple with no space
+    after its commas."""
+    return [str(p).replace(", ", ",") for p in points]
+
+
+def _one_token(text: str) -> bool:
+    """Whether a point list reads ``text`` as one token whatever tokens stand
+    beside it: ``#`` starts a comment, whitespace splits, a leading int tuple
+    is a token of its own, and an opened tuple reads on into the next token."""
+    return ("#" not in text and _TUPLE_RE.findall(text) == [text]
+            and not _OPEN_TUPLE.fullmatch(text))
 
 
 def _parse_point(tok: str, uni: ConcreteUniverse):
@@ -181,11 +206,8 @@ def _parse_point(tok: str, uni: ConcreteUniverse):
     raise SpecError(f"point {tok} is outside the universe")
 
 
-def _eval_set_expr(expr: str, uni: ConcreteUniverse,
-                   points: dict[str, object]) -> int:
-    """A GAMMA set expression's point mask.  ``points`` maps each point token
-    read so far to its point, which is in the universe; a new token is
-    parsed and checked once and then added."""
+def _eval_set_expr(expr: str, uni: ConcreteUniverse, lists: _PointLists) -> int:
+    """A GAMMA set expression's point mask; ``lists`` reads its point lists."""
     expr = expr.strip()
     if expr == "{}":
         return 0
@@ -206,22 +228,55 @@ def _eval_set_expr(expr: str, uni: ConcreteUniverse,
         inner = expr[len("union("):-1]
         out = 0
         for part in _split_top_level(inner):
-            out |= _eval_set_expr(part, uni, points)
+            out |= _eval_set_expr(part, uni, lists)
         return out
     if expr.startswith("{") and expr.endswith("}"):
-        toks = _TUPLE_RE.findall(expr[1:-1])
+        return lists.read(expr[1:-1])
+    raise SpecError(f"cannot parse set expression {expr!r}")
+
+
+class _PointLists:
+    """Reads the braced point lists of one spec over its universe ``uni``.
+
+    A list of the spellings ``emit`` writes takes one lookup per token in
+    ``spelled`` (spelling -> position), built at the first list: each such
+    spelling reads as one token, so splitting on whitespace tokenizes the
+    list as ``_TUPLE_RE`` does.  Any other list is tokenized by
+    ``_TUPLE_RE``; ``points`` maps each token so read to its point, which
+    is in the universe, and a new token is parsed and checked once and
+    then added."""
+
+    def __init__(self, uni: ConcreteUniverse):
+        self.uni = uni
+        self.spelled: dict[str, int] | None = None
+        self.points: dict[str, object] = {}
+
+    def read(self, body: str) -> int:
+        """The point mask of a list's text between its braces."""
+        uni = self.uni
+        if self.spelled is None:
+            # a window's spellings all read as one token, an atom's only
+            # where ``_one_token`` says so
+            self.spelled = {s: j for j, s in enumerate(_spellings(uni.points))
+                            if uni.bounds is not None or _one_token(s)}
+        try:
+            positions = list(map(self.spelled.__getitem__, body.split()))
+        except KeyError:
+            pass
+        else:
+            return uni.mask_at(positions)
+        toks = _TUPLE_RE.findall(body)
         # every new token is parsed before any is checked, so the first
         # unparsable token wins over an earlier point outside the universe
         new = {}
         for t in toks:
-            if t not in points and t not in new:
+            if t not in self.points and t not in new:
                 new[t] = _parse_point(t, uni)
         for p in new.values():
             if p not in uni.point_set:
                 raise SpecError(f"point {p!r} is outside the universe")
-        points.update(new)
-        return uni.mask(map(points.__getitem__, toks))
-    raise SpecError(f"cannot parse set expression {expr!r}")
+        self.points.update(new)
+        return uni.mask(map(self.points.__getitem__, toks))
 
 
 def _split_top_level(s: str) -> list[str]:
@@ -263,10 +318,7 @@ def emit(abs_: Abstraction) -> str:
             raise SpecError(f"element name {e!r} cannot be written to a spec file")
     if abs_.universe.bounds is None:
         for atom in abs_.universe.points:
-            # ``load`` must read the name back as one point token: whitespace
-            # would split it, ``#`` would start a comment, a leading int tuple
-            # would be read as its own token
-            if "#" in atom or _TUPLE_RE.findall(atom) != [atom]:
+            if not _one_token(atom):
                 raise SpecError(f"atom name {atom!r} cannot be written to a spec file")
     lines = [f"# abstraction: {abs_.name}", "ELEMENTS"]
     lines += [" ".join(lat.elements)]
@@ -282,12 +334,11 @@ def emit(abs_: Abstraction) -> str:
     lines.append("UNIVERSE")
     lines.append(abs_.universe.describe())
     lines.append("GAMMA")
-    # each point written once: a tuple's str differs from its spec text by
-    # ", " alone, which no int or atom name (no whitespace, see above) holds.
-    # Universe order is point order (``atoms`` sorts, a window ascends), so
-    # each image lists its points as its mask decodes them.
+    # each point written in its one spelling.  Universe order is point order
+    # (``atoms`` sorts, a window ascends), so each image lists its points as
+    # its mask decodes them.
     uni, masks = abs_.universe, abs_.gamma.masks
-    text = {p: str(p).replace(", ", ",") for p in uni.points}
+    text = dict(zip(uni.points, _spellings(uni.points)))
     for e in lat.elements:
         body = " ".join(map(text.__getitem__, uni.points_of(masks[e])))
         lines.append(f"{e} = {{{body}}}")

@@ -72,7 +72,7 @@ def registry_table() -> list[str]:
 
 
 def test_readme_table_is_the_registry():
-    readme = (REPO / "README.md").read_text().splitlines()
+    readme = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
     rows = registry_table()
     start = readme.index(rows[0])
     assert readme[start:start + len(rows)] == rows

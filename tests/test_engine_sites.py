@@ -17,7 +17,7 @@ def _callee(call: ast.Call) -> str | None:
 def test_engines_are_built_only_by_engine_for():
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         parent = {child: node for node in ast.walk(tree)
                   for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):

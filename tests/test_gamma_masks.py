@@ -83,7 +83,7 @@ def count_sets(monkeypatch) -> list:
 
 
 def test_load_export_and_product_build_no_concrete_set(monkeypatch):
-    texts = [(SPECS / f"{name}.spec").read_text() for name in BUILTIN_NAMES]
+    texts = [(SPECS / f"{name}.spec").read_text(encoding="utf-8") for name in BUILTIN_NAMES]
     built = count_sets(monkeypatch)
     loaded = [specfile.load(text, name) for text, name in zip(texts, BUILTIN_NAMES)]
     for c in (1, 2, 3, 4):

@@ -376,6 +376,20 @@ def test_machine_format_refuses_a_rule_name_it_cannot_read_back(parity, name):
     assert parse_machine(render(kept, "machine")) == kept
 
 
+@pytest.mark.parametrize("name", ["my\n\\bye", "a\rb", "a\n", "a\u2028b"])
+def test_latex_refuses_a_rule_name_that_spans_lines(parity, name):
+    # the name ends a "% kind: name" comment: past a line break, TeX would run
+    # \bye, which ends the document
+    axiom = parse_sequent("Even(x) |- top(x)")
+    ps = system(replace(parity, extra_axioms=((name, axiom),)))
+    render(ps, "text")
+    with pytest.raises(UnknownFormat) as exc:
+        render(ps, "latex")
+    assert repr(name) in str(exc.value)
+    kept = system(replace(parity, extra_axioms=(("my axiom", axiom),)))
+    assert ": my axiom\n" in render(kept, "latex")
+
+
 def test_var_line_after_the_rules(builtins):
     ps = system(builtins["octagon-c1"])
     lines = render(ps, "machine").splitlines()

@@ -38,10 +38,10 @@ def test_every_module_level_name_has_a_use():
     words = Counter()
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            words.update(WORD.findall(path.read_text()))
+            words.update(WORD.findall(path.read_text(encoding="utf-8")))
     found = []  # (where, name, the name's count on its defining line)
     for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         for node in _definitions(ast.parse(text, filename=str(path))):
             own = WORD.findall(lines[node.lineno - 1]).count(node.name)

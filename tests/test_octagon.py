@@ -34,7 +34,7 @@ def holds(p: OctPredicate, x: int, y: int) -> bool:
 def test_export_c1_is_the_builtin_spec():
     exported = export_abstraction(OctLattice.build(1), 4)
     emitted = specfile.emit(exported)
-    assert emitted == (SPECS / "octagon-c1.spec").read_text()
+    assert emitted == (SPECS / "octagon-c1.spec").read_text(encoding="utf-8")
     # the axioms the export builds are the ones the spec file reads back
     assert specfile.load(emitted, exported.name).extra_axioms == exported.extra_axioms
 

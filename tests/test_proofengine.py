@@ -355,7 +355,7 @@ def test_completeness_reads_gamma_by_name(interval):
     # the engine's bits follow the system's predicates; an abstraction that
     # lists the same carrier in reverse must still read complete
     ps = system(interval)
-    text = (SPECS / "interval.spec").read_text()
+    text = (SPECS / "interval.spec").read_text(encoding="utf-8")
     elements = " ".join(interval.lattice.elements)
     reversed_ = specfile.load(
         text.replace(elements, " ".join(reversed(interval.lattice.elements))),

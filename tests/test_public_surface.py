@@ -45,7 +45,7 @@ ENTRY_METHODS: dict[str, str] = {
 
 
 def exports() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names]
 

@@ -1,5 +1,8 @@
 """Spec file parsing, shorthand expressions and round-trip emission."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +20,10 @@ from abslog.errors import (
 from abslog.lattice import UnaryOpTable, build_lattice
 from abslog.octagon import OctLattice, export_abstraction
 from abslog.syntax import parse_sequent
+from conftest import BUILTIN_NAMES, SPECS
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parity_loads(parity):
@@ -154,6 +159,19 @@ def test_gamma_point_outside_universe():
         assert exc.value.line == 6
 
 
+def test_load_path_reads_utf8_whatever_the_locale():
+    # a fresh interpreter that turns a read in the locale's default encoding
+    # into an error
+    paths = [str(SPECS / f"{name}.spec") for name in BUILTIN_NAMES]
+    code = "import sys\nfrom abslog import specfile\nfor p in sys.argv[1:]: specfile.load_path(p)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code, *paths],
+        env=env, capture_output=True, encoding="utf-8", timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_emit_roundtrip(builtins):
     for name, abs_ in builtins.items():
         text = specfile.emit(abs_)
@@ -201,7 +219,10 @@ def _atoms_abstraction(atom):
     return Abstraction("atoms", lat, gamma)
 
 
-@pytest.mark.parametrize("atom", ["p#1", "p 1", "p\t1", "#", "", "(1,2)x"])
+# an opened int tuple reads on into the next token: over the atoms ``(1,``
+# and ``2)``, the list ``{(1, 2)}`` is one token that names neither
+@pytest.mark.parametrize("atom", ["p#1", "p 1", "p\t1", "#", "", "(1,2)x",
+                                  "(", "(1", "(1,", "(-1,2,"])
 def test_emit_refuses_an_atom_name_load_cannot_read(atom):
     with pytest.raises(SpecError) as exc:
         specfile.emit(_atoms_abstraction(atom))
@@ -209,7 +230,8 @@ def test_emit_refuses_an_atom_name_load_cannot_read(atom):
 
 
 @pytest.mark.parametrize("atom", ["p", "p1", "x_2", "a.b", "-3", "(1,2)",
-                                  "{p", "p}", "p,q", "p,", "a}b", "x(1,2)"])
+                                  "{p", "p}", "p,q", "p,", "a}b", "x(1,2)",
+                                  "(a", "(-", "(1,a"])
 def test_emit_roundtrips_readable_atom_names(atom):
     abs_ = _atoms_abstraction(atom)
     again = specfile.load(specfile.emit(abs_), "atoms")
@@ -350,11 +372,21 @@ def test_spaced_and_tight_tuples_are_one_point():
 
 
 def test_load_parses_each_distinct_point_token_once(monkeypatch):
-    text = specfile.emit(export_abstraction(OctLattice.build(3), 12))
+    exported = export_abstraction(OctLattice.build(3), 12)
+    text = specfile.emit(exported)
+    # the same lists with a space after every comma, which no written
+    # spelling holds
+    respaced = "\n".join(line.replace(",", ", ") if " = {" in line else line
+                         for line in text.splitlines())
     calls = []
     parse = specfile._parse_point
     monkeypatch.setattr(specfile, "_parse_point",
                         lambda tok, uni: calls.append(tok) or parse(tok, uni))
-    abs_ = specfile.load(text, "octagon-c3")
-    # 25 x 25 grid points, against 8125 point tokens in the GAMMA lines
+    # 8125 point tokens in the GAMMA lines, each read by its spelling
+    assert specfile.load(text, "octagon-c3").gamma.masks == exported.gamma.masks
+    assert calls == []
+    abs_ = specfile.load(respaced, "octagon-c3")
+    assert abs_.gamma.masks == exported.gamma.masks
+    # 25 x 25 grid points, each parsed from its one respaced token
     assert len(calls) == len(set(calls)) == len(abs_.universe) == 625
+    assert all(", " in tok for tok in calls)

@@ -108,9 +108,6 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.index
-
     def _i(self, name: str) -> int:
         try:
             return self.index[name]

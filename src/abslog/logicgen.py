@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 from .concrete import Abstraction, PreservationReport
 from .connectives import CONNECTIVES, INTRO_SCHEMAS, lookup
-from .errors import AbslogError, MinimizationFailed, UnknownFormat
+from .errors import AbslogError, MinimizationFailed, UnknownFormat, UnknownSymbol
 from .lattice import hasse_edges
 from .syntax import NAME_RE, Compound, Pred, Sequent, render_sequent, sequent_reader
 
@@ -336,9 +336,7 @@ def parse_machine(text: str) -> ProofSystem:
     predicates: tuple[str, ...] = ()
     connectives: frozenset[str] = frozenset()
     var_names: tuple[str, ...] = ("x",)
-    rules: list[Rule] = []
-    read_sequent = sequent_reader()
-    kinds = {KIND_STRUCTURAL, KIND_INTRODUCTION, KIND_OPERATION, KIND_ORDER}
+    rule_lines: list[tuple[str, str]] = []
     for ln in lines[1:]:
         if not ln.strip():
             continue
@@ -354,22 +352,30 @@ def parse_machine(text: str) -> ProofSystem:
         elif head == "var":
             var_names = tuple(v.strip() for v in rest.split(","))
         elif head == "rule":
-            body, _, seq_text = rest.partition(" | ")
-            parts = body.split()
-            if len(parts) != 2:
-                raise UnknownFormat(f"malformed rule line {ln!r}")
-            kind, name = parts
-            if kind not in kinds:
-                raise UnknownFormat(f"unknown rule kind in line {ln!r}")
-            if seq_text:
-                rules.append(Rule(kind, name, read_sequent(seq_text)))
-            elif name not in STOCK_SCHEMAS:
-                raise UnknownFormat(f"unknown rule schema {name!r}")
-            elif (rule := _stock_rule(name)).kind != kind:
-                raise UnknownFormat(f"rule schema of another kind in line {ln!r}")
-            else:
-                rules.append(rule)
+            rule_lines.append((ln, rest))
         else:
             raise UnknownFormat(f"unknown machine-format line {ln!r}")
+    # the header may follow the rules; an axiom names only its predicates and variables
+    read_sequent = sequent_reader(frozenset(predicates), var_names)
+    rules: list[Rule] = []
+    for ln, rest in rule_lines:
+        body, _, seq_text = rest.partition(" | ")
+        parts = body.split()
+        if len(parts) != 2:
+            raise UnknownFormat(f"malformed rule line {ln!r}")
+        kind, name = parts
+        if kind not in (KIND_STRUCTURAL, KIND_INTRODUCTION, KIND_OPERATION, KIND_ORDER):
+            raise UnknownFormat(f"unknown rule kind in line {ln!r}")
+        if seq_text:
+            try:
+                rules.append(Rule(kind, name, read_sequent(seq_text)))
+            except UnknownSymbol as e:
+                raise UnknownFormat(f"{e} in line {ln!r}") from None
+        elif name not in STOCK_SCHEMAS:
+            raise UnknownFormat(f"unknown rule schema {name!r}")
+        elif (rule := _stock_rule(name)).kind != kind:
+            raise UnknownFormat(f"rule schema of another kind in line {ln!r}")
+        else:
+            rules.append(rule)
     sig = Signature(predicates, connectives, var_names)
     return ProofSystem(sig, tuple(rules), source)

@@ -283,8 +283,6 @@ class DerivabilityEngine(_Engine):
         return any((g0 & ng) == 0 and (d0 & nd) == 0 for g0, d0 in self.gen_list)
 
     def _add(self, g: int, d: int) -> None:
-        if d == 0:
-            return
         key = (g, d)
         if key in self.members or self._subsumed(g, d):
             return
@@ -469,7 +467,7 @@ class ModelEngine(_Engine):
     def _axiom_clauses(self, axioms):
         """The clauses the axioms add to M0: a tautology adds none."""
         for g, d in map(self.masks, axioms):
-            if d and not g & d:  # no sequent has an empty succedent
+            if not g & d:
                 yield g, d
 
     def without(self, axioms) -> ModelEngine | None:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
 from .errors import AbslogError, CarrierTooLarge, InvalidConcretization, ParseError, SpecError
-from .lattice import FiniteLattice, UnaryOpTable, build_lattice, hasse_edges
+from .lattice import UnaryOpTable, build_lattice, hasse_edges
 from .syntax import NAME_RE, formula_predicates, parse_sequent, render_sequent
 
 SECTIONS = ("ELEMENTS", "ORDER", "OPS", "UNIVERSE", "GAMMA", "AXIOMS")
@@ -299,23 +299,26 @@ def _split_top_level(s: str) -> list[str]:
 def emit(abs_: Abstraction) -> str:
     """Serialize an abstraction deterministically (explicit point lists).
 
-    Raises :class:`SpecError` for an atom or element name that ``load``
-    cannot read back, and for an abstraction name that spans lines, which
-    ``load`` would read as more lines.
+    Raises :class:`SpecError` for an atom, element or operation name that
+    ``load`` cannot read back, and for an abstraction name that spans lines,
+    which ``load`` would read as more lines.
     """
     if abs_.name.splitlines() not in ([], [abs_.name]):
         raise SpecError(f"abstraction name {abs_.name!r} cannot be written to a spec file")
     lat = abs_.lattice
     # ``load`` reads an element name only as a predicate name of the formula
     # grammar, drops what follows ``#``, reads an OPS line that starts with
-    # ``unary`` as a new operation, and a lone element's ELEMENTS line can be
-    # a section name
+    # ``unary`` as a new operation, named by the one word after it, and a
+    # lone element's ELEMENTS line can be a section name
     keywords = ("unary",) if lat.unary_ops else ()
     if len(lat) == 1:
         keywords += SECTIONS
     for e in lat.elements:
         if "#" in e or not NAME_RE.fullmatch(e) or e in keywords:
             raise SpecError(f"element name {e!r} cannot be written to a spec file")
+    for opname in lat.unary_ops:
+        if "#" in opname or opname.split() != [opname]:
+            raise SpecError(f"operation name {opname!r} cannot be written to a spec file")
     if abs_.universe.bounds is None:
         for atom in abs_.universe.points:
             if not _one_token(atom):

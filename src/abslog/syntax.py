@@ -35,9 +35,6 @@ _CONSTANTS = {c.symbol: c.name for c in CONNECTIVES.values() if not c.arity}
 class Pred:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Compound:
@@ -251,17 +248,18 @@ def parse_sequent(text: str, line: int | None = None,
     return Sequent(ante, succ)
 
 
-def sequent_reader():
-    """A ``parse_sequent`` without line or argument checks that parses each
-    distinct side text once, for reading many sequents that repeat their
-    sides (as an operation axiom's ``.l`` and ``.r`` sequents do).
+def sequent_reader(predicates: frozenset[str] | None = None, var_names: tuple[str, ...] = ()):
+    """A ``parse_sequent`` without line checks that parses each distinct
+    side text once, for reading many sequents that repeat their sides (as
+    an operation axiom's ``.l`` and ``.r`` sequents do).
 
     ``read(text)`` splits the text at the first ``|-``, strips each side and
     parses it with ``_Parser.formulas()``, keeping one entry per distinct
     side text for the reader's life; an empty antecedent is ``()``.  If
     there is no ``|-``, or a side or the sequent does not parse, it parses
     the whole text with ``parse_sequent``, so every error keeps its message
-    and column.
+    and column.  Given ``predicates``, a side that names another predicate
+    or applies one to anything but ``var_names`` raises :class:`UnknownSymbol`.
 
     The split agrees with ``parse_sequent`` on text whose sides both parse.
     Only the tokens ``|`` and ``|-`` hold a ``|``: a name excludes it, an
@@ -284,6 +282,12 @@ def sequent_reader():
             p = _Parser(text)
             formulas = p.formulas()
             p.done("sequent")
+            for kind, value, _ in p.tokens if predicates is not None else ():
+                if kind == "pred" and (value[0] not in predicates or value[1] != var_names):
+                    raise UnknownSymbol(
+                        f"predicate {value[0]!r} applied to ({','.join(value[1])}); "
+                        f"expected ({','.join(var_names)})" if value[0] in predicates
+                        else f"unknown predicate {value[0]!r}")
             sides[text] = formulas
         return formulas
 

@@ -293,6 +293,11 @@ def test_product_rejects_mismatched_windows():
         product([small_parity(-4, 4), small_parity(0, 4, "p04")])
 
 
+def test_product_needs_a_component():
+    with pytest.raises(InvalidConcretization, match="^a product needs at least one component$"):
+        product([])
+
+
 def _chain(name, elements):
     """A chain abstraction on the window (0, 1), bottom first."""
     lat = build_lattice(elements, list(zip(elements, elements[1:])))

@@ -357,6 +357,14 @@ def test_injectivity_check_reads_empty_axes_off_the_keys(monkeypatch):
     assert (res.ok, res.checked, res.note) == (True, 256, "30 empty-axis collisions")
 
 
+def test_injectivity_check_finds_a_collision_of_nonempty_rectangles(monkeypatch):
+    # under the iota fault, {1, 2} x {0} drops (1, 0) and lands on {2} x {0}
+    monkeypatch.setattr(cartesian, "_iota_mask", iota_drops_a_point)
+    res = check_iota_injective_on_nonempty((0, 3))
+    assert (res.ok, res.checked, _plain(res.witness), res.note) == (
+        False, 98, (([1, 2], [0]), ([2], [0])), "")
+
+
 def test_injectivity_check_accepts_a_window_at_the_bound():
     half = MAX_INJECTIVE_AXIS_POINTS // 2
     res = check_iota_injective_on_nonempty((0, half - 1))

@@ -18,7 +18,7 @@ from abslog.concrete import (
     preservation_report,
 )
 from abslog.connectives import CONNECTIVES
-from abslog.errors import CarrierTooLarge, InvalidConcretization, SpecError
+from abslog.errors import CarrierTooLarge, InvalidConcretization, SpecError, UnknownElement
 from abslog.lattice import UnaryOpTable, build_lattice
 
 from concrete_oracle import OPS
@@ -108,6 +108,31 @@ def test_shape_refusals_keep_their_messages():
                 specfile.load(f"ELEMENTS\na\nUNIVERSE\n{universe}\nGAMMA\na = {expr}")
             assert str(exc.value.__cause__) == (
                 f"{word!r} needs a one-dimensional integer window")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ConcreteUniverse.atoms([]), InvalidConcretization, "empty universe"),
+    (lambda: ConcreteUniverse.atoms(["p", "q", "p"]), InvalidConcretization,
+     "duplicate points in universe"),
+    (lambda: window(2, 1), InvalidConcretization, "empty window [2, 1]"),
+    (lambda: ConcretizationMap(parity_abstraction().lattice, window(0, 1), {}),
+     InvalidConcretization, "gamma missing entry for 'bot'"),
+    (lambda: ConcretizationMap(parity_abstraction().lattice, window(0, 1),
+                               dict.fromkeys(["bot", "Even", "Odd", "top", "zz"], 0)),
+     UnknownElement, "gamma defined on unknown element 'zz'"),
+    (lambda: parity_abstraction().gamma("zz"), UnknownElement, "unknown element 'zz'"),
+    # an equal lattice, built again, is not the packaged one
+    (lambda: Abstraction("parity", parity_abstraction().lattice,
+                         parity_abstraction().gamma),
+     InvalidConcretization, "gamma.source is not the packaged lattice"),
+    (lambda: compute_left_adjoint(parity_abstraction()).alpha(window(0, 1).full()),
+     InvalidConcretization, "alpha queried outside the universe"),
+], ids=["empty", "duplicate", "empty-window", "gamma-missing", "gamma-unknown",
+        "gamma-of-unknown", "other-lattice", "alpha-outside"])
+def test_construction_and_query_refusals(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_oracle_states_every_connective():

@@ -21,6 +21,7 @@ from abslog.errors import (
     UnknownElement,
 )
 from abslog.lattice import (
+    UnaryOpTable,
     build_lattice,
     co_implication,
     find_order_reversing_involutions,
@@ -147,8 +148,21 @@ def test_not_a_lattice_messages(elements, pairs, message):
 
 
 def test_unknown_element_in_pairs():
-    with pytest.raises(UnknownElement):
-        build_lattice(["a"], [("a", "zz")])
+    for pair in (("a", "zz"), ("zz", "a")):
+        with pytest.raises(UnknownElement) as exc:
+            build_lattice(["a"], [pair])
+        assert str(exc.value) == "unknown element 'zz' in order pair"
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"bot": "top"}, "operation 'neg' missing entry for 'top'"),
+    ({"bot": "top", "top": "zz"}, "operation 'neg' maps 'top' outside the carrier"),
+])
+def test_unary_operation_must_be_total_on_the_carrier(table, message):
+    with pytest.raises(UnknownElement) as exc:
+        build_lattice(["bot", "top"], [("bot", "top")],
+                      unary_ops={"neg": UnaryOpTable("neg", table)})
+    assert str(exc.value) == message
 
 
 def test_leq(diamond):

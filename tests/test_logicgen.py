@@ -424,6 +424,50 @@ def test_machine_format_refuses_an_unknown_connective(parity):
         parse_machine(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "expected header 'abslog-rules v1'"),
+    ("abslog-rules v2\nsource parity\n", "expected header 'abslog-rules v1'"),
+    ("abslog-rules v1\nsources parity\n", "unknown machine-format line 'sources parity'"),
+])
+def test_parse_machine_refuses_a_header_or_line_render_never_writes(text, message):
+    with pytest.raises(UnknownFormat) as exc:
+        parse_machine(text)
+    assert str(exc.value) == message
+
+
+def test_parse_machine_skips_blank_lines(parity):
+    ps = system(parity)
+    assert parse_machine(render(ps, "machine").replace("\nvar ", "\n\n \t\nvar ")) == ps
+
+
+# render writes an axiom over the predicates line's predicates, each applied
+# to the var line's variables; the edit is made in the first rule line that
+# holds ``old``
+@pytest.mark.parametrize("old, new, message", [
+    ("Even(x)", "Even(y)", "predicate 'Even' applied to (y); expected (x)"),
+    ("Odd(x)", "Odd(x,z)", "predicate 'Odd' applied to (x,z); expected (x)"),
+    ("Odd(x)", "Odd()", "predicate 'Odd' applied to (); expected (x)"),
+    ("ord.Even.top | Even(x)", "ord.Foo.top | Foo(x)", "unknown predicate 'Foo'"),
+])
+def test_parse_machine_refuses_an_axiom_render_never_writes(parity, old, new, message):
+    text = render(system(parity), "machine")
+    line = next(ln for ln in text.splitlines() if ln.startswith("rule ") and old in ln)
+    bad = line.replace(old, new, 1)
+    with pytest.raises(UnknownFormat) as exc:
+        parse_machine(text.replace(line, bad))
+    assert str(exc.value) == f"{message} in line {bad!r}"
+
+
+def test_parse_machine_checks_axioms_against_the_header_wherever_it_stands(parity):
+    # the header lines may follow the rules, as in test_var_line_after_the_rules
+    lines = render(system(parity), "machine").splitlines()
+    preds = next(ln for ln in lines if ln.startswith("predicates "))
+    lines.remove(preds)
+    lines.append(preds.replace(" Odd", ""))
+    with pytest.raises(UnknownFormat, match="^unknown predicate 'Odd' in line 'rule "):
+        parse_machine("\n".join(lines) + "\n")
+
+
 def test_unknown_format(parity):
     with pytest.raises(UnknownFormat):
         render(system(parity), "yaml")

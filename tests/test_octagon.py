@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from abslog import specfile
-from abslog.errors import UnknownElement
+from abslog import octagon, specfile
+from abslog.errors import GridGuardViolated, UnknownElement, WindowOverflow
 from abslog.octagon import (
     OctLattice,
     OctPredicate,
@@ -18,6 +18,7 @@ from abslog.octagon import (
     grid_universe,
     hemisphere_negation,
     infeasible_pairs,
+    oct_complement,
     oct_leq,
     to_finite_lattice,
     verify_irreducibility,
@@ -152,9 +153,47 @@ def test_degenerate_model():
 
 
 def test_hemisphere_negation_is_an_involution():
-    lat = OctLattice.build(2)
-    table = hemisphere_negation(lat).table
-    assert all(table[table[e]] == e for e in lat.carrier)
+    # both hold by construction, so hemisphere_negation does not check them
+    for window_c in range(1, 7):
+        lat = OctLattice.build(window_c)
+        table = hemisphere_negation(lat).table
+        assert all(table[table[e]] == e for e in lat.carrier)
+        finite = to_finite_lattice(lat)
+        assert all(finite.leq(table[b], table[a]) for a, b in finite.order_pairs())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    # the name writes only the signs, so (2, 1, 0) would be named p:+x+y>=0
+    (lambda: OctPredicate(2, 1, 0), WindowOverflow, "slopes (2, 1) are not +/-1"),
+    (lambda: OctPredicate(1, 0, 0), WindowOverflow, "slopes (1, 0) are not +/-1"),
+    (lambda: oct_complement(OctPredicate(1, 1, -1), 1), WindowOverflow,
+     "complement constant 2 leaves the window"),
+    (lambda: OctLattice.build(0), WindowOverflow,
+     "the window parameter must be at least 1"),
+    (lambda: OctLattice.build(1).by_name("p:+x+y>=2"), UnknownElement,
+     "unknown octagon element 'p:+x+y>=2'"),
+    (lambda: export_abstraction(OctLattice.build(1), 3), GridGuardViolated,
+     "grid N = 3 violates the guard N >= 4C = 4"),
+], ids=["slope-2", "slope-0", "complement", "window-0", "unknown", "grid-guard"])
+def test_octagon_refusals(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_conjunction_witness_is_incomplete_when_an_element_is_the_meet(monkeypatch):
+    # plant top's gamma as the quarter-plane meet, which no element has
+    grid_mask = octagon._grid_mask
+
+    def planted(lat, element, grid):
+        if element != "top":
+            return grid_mask(lat, element, grid)
+        return (grid_mask(lat, OctPredicate(1, 1, 0), grid)
+                & grid_mask(lat, OctPredicate(1, -1, 0), grid))
+
+    monkeypatch.setattr(octagon, "_grid_mask", planted)
+    witness = conjunction_nonpreservation_witness(1)
+    assert not witness.complete and witness.separations == {}
 
 
 def test_missing_complement_is_a_typed_error():

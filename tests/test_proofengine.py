@@ -2,6 +2,7 @@
 three lemma verifications."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -278,6 +279,54 @@ def test_noninjective_lindenbaum_recorded():
     # surjectivity and every homomorphism check still pass
     assert iso.surjective
     assert all(iso.homomorphism.values())
+
+
+def test_isomorphism_failures_are_reported(parity, parity_ps):
+    # parity's algebra with one fault planted in each copy
+    lind = build_lindenbaum(parity_ps)
+    m = len(lind.classes)
+    report = verify_isomorphism(parity, replace(lind, classes=lind.classes + (frozenset(),)))
+    assert not report.surjective and not report.ok
+    assert report.failures[0] == "some class is the image of no element"
+
+    discrete = tuple(tuple(i == j for j in range(m)) for i in range(m))
+    report = verify_isomorphism(parity, replace(lind, leq=discrete))
+    assert (report.order_preserving, report.order_reflecting, report.ok) == (
+        False, True, False)
+    assert report.failures[0] == "order not preserved on (bot, Even)"
+
+    top = lind.class_of["top"]
+    meet_is_top = tuple((top,) * m for _ in range(m))
+    report = verify_isomorphism(parity, replace(lind, ops={**lind.ops, "and": meet_is_top}))
+    assert not report.homomorphism["and"] and not report.ok
+    assert [c for c, ok in report.homomorphism.items() if not ok] == ["and"]
+    # the first argument pair that fails is the only one reported
+    assert report.failures == ["and not a homomorphism on (bot, bot)"]
+
+
+def test_a_system_without_its_abstraction_is_refused(parity_ps):
+    detached = parse_machine(render(parity_ps, "machine"))
+    with pytest.raises(AbslogError) as exc:
+        normalize(detached, parse_formula("Even(x)"))
+    assert str(exc.value) == "normalization needs the source abstraction"
+    for engine in (ModelEngine, DerivabilityEngine):
+        with pytest.raises(AbslogError) as exc:
+            engine(detached)
+        assert str(exc.value) == "the derivability engine needs the source abstraction"
+
+
+def test_engines_and_lindenbaum_read_the_carrier_in_order(parity, sign, parity_ps):
+    sig = parity_ps.signature
+    shuffled = ProofSystem(replace(sig, predicates=sig.predicates[::-1]),
+                           parity_ps.rules, parity_ps.source, parity)
+    for engine in (ModelEngine, DerivabilityEngine):
+        with pytest.raises(AbslogError) as exc:
+            engine(shuffled)
+        assert str(exc.value) == ("the signature predicates must be the lattice "
+                                  "elements, in carrier order")
+    with pytest.raises(AbslogError) as exc:
+        build_lindenbaum(parity_ps, sign)
+    assert str(exc.value) == "the abstraction's carrier is not the system's predicates"
 
 
 # --- soundness ---------------------------------------------------------------

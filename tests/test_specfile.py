@@ -116,11 +116,12 @@ GAMMA
 bot = {}
 top = all
 AXIOMS
-zz(x) |- bot(x)
 """
-    with pytest.raises(SpecError) as exc:
-        specfile.load(text, "bad")
-    assert "zz" in str(exc.value)
+    # the unknown predicate stands alone, or inside a compound
+    for axiom in ("zz(x) |- bot(x)", "bot(x) & zz(x) |- top(x)"):
+        with pytest.raises(SpecError) as exc:
+            specfile.load(text + axiom, "bad")
+        assert str(exc.value) == "axiom uses unknown predicate 'zz' at line 12"
 
 
 def test_positioned_errors():
@@ -129,6 +130,60 @@ def test_positioned_errors():
     assert "line 4" in str(exc.value)
     with pytest.raises(ParseError):
         specfile.load("junk before section")
+
+
+def _spec(elements="bot top", order="bot < top", ops="", universe="atoms p",
+          gamma="bot = {}\ntop = all"):
+    """A small spec text with some sections' content replaced; OPS, if
+    given, comes last, from line 10."""
+    return (f"ELEMENTS\n{elements}\nORDER\n{order}\nUNIVERSE\n{universe}\n"
+            f"GAMMA\n{gamma}\n{ops}")
+
+
+# every error ``load`` raises on a section's content: the spec, the error's
+# type and message, and the line it names (None where it names none)
+SPEC_ERRORS = [
+    (_spec(elements="bot top bot"), SpecError, "duplicate element 'bot'", 2),
+    (_spec(order="bot top"), ParseError, "expected 'a < b', got 'bot top'", 4),
+    (_spec(order="zz < top"), SpecError, "unknown element 'zz' in ORDER", 4),
+    (_spec(ops="OPS\nunary"), ParseError, "expected 'unary NAME'", 11),
+    (_spec(ops="OPS\nunary neg neg"), ParseError, "expected 'unary NAME'", 11),
+    (_spec(ops="OPS\nunary neg\nbot = zz"), SpecError,
+     "unknown element 'zz' in OPS", 12),
+    (_spec(ops="OPS\nunary neg\nbot top = bot"), ParseError,
+     "unary entry needs one argument", 12),
+    (_spec(ops="OPS\nunary neg\nbot top"), ParseError,
+     "malformed OPS line 'bot top'", 12),
+    (_spec(universe="atoms p\natoms q"), ParseError,
+     "duplicate UNIVERSE declaration", 7),
+    (_spec(universe="atoms"), SpecError, "atoms universe needs at least one point", 6),
+    (_spec(universe="atoms p q p"), SpecError, "duplicate atoms", 6),
+    (_spec(universe="window 0 x"), ParseError,
+     "expected 'window LO HI' or 'window LO HI dim N'", 6),
+    (_spec(universe="window 0 1 dim"), ParseError,
+     "expected 'window LO HI' or 'window LO HI dim N'", 6),
+    (_spec(universe="grid 0 1"), ParseError, "unknown universe kind 'grid'", 6),
+    (_spec(gamma="bot {}\ntop = all"), ParseError,
+     "expected 'element = expr', got 'bot {}'", 8),
+    (_spec(gamma="zz = {}\ntop = all"), SpecError, "unknown element 'zz' in GAMMA", 8),
+    (_spec(gamma="bot = {}\nbot = {}\ntop = all"), SpecError,
+     "duplicate GAMMA entry for 'bot'", 9),
+    (_spec(gamma="bot = {}"), SpecError, "GAMMA missing entries for ['top']", None),
+    (_spec(gamma="bot = {}\ntop = everything"), SpecError,
+     "bad GAMMA entry for 'top': cannot parse set expression 'everything'", 9),
+    ("UNIVERSE\natoms p\nGAMMA\n", SpecError, "no ELEMENTS declared", None),
+    ("ELEMENTS\nbot\nGAMMA\nbot = {}\n", SpecError, "no UNIVERSE declared", None),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line", SPEC_ERRORS)
+def test_load_errors(text, error, message, line):
+    with pytest.raises(error) as exc:
+        specfile.load(text)
+    assert type(exc.value) is error
+    assert exc.value.line == line
+    where = "" if line is None else f" at line {line}"
+    assert str(exc.value) == message + where
 
 
 def test_binary_operation_is_refused_at_its_line():
@@ -256,6 +311,30 @@ def test_emit_refuses_an_element_name_load_cannot_read(element):
     with pytest.raises(SpecError) as exc:
         specfile.emit(_elements_abstraction(element))
     assert repr(element) in str(exc.value)
+
+
+def _operation_abstraction(name):
+    uni = ConcreteUniverse.atoms(["p"])
+    ops = {name: UnaryOpTable(name, {"bot": "top", "top": "bot"})}
+    lat = build_lattice(["bot", "top"], [("bot", "top")], unary_ops=ops)
+    gamma = ConcretizationMap(lat, uni, {"bot": uni.mask([]), "top": uni.mask(uni.points)})
+    return Abstraction("ops", lat, gamma)
+
+
+# ``load`` reads an operation's name as the one word after ``unary``, up to
+# any ``#``: "unary my op" has two, "unary" none, and "unary neg#x" names neg
+@pytest.mark.parametrize("name", ["my op", "", "neg#x", "a\tb"])
+def test_emit_refuses_an_operation_name_load_cannot_read(name):
+    with pytest.raises(SpecError) as exc:
+        specfile.emit(_operation_abstraction(name))
+    assert str(exc.value) == f"operation name {name!r} cannot be written to a spec file"
+
+
+@pytest.mark.parametrize("name", ["negation", "ORDER", "unary"])
+def test_emit_roundtrips_readable_operation_names(name):
+    abs_ = _operation_abstraction(name)
+    again = specfile.load(specfile.emit(abs_), "ops")
+    assert again.lattice.unary_ops == abs_.lattice.unary_ops
 
 
 @pytest.mark.parametrize("name", ["par\nELEMENTS\nzz", "a\rb", "a\r\nb", "a\n",

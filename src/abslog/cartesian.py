@@ -201,7 +201,7 @@ def product(components) -> ProductAbstraction:
     components = tuple(components)
     if not components:
         raise InvalidConcretization("a product needs at least one component")
-    for c in components:  # joined names, which the product criterion splits
+    for c in components:  # a joined name must name exactly one tuple
         for e in c.lattice.elements:
             if ELEMENT_SEP in e:
                 raise InvalidConcretization(f"element {e!r} of {c.name} holds the "
@@ -383,15 +383,15 @@ def check_iota_injective_on_nonempty(axis_window=(0, 3)) -> CheckResult:
 
 def product_embedding_criterion(pa: ProductAbstraction) -> CheckResult:
     """Composite gamma reflects the componentwise order on the guarded
-    sublattice (all component images nonempty): the order embedding's
-    reflection statement, run on the guarded elements only.  An empty
-    component image collapses the whole tuple to the empty set; the note
-    counts such elements rather than reporting an embedding failure."""
-    elements = pa.abstraction.lattice.elements
-    parts = [c.gamma.masks for c in pa.components]
-    guarded = [name for name in elements
-               if all(m[p] for m, p in zip(parts, name.split(ELEMENT_SEP)))]
-    res = _reflection(pa.abstraction, guarded)
+    sublattice, the elements with a nonempty image: the order embedding's
+    reflection statement, run on those only.  iota of a rectangle is empty
+    exactly when an axis is, so an empty component image collapses the whole
+    tuple to the empty set; the note counts such elements rather than
+    reporting an embedding failure."""
+    abs_ = pa.abstraction
+    elements, masks = abs_.lattice.elements, abs_.gamma.masks
+    guarded = [name for name in elements if masks[name]]
+    res = _reflection(abs_, guarded)
     if len(guarded) < len(elements):
         res.note = (f"{len(elements) - len(guarded)} elements collapse through "
                     "an empty axis")

@@ -337,14 +337,21 @@ def parse_machine(text: str) -> ProofSystem:
     connectives: frozenset[str] = frozenset()
     var_names: tuple[str, ...] = ("x",)
     rule_lines: list[tuple[str, str]] = []
+    seen: set[str] = set()  # the header lines read so far
     for ln in lines[1:]:
         if not ln.strip():
             continue
         head, _, rest = ln.partition(" ")
+        if head in seen:
+            raise UnknownFormat(f"repeated machine-format line {ln!r}")
+        if head != "rule":
+            seen.add(head)
         if head == "source":
             source = rest
         elif head == "predicates":
             predicates = tuple(rest.split())
+            if len(set(predicates)) != len(predicates):
+                raise UnknownFormat(f"a predicate is named twice in line {ln!r}")
         elif head == "connectives":
             connectives = frozenset(rest.split())
             if not connectives <= CONNECTIVES.keys():

@@ -13,7 +13,9 @@ the grid, a range that holds the whole window.  Equal slopes give nested
 half-planes.  Two slopes that are neither equal nor opposite share one
 sign, and the grid point with that coordinate at +/-N and the other at 0
 satisfies both, since N >= C.  So the rule holds over the integer plane
-and over the grid alike.
+and over the grid alike, and the export's infeasibility axioms, one per
+predicate pair whose grid masks do not meet, are the pairs disjoint over
+the plane.
 
 In each grid column an element holds on one run of consecutive points.
 :func:`_grid_mask` encodes those runs as a point mask with
@@ -27,7 +29,7 @@ set of grid points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, pairwise
 
 from .concrete import Abstraction, ConcreteUniverse, ConcretizationMap
 from .errors import GridGuardViolated, UnknownElement, WindowOverflow
@@ -114,26 +116,6 @@ class OctLattice:
             raise UnknownElement(f"unknown octagon element {name!r}") from None
 
 
-def oct_leq(lat: OctLattice, a: str, b: str) -> bool:
-    """bot below everything, top above; same slope compares by constant
-    (a larger threshold cuts a smaller half-plane); distinct slopes are
-    incomparable."""
-    if a == "bot" or b == "top":
-        return True
-    if a == "top":
-        return b == "top"
-    if b == "bot":
-        return a == "bot"
-    pa, pb = lat.by_name(a), lat.by_name(b)
-    return (pa.sx, pa.sy) == (pb.sx, pb.sy) and pa.c >= pb.c
-
-
-def disjoint(p: OctPredicate, q: OctPredicate) -> bool:
-    """True iff no integer point satisfies both: opposite slopes whose
-    constants sum above zero (see the module docstring)."""
-    return (p.sx, p.sy) == (-q.sx, -q.sy) and p.c + q.c > 0
-
-
 def grid_universe(grid_n: int) -> ConcreteUniverse:
     return ConcreteUniverse.window(-grid_n, grid_n, dim=2)
 
@@ -171,11 +153,6 @@ def _grid_mask(lat: OctLattice, element: OctPredicate | str,
     return mask
 
 
-def infeasible_pairs(lat: OctLattice) -> list[tuple[OctPredicate, OctPredicate]]:
-    """All unordered predicate pairs with empty planar intersection."""
-    return [(p, q) for p, q in combinations(lat.predicates, 2) if disjoint(p, q)]
-
-
 def hemisphere_negation(lat: OctLattice) -> UnaryOpTable:
     """Swap top/bottom and send each predicate to its set complement.
 
@@ -194,16 +171,22 @@ def to_finite_lattice(lat: OctLattice) -> FiniteLattice:
     """The lattice with its negation table, built on first use and then kept
     on ``lat``, which the export and the irreducibility check share."""
     if lat._finite is None:
-        pairs = [(a, b) for a in lat.carrier for b in lat.carrier
-                 if a != b and oct_leq(lat, a, b)]
-        lat._finite = build_lattice(lat.carrier, pairs,
+        # a larger constant cuts a smaller half-plane, so each slope's chain
+        # runs from bot through its constants in falling order to top
+        chains: dict[tuple[int, int], list[str]] = {}
+        for p in sorted(lat.predicates, key=lambda p: -p.c):
+            chains.setdefault((p.sx, p.sy), []).append(p.name)
+        covers = [cover for chain in chains.values()
+                  for cover in pairwise(["bot", *chain, "top"])] or [("bot", "top")]
+        lat._finite = build_lattice(lat.carrier, covers,
                                     unary_ops={"negation": hemisphere_negation(lat)})
     return lat._finite
 
 
 def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
     """Realize the octagon lattice over the finite grid for the generic
-    pipeline, including one infeasibility axiom per infeasible pair."""
+    pipeline, including one infeasibility axiom per predicate pair whose
+    grid images do not meet."""
     if grid_n < 4 * lat.window_c:
         raise GridGuardViolated(
             f"grid N = {grid_n} violates the guard N >= 4C = {4 * lat.window_c}")
@@ -212,8 +195,10 @@ def export_abstraction(lat: OctLattice, grid_n: int) -> Abstraction:
     masks = {name: _grid_mask(lat, name, uni) for name in lat.carrier}
     gamma = ConcretizationMap(finite, uni, masks)
     ff = (Compound("ff"),)
-    axioms = tuple((f"axiom.{i:03d}", Sequent((Pred(p.name), Pred(q.name)), ff))
-                   for i, (p, q) in enumerate(infeasible_pairs(lat)))
+    pairs = [(p, q) for p, q in combinations((p.name for p in lat.predicates), 2)
+             if not masks[p] & masks[q]]
+    axioms = tuple((f"axiom.{i:03d}", Sequent((Pred(p), Pred(q)), ff))
+                   for i, (p, q) in enumerate(pairs))
     return Abstraction(f"octagon-c{lat.window_c}", finite, gamma, extra_axioms=axioms)
 
 

@@ -712,6 +712,8 @@ class IsoReport:
 def verify_isomorphism(abs_: Abstraction, lind: LindenbaumAlgebra) -> IsoReport:
     """Check that e(a) = [a(x)] is an order isomorphism and homomorphism."""
     lat = abs_.lattice
+    if lind.class_of.keys() != set(lat.elements):
+        raise AbslogError("the abstraction's carrier is not the system's predicates")
     failures: list[str] = []
 
     surjective = ({lind.class_of[a] for a in lat.elements}

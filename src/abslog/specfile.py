@@ -79,7 +79,9 @@ def load(text: str, name: str = "spec") -> Abstraction:
                 if len(words) != 2:
                     raise ParseError("expected 'unary NAME'", ln_no)
                 current_op = words[1]
-                unary.setdefault(current_op, {})
+                if current_op in unary:
+                    raise SpecError(f"duplicate OPS operation {current_op!r}", ln_no)
+                unary[current_op] = {}
             elif current_op is None:
                 raise ParseError("operation entry before 'unary NAME'", ln_no)
             elif " = " in line:
@@ -91,6 +93,8 @@ def load(text: str, name: str = "spec") -> Abstraction:
                         raise SpecError(f"unknown element {sym!r} in OPS", ln_no)
                 if len(args) != 1:
                     raise ParseError("unary entry needs one argument", ln_no)
+                if args[0] in unary[current_op]:
+                    raise SpecError(f"duplicate OPS entry for {args[0]!r}", ln_no)
                 unary[current_op][args[0]] = rhs
             else:
                 raise ParseError(f"malformed OPS line {line!r}", ln_no)

@@ -1,4 +1,5 @@
 from collections import Counter
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ DATA = Path(__file__).resolve().parent / "data"
 BUILTIN_NAMES = ("parity", "sign", "interval", "diamond", "threechain", "m3",
                  "octagon-c1")
 
-ATOMS = 5  # largest set an intersection-closed family is drawn over
+ATOMS = 5  # largest set a family is drawn over
 
 
 def load_builtin(name: str):
@@ -72,25 +73,42 @@ def builtins():
 
 
 @st.composite
-def intersection_closed(draw):
-    """A family of subsets of at most ATOMS atoms, closed under
-    intersection and holding the full set: a lattice whose gamma, the
-    inclusion, preserves meets and is an order embedding.  Such families
-    give distributive lattices and non-distributive ones (M3, N5)."""
+def _closed_family(draw, ops, fixed):
+    """A family of subsets of at most ATOMS atoms, as masks: the members
+    ``fixed(full)`` and up to ten drawn ones, closed under each of ``ops``."""
     k = draw(st.integers(1, ATOMS))
     full = (1 << k) - 1
-    family = {full} | draw(st.sets(st.integers(0, full), max_size=10))
+    family = fixed(full) | draw(st.sets(st.integers(0, full), max_size=10))
     while True:
-        closed = family | {a & b for a in family for b in family}
+        closed = family | {op(a, b) for op in ops for a in family for b in family}
         if closed == family:
-            break
+            return k, sorted(family)
         family = closed
-    return k, sorted(family)
+
+
+def intersection_closed():
+    """Families closed under intersection and holding the full set: a
+    lattice whose gamma, the inclusion, preserves meets and is an order
+    embedding.  Such families give distributive lattices and
+    non-distributive ones (M3, N5)."""
+    return _closed_family((and_,), lambda full: {full})
+
+
+def union_closed():
+    """Families closed under union and holding the empty set, whose
+    gamma preserves joins: the dual of ``intersection_closed``."""
+    return _closed_family((or_,), lambda full: {0})
+
+
+def set_lattice():
+    """Families closed under intersection and union and holding the empty
+    and the full set: lattices of sets, which are distributive."""
+    return _closed_family((and_, or_), lambda full: {0, full})
 
 
 def family_abstraction(case):
-    """The abstraction of an ``intersection_closed`` draw: the family ordered
-    by inclusion, each member its own image over the atoms."""
+    """The abstraction of a drawn family: the family ordered by inclusion,
+    each member its own image over the atoms."""
     k, family = case
     name = {m: f"s{m:0{k}b}" for m in family}
     lat = build_lattice([name[m] for m in family],

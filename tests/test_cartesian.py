@@ -307,7 +307,7 @@ def _chain(name, elements):
 
 
 @pytest.mark.parametrize("components, message", [
-    # the product criterion split 'E*v*bot' into 'E', 'v', 'bot'
+    # 'E*v' x 'bot' would be named 'E*v*bot', which does not split back into it
     (lambda: [_chain("a", ["bot", "E*v", "top"])] * 2, "element 'E*v' of a"),
     # 'p*q' x 'r' and 'p' x 'q*r' were both named 'p*q*r'
     (lambda: [_chain("l", ["p", "p*q"]), _chain("r", ["q*r", "r"])],

@@ -419,9 +419,31 @@ def test_malformed_rule_line(parity, line, named):
 def test_machine_format_refuses_an_unknown_connective(parity):
     # render writes only registry connectives, so ``foo`` would read back
     # and then vanish from the next render
-    text = render(system(parity), "machine") + "connectives and foo\n"
-    with pytest.raises(UnknownFormat, match="'connectives and foo'"):
+    text = render(system(parity), "machine")
+    line = next(ln for ln in text.splitlines() if ln.startswith("connectives "))
+    with pytest.raises(UnknownFormat) as exc:
+        parse_machine(text.replace(line, "connectives and foo"))
+    assert str(exc.value) == "unknown connective in line 'connectives and foo'"
+
+
+@pytest.mark.parametrize("line", ["source other", "predicates Even Odd",
+                                  "connectives and", "var y"])
+def test_parse_machine_refuses_a_repeated_header_line(parity, line):
+    # render writes each header line once, and a second one read silently
+    # would replace the first: ``source other`` would rename the system
+    text = render(system(parity), "machine").replace("\nrule ", f"\n{line}\nrule ", 1)
+    with pytest.raises(UnknownFormat) as exc:
         parse_machine(text)
+    assert str(exc.value) == f"repeated machine-format line {line!r}"
+
+
+def test_parse_machine_refuses_a_predicate_named_twice(parity):
+    text = render(system(parity), "machine")
+    line = next(ln for ln in text.splitlines() if ln.startswith("predicates "))
+    bad = "predicates bot bot Even Odd top"
+    with pytest.raises(UnknownFormat) as exc:
+        parse_machine(text.replace(line, bad))
+    assert str(exc.value) == f"a predicate is named twice in line {bad!r}"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,7 +4,8 @@ The models of the saturated reference generators must be exactly the model
 engine's set M*: on the builtins, on the benchmark families, on seeded
 prunings and on minimized systems.  Both engines must give the same answer to
 every ``a |- b`` pair and to seeded random sequents, empty sides included.
-Generated intersection-closed families must come out sound, complete and
+Generated families closed under intersection, under union or under both must
+keep the connectives their closure says, and come out sound, complete and
 isomorphic; Boolean 2^4 and chain 32, out of saturation's reach, verify end
 to end, as does the octagon C = 6 export read back from its spec text, with
 the model count its construction gives; and the model count stops at a typed
@@ -16,11 +17,13 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abslog import cartesian, octagon, specfile
 from abslog.concrete import (
     Abstraction,
     ConcreteUniverse,
+    PRESERVED,
     ConcretizationMap,
     preservation_report,
 )
@@ -53,6 +56,8 @@ from conftest import (
     family_abstraction,
     intersection_closed,
     load_builtin,
+    set_lattice,
+    union_closed,
 )
 
 if str(REPO) not in sys.path:
@@ -226,12 +231,30 @@ def test_models_equal_the_reference_on_minimized_systems(name):
     same_models(minimize_proof_system(system(_abstraction(name)), derivable))
 
 
-@settings(max_examples=50, deadline=None)
-@given(intersection_closed())
-def test_intersection_closed_families_verify(case):
-    abs_ = family_abstraction(case)
+@pytest.mark.parametrize("family, kept", [
+    (intersection_closed, {"tt", "and"}),
+    (union_closed, {"ff", "or"}),
+    (set_lattice, {"tt", "ff", "and", "or"}),
+], ids=["intersection_closed", "union_closed", "set_lattice"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closed_families_verify(family, kept, data):
+    # each family's closure says which of tt, ff, and, or gamma preserves
+    k, members = data.draw(family())
+    full = (1 << k) - 1
+    abs_ = family_abstraction((k, members))
+    expected = {
+        "tt": full in members,
+        "ff": 0 in members,
+        "and": all((a & b) in members for a in members for b in members),
+        "or": all((a | b) in members for a in members for b in members),
+    }
+    assert kept <= {c for c, holds in expected.items() if holds}
+    statuses = preservation_report(abs_).statuses
+    assert {c: statuses[c].state == PRESERVED for c in expected} == expected
+    # gamma is inclusion, an order embedding by construction
     ps = system(abs_)
-    n = len(abs_.lattice.elements)
+    n = len(members)
     assert verify_soundness(abs_, ps, max_predicates=n).ok
     assert verify_completeness(abs_, ps, max_predicates=n).status == "complete"
     assert verify_isomorphism(abs_, build_lindenbaum(ps, abs_, max_predicates=n)).ok

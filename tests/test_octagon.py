@@ -1,7 +1,8 @@
 """Octagon predicates: export, disjointness, the order, irreducibility,
 the conjunction witness, the degenerate model and negation checks."""
 
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -13,13 +14,10 @@ from abslog.octagon import (
     _grid_mask,
     conjunction_nonpreservation_witness,
     degenerate_model_check,
-    disjoint,
     export_abstraction,
     grid_universe,
     hemisphere_negation,
-    infeasible_pairs,
     oct_complement,
-    oct_leq,
     to_finite_lattice,
     verify_irreducibility,
 )
@@ -40,6 +38,17 @@ def test_export_c1_is_the_builtin_spec():
     assert specfile.load(emitted, exported.name).extra_axioms == exported.extra_axioms
 
 
+def disjoint(p: OctPredicate, q: OctPredicate) -> bool:
+    """The module docstring's closed form: opposite slopes whose constants
+    sum above zero."""
+    return (p.sx, p.sy) == (-q.sx, -q.sy) and p.c + q.c > 0
+
+
+def axiom_pairs(exported):
+    """The predicate pairs of the export's ``p, q |- ff`` axioms, in order."""
+    return [tuple(f.name for f in seq.ante) for _, seq in exported.extra_axioms]
+
+
 @pytest.mark.parametrize("window_c, pairs", [(1, 36), (2, 136), (3, 300), (4, 528)])
 def test_disjoint_agrees_with_grid(window_c, pairs):
     # independent oracle: brute-force emptiness on the grid [-4C, 4C]^2
@@ -51,10 +60,13 @@ def test_disjoint_agrees_with_grid(window_c, pairs):
         brute = not any(holds(p, x, y) and holds(q, x, y) for x in grid for y in grid)
         assert disjoint(p, q) == brute, (p.name, q.name)
         if brute and p != q:
-            brute_pairs.append((p, q))
+            brute_pairs.append((p.name, q.name))
         checked += 1
     assert checked == pairs
-    assert infeasible_pairs(lat) == brute_pairs
+    exported = export_abstraction(lat, 4 * window_c)
+    assert axiom_pairs(exported) == brute_pairs
+    assert [name for name, _ in exported.extra_axioms] == [
+        f"axiom.{i:03d}" for i in range(len(brute_pairs))]
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3, 4])
@@ -88,18 +100,55 @@ def test_grid_mask_is_the_mask_of_grid_gamma(window_c):
         assert _grid_mask(lat, name, grid) == grid.mask(image), name
 
 
+def grid_images(lat: OctLattice, grid_n: int) -> dict[str, frozenset]:
+    """The oracle's gamma of every carrier element on [-N, N]^2, point by
+    point."""
+    points = [(x, y) for x in range(-grid_n, grid_n + 1)
+              for y in range(-grid_n, grid_n + 1)]
+    return {name: frozenset(pt for pt in points if brute_holds(lat, name, *pt))
+            for name in lat.carrier}
+
+
+def assert_order_is_gamma_inclusion(lat: OctLattice) -> dict[str, frozenset]:
+    """Check the lattice's order against the oracle's images; return them."""
+    images = grid_images(lat, 4 * lat.window_c)
+    finite = to_finite_lattice(lat)
+    assert finite.elements == lat.carrier
+    assert all(finite.leq(a, b) == (images[a] <= images[b])
+               for a in lat.carrier for b in lat.carrier)
+    return images
+
+
 @pytest.mark.parametrize("window_c", [1, 2, 3, 4])
 def test_finite_lattice_order_is_oct_leq(window_c):
-    # the order is built by closing oct_leq, so oct_leq must be transitive
+    # the order built from the slope chains is inclusion of the grid images,
+    # which the N >= 4C guard makes inclusion over the integer plane
     lat = OctLattice.build(window_c)
+    assert_order_is_gamma_inclusion(lat)
     finite = to_finite_lattice(lat)
-    assert all(finite.leq(a, b) == oct_leq(lat, a, b)
-               for a in lat.carrier for b in lat.carrier)
     # the emitted spec, read back through the covering-edge path, agrees
     loaded = specfile.load(specfile.emit(export_abstraction(lat, 4 * window_c))).lattice
     assert loaded.elements == finite.elements
     assert (loaded._down, loaded._up, loaded._meet, loaded._join) == (
         finite._down, finite._up, finite._meet, finite._join)
+
+
+@pytest.mark.parametrize("window_c, seed", [(1, 1), (2, 2), (3, 3)])
+def test_hand_built_lattices_read_order_and_axioms_off_gamma(window_c, seed):
+    # carriers of negation-closed predicate subsets, in shuffled order: the
+    # chains sort by constant, so the order does not depend on the order the
+    # predicates are given in, and the axioms follow that order
+    rng = random.Random(seed)
+    full = OctLattice.build(window_c).predicates
+    pairs = sorted({tuple(sorted((p, oct_complement(p, window_c)))) for p in full})
+    for _ in range(20):
+        chosen = [p for pair in pairs if rng.random() < 0.5 for p in pair]
+        rng.shuffle(chosen)
+        lat = OctLattice(window_c, tuple(chosen))
+        images = assert_order_is_gamma_inclusion(lat)
+        brute = [(p.name, q.name) for p, q in combinations(chosen, 2)
+                 if not images[p.name] & images[q.name]]
+        assert axiom_pairs(export_abstraction(lat, 4 * window_c)) == brute
 
 
 @pytest.mark.parametrize("window_c", [1, 2, 3])

@@ -329,6 +329,15 @@ def test_engines_and_lindenbaum_read_the_carrier_in_order(parity, sign, parity_p
     assert str(exc.value) == "the abstraction's carrier is not the system's predicates"
 
 
+@pytest.mark.parametrize("other", ["diamond", "sign"])
+def test_isomorphism_over_another_carrier_is_refused(parity_ps, other, request):
+    # refused before any verdict reads an element the algebra does not name
+    lind = build_lindenbaum(parity_ps)
+    with pytest.raises(AbslogError) as exc:
+        verify_isomorphism(request.getfixturevalue(other), lind)
+    assert str(exc.value) == "the abstraction's carrier is not the system's predicates"
+
+
 # --- soundness ---------------------------------------------------------------
 
 

@@ -186,6 +186,20 @@ def test_load_errors(text, error, message, line):
     assert str(exc.value) == message + where
 
 
+@pytest.mark.parametrize("ops, message, line", [
+    ("OPS\nunary neg\nbot = top\nbot = bot", "duplicate OPS entry for 'bot'", 13),
+    ("OPS\nunary neg\nbot = top\nunary neg\ntop = bot",
+     "duplicate OPS operation 'neg'", 13),
+], ids=["entry", "operation"])
+def test_duplicate_ops_are_refused_at_their_line(ops, message, line):
+    # emit writes each operation and entry once; read silently, a second
+    # header would merge into the first and the last entry would win
+    with pytest.raises(SpecError) as exc:
+        specfile.load(_spec(ops=ops))
+    assert exc.value.line == line
+    assert str(exc.value) == f"{message} at line {line}"
+
+
 def test_binary_operation_is_refused_at_its_line():
     text = "ELEMENTS\nbot top\nORDER\nbot < top\nOPS\nbinary meet\n" \
            "bot bot = bot\nUNIVERSE\natoms p\nGAMMA\nbot = {}\ntop = all\n"
